@@ -203,63 +203,62 @@ def complement_table(amb: AmbientComplex) -> np.ndarray:
     return np.asarray(amb.full_mask, dtype=dt) ^ np.arange(1 << m, dtype=dt)
 
 
-def closure_table(amb: AmbientComplex) -> np.ndarray:
-    """closure_mask evaluated at every subset, by doubling over face bits."""
+def _join_table(amb: AmbientComplex, op) -> np.ndarray:
+    """Table of an operator that maps the empty set to itself and distributes
+    over union: doubling over face bits ORs in each single face's image."""
     m = _check_table_size(amb)
     dt = _table_dtype(m)
     out = np.zeros(1 << m, dtype=dt)
     for b in range(m):
         half = 1 << b
-        out[half : 2 * half] = out[:half] | dt(amb.sub_masks[b])
+        np.bitwise_or(out[:half], dt(op(amb, 1 << b)), out=out[half : 2 * half])
     return out
 
 
-def _subsumption_table(amb: AmbientComplex, needed: list[int]) -> np.ndarray:
-    # out[A] has bit i set iff needed[i] is a subset of A.
+def _meet_table(amb: AmbientComplex, op) -> np.ndarray:
+    """Table of an operator that fixes L and distributes over intersection.
+
+    op(L minus X) is the AND of op(L minus face b) over the bits b of X, so
+    a doubling over X builds it; L minus X is mask 2^m - 1 - X, so the table
+    is that doubling read backwards.
+    """
     m = _check_table_size(amb)
     dt = _table_dtype(m)
-    arr = np.arange(1 << m, dtype=dt)
-    out = np.zeros(1 << m, dtype=dt)
-    for i, req in enumerate(needed):
-        d_req = dt(req)
-        out[(arr & d_req) == d_req] |= dt(1 << i)
+    out = np.empty(1 << m, dtype=dt)
+    by_complement = out[::-1]
+    by_complement[0] = amb.full_mask
+    for b in range(m):
+        half = 1 << b
+        np.bitwise_and(
+            by_complement[:half],
+            dt(op(amb, amb.full_mask & ~(1 << b))),
+            out=by_complement[half : 2 * half],
+        )
     return out
+
+
+def closure_table(amb: AmbientComplex) -> np.ndarray:
+    return _join_table(amb, closure_mask)
 
 
 def interior_complex_table(amb: AmbientComplex) -> np.ndarray:
-    return _subsumption_table(amb, list(amb.sub_masks))
+    return _meet_table(amb, interior_complex_mask)
 
 
 def interior_table(amb: AmbientComplex) -> np.ndarray:
-    # i is interior to A iff everything meeting i lies in A.
-    return _subsumption_table(amb, list(amb.meet_masks))
+    return _meet_table(amb, interior_mask)
 
 
 def extension_table(amb: AmbientComplex) -> np.ndarray:
-    m = _check_table_size(amb)
-    dt = _table_dtype(m)
-    arr = np.arange(1 << m, dtype=dt)
-    out = np.zeros(1 << m, dtype=dt)
-    for i in iter_bits(amb.maximal_mask):
-        out[(arr & dt(amb.sub_masks[i])) != 0] |= dt(amb.sub_masks[i])
-    return out
+    return _join_table(amb, extension_mask)
 
 
 def neighborhood_table(amb: AmbientComplex) -> np.ndarray:
-    m = _check_table_size(amb)
-    dt = _table_dtype(m)
-    cl = closure_table(amb)
-    hit = np.zeros(1 << m, dtype=dt)
-    for b in range(m):
-        half = 1 << b
-        hit[half : 2 * half] = hit[:half] | dt(amb.meet_masks[b])
-    return cl[hit]
+    return _join_table(amb, neighborhood_mask)
 
 
 def neighborhood_inverse_table(amb: AmbientComplex) -> np.ndarray:
-    m = _check_table_size(amb)
-    needed = [neighborhood_mask(amb, 1 << i) for i in range(m)]
-    return _subsumption_table(amb, needed)
+    return _meet_table(amb, neighborhood_inverse_mask)
 
 
 PRIMITIVE_TABLES = {

@@ -2,8 +2,14 @@
 
 A distribution is a dense vector indexed by face-index masks, so exactness
 is limited to ambients with at most TABLE_LIMIT faces.  Pushing through a
-unary operator is a weighted bincount over the operator's lookup table;
-binary operators push the independent coupling of two distributions.
+unary operator is a weighted bincount over the operator's lookup table.
+Binary operators push the independent coupling of two distributions, and
+for union and intersection that pushforward is a subset convolution: a
+subset-sum (union) or superset-sum (intersection) transform of each
+operand, a pointwise product, then the inverse (Moebius) transform
+(Yates' algorithm; Bjoerklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+Moebius: fast subset convolution", STOC 2007).  It costs O(m 2^m) time and
+memory on m faces, where summing over all pairs of masks costs O(4^m).
 
 The closed-form transforms turn a product law into the product law of its
 image: complement flips p; closure yields a complex law with
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .models import resolve_probabilities, pmf_complex
+from .models import enumerate_subcomplexes, resolve_probabilities, pmf_complex
 from .operators import (
     TABLE_LIMIT,
     closure_mask,
@@ -34,7 +40,7 @@ from .operators import (
     extension_table,
     interior_table,
 )
-from .words import Word, eval_word_tables
+from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
 
 
 @dataclass
@@ -100,11 +106,9 @@ def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
 def complex_product(amb: AmbientComplex, p) -> Distribution:
     """The staged law: mass on downward-closed masks, zero elsewhere."""
     probs = resolve_probabilities(amb, p)
-    size = 1 << amb.num_faces
-    vec = np.zeros(size)
-    for mask in range(size):
-        if amb.is_complex_mask(mask):
-            vec[mask] = pmf_complex(amb, probs, mask)
+    vec = np.zeros(1 << amb.num_faces)
+    for mask in enumerate_subcomplexes(amb):
+        vec[mask] = pmf_complex(amb, probs, mask)
     return Distribution(amb, vec)
 
 
@@ -143,45 +147,65 @@ def push_word(word: Word, *dists: Distribution) -> Distribution:
         raise ValueError(
             f"word has arity {word.arity()}, got {len(dists)} distributions"
         )
-    size = dists[0].vec.size
-    if len(dists) == 1:
-        idx = eval_word_tables(word, amb, [np.arange(size, dtype=np.uint32)])
-        return push_table(dists[0], idx)
-    if len(dists) == 2:
-        rows = np.arange(size, dtype=np.uint32)[:, None]
-        cols = np.arange(size, dtype=np.uint32)[None, :]
-        idx = eval_word_tables(word, amb, [rows, cols])
-        weights = np.outer(dists[0].vec, dists[1].vec)
-        vec = np.bincount(
-            idx.ravel().astype(np.int64), weights=weights.ravel(), minlength=size
-        )
-        return Distribution(amb, vec)
-    raise ValueError("pushforwards support arity 1 and 2")
+    if len(dists) > 2:
+        raise ValueError("pushforwards support arity 1 and 2")
+    return _push(word, list(dists))
 
 
-def _push_pairwise(a: Distribution, b: Distribution, op) -> Distribution:
-    # Row chunks keep the pair matrix bounded regardless of lattice size.
-    size = a.vec.size
-    cols = np.arange(size, dtype=np.uint32)
-    vec = np.zeros(size, dtype=np.float64)
-    chunk = max(1, (1 << 22) // size)
-    for start in range(0, size, chunk):
-        rows = np.arange(start, min(start + chunk, size), dtype=np.uint32)
-        idx = op(rows[:, None], cols[None, :])
-        vec += np.bincount(
-            idx.ravel().astype(np.int64),
-            weights=np.outer(a.vec[start : start + chunk], b.vec).ravel(),
-            minlength=size,
-        )
-    return Distribution(a.ambient, vec)
+def _push(word: Word, dists: list[Distribution]) -> Distribution:
+    # Operands of a join or meet are independent, so each side is pushed on
+    # its own and the two laws are combined by a subset convolution.
+    if word.arity() == 1:
+        amb = dists[0].ambient
+        ident = np.arange(dists[0].vec.size, dtype=np.uint32)
+        return push_table(dists[0], eval_word_tables(word, amb, [ident]))
+    if isinstance(word, (Join, Meet)):
+        na = word.left.arity()
+        lhs = _push(word.left, dists[:na])
+        rhs = _push(word.right, dists[na:])
+        return _convolve(lhs, rhs, upward=isinstance(word, Join))
+    if isinstance(word, Compose):
+        return _push(word.outer, [_push(word.inner, dists)])
+    raise WordError(f"cannot push through {word!r}")
+
+
+def _sum_transform(vec: np.ndarray, upward: bool, op) -> None:
+    """In place, one pass per face bit.
+
+    Upward, each mask with the bit takes op(itself, the mask without it);
+    otherwise each mask without the bit takes op(itself, the mask with it).
+    With op = np.add this is the zeta transform, summing over subsets
+    (upward) or supersets; np.subtract undoes it (Moebius inversion).
+    """
+    dst, src = (1, 0) if upward else (0, 1)
+    for b in range(vec.size.bit_length() - 1):
+        v = vec.reshape(-1, 2, 1 << b)
+        op(v[:, dst], v[:, src], out=v[:, dst])
+
+
+def _convolve(a: Distribution, b: Distribution, upward: bool) -> Distribution:
+    """Law of A | B (upward) or A & B for independent A ~ a, B ~ b.
+
+    Masks that get no mass in exact arithmetic can come out as rounding-level
+    values of either sign.
+    """
+    if a.ambient is not b.ambient:
+        raise ValueError("distributions live on different ambients")
+    za = a.vec.copy()
+    zb = b.vec.copy()
+    _sum_transform(za, upward, np.add)
+    _sum_transform(zb, upward, np.add)
+    za *= zb
+    _sum_transform(za, upward, np.subtract)
+    return Distribution(a.ambient, za)
 
 
 def push_union(a: Distribution, b: Distribution) -> Distribution:
-    return _push_pairwise(a, b, np.bitwise_or)
+    return _convolve(a, b, upward=True)
 
 
 def push_intersection(a: Distribution, b: Distribution) -> Distribution:
-    return _push_pairwise(a, b, np.bitwise_and)
+    return _convolve(a, b, upward=False)
 
 
 # ----- closed-form transforms ---------------------------------------------------
@@ -426,16 +450,11 @@ def restrict_distribution(dist: Distribution, sub: AmbientComplex) -> Distributi
     """
     amb = dist.ambient
     src_idx = [amb.face_index(sub.face_vertices(i)) for i in range(sub.num_faces)]
-    vec = np.zeros(1 << sub.num_faces)
-    for mask in range(dist.vec.size):
-        w = dist.vec[mask]
-        if w == 0.0:
-            continue
-        small = 0
-        for b, i in enumerate(src_idx):
-            if mask >> i & 1:
-                small |= 1 << b
-        vec[small] += w
+    masks = np.arange(dist.vec.size, dtype=np.int64)
+    small = np.zeros_like(masks)
+    for b, i in enumerate(src_idx):
+        small |= ((masks >> i) & 1) << b
+    vec = np.bincount(small, weights=dist.vec, minlength=1 << sub.num_faces)
     return Distribution(sub, vec)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import AmbientComplex, Hypergraph, same_ambient
-from .operators import PRIMITIVE_MASK_OPS
+from .operators import PRIMITIVE_MASK_OPS, primitive_table
 
 import numpy as np
 
@@ -133,29 +133,38 @@ def _wrap(w: Word) -> str:
 # ----- evaluation -------------------------------------------------------------
 
 
-def eval_word_mask(word: Word, amb: AmbientComplex, args: list[int]) -> int:
-    """Evaluate on face-index masks.  len(args) must equal the word's arity."""
-    if len(args) != word.arity():
-        raise WordError(f"word has arity {word.arity()}, got {len(args)} arguments")
-    return _eval(word, amb, list(args))
+def _walk(word: Word, args: list, apply):
+    """Evaluate a word tree; apply(name, x) applies a primitive to one operand.
 
-
-def _eval(word: Word, amb: AmbientComplex, args: list[int]) -> int:
+    Operands are ints (single masks) or numpy arrays of masks; both support
+    the | and & that join and meet need.
+    """
     if isinstance(word, Prim):
-        return PRIMITIVE_MASK_OPS[word.name](amb, args[0])
+        return apply(word.name, args[0])
     if isinstance(word, Compose):
-        return _eval(word.outer, amb, [_eval(word.inner, amb, args)])
+        return _walk(word.outer, [_walk(word.inner, args, apply)], apply)
     if isinstance(word, Power):
         h = args[0]
         for _ in range(word.k):
-            h = _eval(word.base, amb, [h])
+            h = _walk(word.base, [h], apply)
         return h
     if isinstance(word, (Join, Meet)):
         na = word.left.arity()
-        lhs = _eval(word.left, amb, args[:na])
-        rhs = _eval(word.right, amb, args[na:])
+        lhs = _walk(word.left, args[:na], apply)
+        rhs = _walk(word.right, args[na:], apply)
         return (lhs | rhs) if isinstance(word, Join) else (lhs & rhs)
     raise WordError(f"cannot evaluate {word!r}")
+
+
+def _check_arity(word: Word, args) -> None:
+    if len(args) != word.arity():
+        raise WordError(f"word has arity {word.arity()}, got {len(args)} arguments")
+
+
+def eval_word_mask(word: Word, amb: AmbientComplex, args: list[int]) -> int:
+    """Evaluate on face-index masks.  len(args) must equal the word's arity."""
+    _check_arity(word, args)
+    return _walk(word, list(args), lambda name, h: PRIMITIVE_MASK_OPS[name](amb, h))
 
 
 def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
@@ -169,30 +178,20 @@ def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
 
 
 def eval_word_tables(word: Word, amb: AmbientComplex, args: list[np.ndarray]) -> np.ndarray:
-    """Vectorized evaluation over arrays of masks (broadcast together)."""
-    from .operators import primitive_table
+    """Vectorized evaluation over arrays of masks (broadcast together).
 
-    if len(args) != word.arity():
-        raise WordError(f"word has arity {word.arity()}, got {len(args)} arguments")
+    Each primitive's table is built once per call, however often the word
+    uses it.
+    """
+    _check_arity(word, args)
+    tables: dict[str, np.ndarray] = {}
 
-    def go(w: Word, a: list[np.ndarray]) -> np.ndarray:
-        if isinstance(w, Prim):
-            return primitive_table(amb, w.name)[a[0]]
-        if isinstance(w, Compose):
-            return go(w.outer, [go(w.inner, a)])
-        if isinstance(w, Power):
-            x = a[0]
-            for _ in range(w.k):
-                x = go(w.base, [x])
-            return x
-        if isinstance(w, (Join, Meet)):
-            na = w.left.arity()
-            lhs = go(w.left, a[:na])
-            rhs = go(w.right, a[na:])
-            return (lhs | rhs) if isinstance(w, Join) else (lhs & rhs)
-        raise WordError(f"cannot evaluate {w!r}")
+    def apply(name: str, x: np.ndarray) -> np.ndarray:
+        if name not in tables:
+            tables[name] = primitive_table(amb, name)
+        return tables[name][x]
 
-    return go(word, list(args))
+    return _walk(word, list(args), apply)
 
 
 # ----- normalization ----------------------------------------------------------
@@ -253,13 +252,7 @@ def normalize(word: Word) -> Word:
     Aliases are expanded first, so the result is a chain over the generators
     (plus any Nbd/NbdInv/zero occurrences, which no rule touches).
     """
-    names = normalize_chain(_flatten_chain(word))
-    if not names:
-        return Prim("id")
-    out: Word = Prim(names[-1])
-    for name in reversed(names[:-1]):
-        out = Compose(Prim(name), out)
-    return out
+    return word_from_names(normalize_chain(_flatten_chain(word)))
 
 
 def word_from_names(names: list[str]) -> Word:

@@ -3,11 +3,14 @@
 Everything here works on plain frozensets (a face is a frozenset of vertex
 ids, a hypergraph is a frozenset of faces) with no bitmask tricks, so the
 package's table/mask machinery can be checked against definitions that read
-like the definitions.
+like the definitions.  The one numpy oracle, o_push_pairwise, sums over
+every pair of masks, the O(4^m) definition of a binary pushforward.
 """
 
 from itertools import chain, combinations
 from math import comb
+
+import numpy as np
 
 Face = frozenset
 Faces = frozenset
@@ -191,3 +194,24 @@ def ambient_faces(amb):
 
 def chains_equal(*args):
     return all(a == args[0] for a in args[1:])
+
+
+def o_push_pairwise(a, b, op):
+    """Vector of the law of op(A, B) for independent A ~ a, B ~ b.
+
+    op maps broadcast arrays of row and column masks to result masks; every
+    pair is visited, in row chunks that keep the pair matrix bounded.
+    """
+    size = a.size
+    cols = np.arange(size, dtype=np.uint32)
+    vec = np.zeros(size, dtype=np.float64)
+    chunk = max(1, (1 << 22) // size)
+    for start in range(0, size, chunk):
+        rows = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+        idx = op(rows[:, None], cols[None, :])
+        vec += np.bincount(
+            idx.ravel().astype(np.int64),
+            weights=np.outer(a[start : start + chunk], b).ravel(),
+            minlength=size,
+        )
+    return vec

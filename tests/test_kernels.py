@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import subprocess
 import sys
 
@@ -182,7 +183,11 @@ def test_env_flag_crosses_process_boundary(tmp_path):
             [sys.executable, "-c", snippet],
             capture_output=True,
             text=True,
-            env={"HYPEROPS_BACKEND": backend, "PATH": "/usr/bin:/bin"},
+            env={
+                "HYPEROPS_BACKEND": backend,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
         )
         assert proc.returncode == 0, proc.stderr
         name, _, rest = proc.stdout.strip().partition(" ")

@@ -315,8 +315,8 @@ def test_nbd_inverse_identity_witness(delta1):
     "name", ["id", "Delta", "delta", "gamma", "Ext", "Int", "Nbd", "NbdInv", "zero"]
 )
 def test_tables_match_mask_ops(name, fixtures):
-    for key in ("delta2", "p3", "sk1d3"):
-        amb = fixtures[key]
+    six_cycle = AmbientComplex([(v, v % 6 + 1) for v in range(1, 7)])  # 12 faces
+    for amb in list(fixtures.values()) + [six_cycle]:
         table = primitive_table(amb, name)
         op = PRIMITIVE_MASK_OPS[name]
         assert table.shape == (1 << amb.num_faces,)

@@ -4,7 +4,8 @@ Run:  python3 bench/bench_kernels.py [--samples N] [--n VERTICES]
 
 Backends are selected per measurement through HYPEROPS_BACKEND, so one
 process times both.  The numba warmup (jit compilation) happens before any
-timer starts.
+timer starts.  Graph sampling has no numba path; it is timed next to the
+census it feeds, on the same graphs.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from hyperops.complexes import standard_fixtures
-from hyperops.kernels import clique_stats, pair_laws, sample_graph_words, warmup
+from hyperops.kernels import clique_stats, edge_count, pair_laws, sample_graph_words, warmup
 from hyperops.models import rng_from
 from hyperops.operators import closure_table, complement_table, interior_complex_table
 
@@ -28,8 +29,19 @@ def timed(fn, repeats=3):
     return best, out
 
 
+def _sample_graphs(n, samples):
+    return [sample_graph_words(n, 0.15, rng_from(1, s)) for s in range(samples)]
+
+
+def bench_graph_sampling(n, samples):
+    def run():
+        return sum(edge_count(words) for words in _sample_graphs(n, samples))
+
+    return run
+
+
 def bench_clique_census(n, samples):
-    graphs = [sample_graph_words(n, 0.15, rng_from(1, s)) for s in range(samples)]
+    graphs = _sample_graphs(n, samples)
 
     def run():
         total = 0
@@ -69,6 +81,8 @@ def main():
     backends = ("numpy", "numba") if have_numba else ("numpy",)
 
     workloads = [
+        (f"graph sampling (n={args.n}, {args.samples} graphs)",
+         bench_graph_sampling(args.n, args.samples)),
         (f"clique census (n={args.n}, {args.samples} graphs)",
          bench_clique_census(args.n, args.samples)),
         ("pair laws (10-face fixture, 525k pairs)", bench_pair_laws()),

@@ -79,21 +79,32 @@ class AmbientComplex:
         self.dim: int = max(self.dims, default=-1)
 
         # Relation masks over face indices: faces contained in / containing /
-        # meeting each face, and codim-1 subfaces (the boundary).
+        # meeting each face, and codim-1 subfaces (the boundary).  Faces
+        # come in order of dimension and the set is downward closed, so each
+        # facet vi ^ (1 << v) is already indexed: the boundary collects the
+        # facets, and the sub mask is the face's own bit joined with its
+        # facets' sub masks.  The sup masks transpose the sub masks, and a
+        # face meets exactly the faces in the vertex stars of its vertices.
+        index = self.index
         sub = [0] * m
-        sup = [0] * m
-        meet = [0] * m
         bnd = [0] * m
         for i, vi in enumerate(self.face_vmasks):
-            for j, vj in enumerate(self.face_vmasks):
-                if vj & ~vi == 0:
-                    sub[i] |= 1 << j
-                if vi & ~vj == 0:
-                    sup[i] |= 1 << j
-                if vi & vj:
-                    meet[i] |= 1 << j
-                if vj & ~vi == 0 and _popcount(vj) == _popcount(vi) - 1:
+            down = 1 << i
+            if vi & (vi - 1):
+                for v in iter_bits(vi):
+                    j = index[vi ^ (1 << v)]
                     bnd[i] |= 1 << j
+                    down |= sub[j]
+            sub[i] = down
+        sup = [0] * m
+        for i, down in enumerate(sub):
+            for j in iter_bits(down):
+                sup[j] |= 1 << i
+        star = [sup[index[1 << v]] for v in range(len(labels))]
+        meet = [0] * m
+        for i, vi in enumerate(self.face_vmasks):
+            for v in iter_bits(vi):
+                meet[i] |= star[v]
         self.sub_masks: tuple[int, ...] = tuple(sub)
         self.sup_masks: tuple[int, ...] = tuple(sup)
         self.meet_masks: tuple[int, ...] = tuple(meet)

@@ -6,8 +6,9 @@ and the default "auto" uses numba when it imports cleanly.  Both backends
 produce identical results; the benchmark in bench/ compares their speed.
 
 Kernels here are the ones that dominate the large-n statistics run: clique
-censuses on bitset adjacency matrices, and the exhaustive associativity
-sweep used by the verification suites.
+censuses on bitset adjacency matrices, and the pair sweep of the
+distribution laws used by the verification suites.  Graph sampling is
+numpy on every backend.
 """
 
 from __future__ import annotations
@@ -113,20 +114,7 @@ def _compiled():
                     bad[2] += 1
         return bad
 
-    @njit(cache=True)
-    def assoc_sweep_kernel(size):
-        for a in range(size):
-            for b in range(size):
-                ab_or = a | b
-                ab_and = a & b
-                for c in range(size):
-                    if (ab_or | c) != (a | (b | c)):
-                        return False
-                    if (ab_and & c) != (a & (b & c)):
-                        return False
-        return True
-
-    _numba_cache["kernels"] = (clique_stats_kernel, assoc_sweep_kernel, pair_laws_kernel)
+    _numba_cache["kernels"] = (clique_stats_kernel, pair_laws_kernel)
     return _numba_cache["kernels"]
 
 
@@ -135,9 +123,8 @@ def warmup() -> None:
     if active_backend() == "numba":
         words = np.zeros((1, 1), dtype=np.uint64)
         _compiled()[0](words, 1, 1, 2, 2)
-        _compiled()[1](2)
         table = np.zeros(2, dtype=np.uint32)
-        _compiled()[2](table, table, table)
+        _compiled()[1](table, table, table)
 
 
 # ----- graph sampling -------------------------------------------------------------
@@ -146,24 +133,26 @@ def warmup() -> None:
 def sample_graph_words(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Erdos-Renyi draw as uint64 adjacency bitset rows, shape (n, ceil(n/64)).
 
-    Uniforms are consumed in row-major pair order (0,1), (0,2), ..., so a
-    fixed (seed, stream) pins the graph on every backend.
+    Uniforms are consumed in row-major pair order (0,1), (0,2), ..., the
+    order of np.triu_indices, so a fixed (seed, stream) pins the graph.
+    Bit j of row i sits at bit j & 63 of word j >> 6: packing the bool
+    adjacency little-endian per row and reading it as little-endian
+    uint64 gives exactly that layout.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability outside [0, 1]")
     nwords = (n + 63) >> 6
-    words = np.zeros((n, nwords), dtype=np.uint64)
     us = rng.random(n * (n - 1) // 2)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if us[idx] < p:
-                words[i, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
-                words[j, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-            idx += 1
-    return words
+    rows, cols = np.triu_indices(n, 1)
+    hit = us < p
+    rows, cols = rows[hit], cols[hit]
+    adj = np.zeros((n, 64 * nwords), dtype=bool)
+    adj[rows, cols] = True
+    adj[cols, rows] = True
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def _clique_stats_py(words: np.ndarray, count_size: int, exist_size: int):
@@ -215,26 +204,6 @@ def edge_count(words: np.ndarray) -> int:
     return total // 2
 
 
-def assoc_laws_hold(size: int) -> bool:
-    """Exhaustively check that join and meet associate on masks below size.
-
-    The numba backend sweeps every triple.  The numpy backend relies on the
-    ops being bitwise and per-bit independent: checking all eight bit
-    triples is exhaustive over the whole lattice, so it sweeps the triples
-    below 2 and trusts independence for the rest (documented fallback).
-    """
-    if active_backend() == "numba":
-        return bool(_compiled()[1](size))
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                if ((a | b) | c) != (a | (b | c)):
-                    return False
-                if ((a & b) & c) != (a & (b & c)):
-                    return False
-    return True
-
-
 def pair_laws(ct: np.ndarray, dt: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, int]:
     """Violation counts for the three distribution laws over all unordered
     mask pairs, given the closure, interior-complex, and complement tables.
@@ -246,7 +215,7 @@ def pair_laws(ct: np.ndarray, dt: np.ndarray, gt: np.ndarray) -> tuple[np.ndarra
     n = int(ct.shape[0])
     pairs = n * (n + 1) // 2
     if active_backend() == "numba":
-        bad = _compiled()[2](ct, dt, gt)
+        bad = _compiled()[1](ct, dt, gt)
         return np.asarray(bad, dtype=np.int64), pairs
     bad = np.zeros(3, dtype=np.int64)
     idx = np.arange(n, dtype=np.uint32)

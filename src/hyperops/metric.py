@@ -67,14 +67,38 @@ def eccentricity(amb: AmbientComplex, i: int) -> int:
 
 
 def diameter(amb: AmbientComplex) -> int:
-    """Maximum pairwise distance; -1 if the complex is disconnected."""
-    best = 1
-    for i in range(amb.num_faces):
-        e = eccentricity(amb, i)
-        if e < 0:
+    """Maximum pairwise distance; -1 if the complex is disconnected.
+
+    Consecutive faces of a path share a vertex, and any two vertices of one
+    face are joined by an edge of L.  So two distinct faces i and j are at
+    distance 2 + d_G(V_i, V_j), where G is the 1-skeleton, and the diameter
+    is 2 + diam(G), reached at two vertex faces; one vertex gives 1.
+    diam(G) is found by growing every vertex's ball one hop per round, as
+    vertex bitsets, until every ball is all of G.
+    """
+    n = amb.num_vertices
+    if n <= 1:
+        return 1
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in iter_bits(amb.faces_by_dim(1)):
+        a, b = iter_bits(amb.face_vmasks[i])
+        adj[a].append(b)
+        adj[b].append(a)
+    full = (1 << n) - 1
+    ball = [1 << v for v in range(n)]
+    radius = 0
+    while any(b != full for b in ball):
+        grown = []
+        for v, near in enumerate(adj):
+            b = ball[v]
+            for u in near:
+                b |= ball[u]
+            grown.append(b)
+        if grown == ball:
             return -1
-        best = max(best, e)
-    return best
+        ball = grown
+        radius += 1
+    return 2 + radius
 
 
 def hop_diameter_maximal(amb: AmbientComplex) -> int:

@@ -1,9 +1,10 @@
 """Sparse random structures on many vertices.
 
 Derived per-dimension inclusion parameters, clique (flag) complexes, and
-truncated generation that cuts every draw at a dimension bound r.  Candidate
-faces are streamed combinatorially, so nothing here ever enumerates the full
-simplex on n vertices; memory stays proportional to the output.
+truncated generation that cuts every draw at a dimension bound r.  Every
+candidate face gets one uniform, drawn in fixed-size blocks, and only the
+hits are turned into faces (by unranking), so nothing here ever enumerates
+the full simplex on n vertices; memory stays proportional to the output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import AmbientComplex, Complex, Hypergraph
+from .complexes import AmbientComplex, Complex, Hypergraph, iter_bits
 from .kernels import clique_stats, sample_graph_words
 from .models import rng_from
 
@@ -208,21 +209,35 @@ class TruncatedSample:
     complex_faces: tuple[tuple[int, ...], ...]
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _bernoulli_faces(n, base, r, rng) -> list[tuple[int, ...]]:
-    # Streams the C(n, d+1) candidate faces per dimension in lexicographic
-    # order, drawing uniforms in fixed-size blocks.  Uniform consumption
-    # depends only on (n, r), never on the outcomes.
+    # One uniform per candidate face, in lexicographic order per dimension,
+    # drawn in fixed-size blocks; consumption depends only on (n, r), never
+    # on the outcomes.  Only the hits become faces: a hit's lexicographic
+    # rank is unranked through the combinatorial number system.  With
+    # x = C(n, k) - 1 - rank, for j = k..1 the largest c with C(c, j) <= x
+    # gives the next vertex n - c, and x drops by C(c, j).
+    if max(math.comb(n, k) for k in range(1, r + 2)) > _INT64_MAX:
+        raise ValueError(f"C({n}, k) for some k <= {r + 1} exceeds int64: too many candidate faces")
+    binom = {
+        j: np.array([math.comb(c, j) for c in range(n)], dtype=np.int64) for j in range(1, r + 2)
+    }
     kept = []
     for d in range(r + 1):
         q = base[d]
-        faces = itertools.combinations(range(1, n + 1), d + 1)
-        remaining = math.comb(n, d + 1)
-        while remaining:
-            block = min(remaining, 1 << 14)
-            us = rng.random(block)
-            chunk = itertools.islice(faces, block)
-            kept.extend(itertools.compress(chunk, us < q))
-            remaining -= block
+        k = d + 1
+        total = math.comb(n, k)
+        for start in range(0, total, 1 << 14):
+            us = rng.random(min(total - start, 1 << 14))
+            x = total - 1 - (np.flatnonzero(us < q) + start)
+            verts = np.empty((x.size, k), dtype=np.int64)
+            for pos, j in enumerate(range(k, 0, -1)):
+                c = np.searchsorted(binom[j], x, "right") - 1
+                verts[:, pos] = n - c
+                x -= binom[j][c]
+            kept.extend(map(tuple, verts.tolist()))
     return kept
 
 
@@ -230,18 +245,23 @@ def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
     # Stage-by-dimension draw: a (d+1)-subset is a candidate once all of its
     # d-subsets were kept, and gets one coin at closure_p[d].  Candidates are
     # visited in lexicographic order, so the stream layout is reproducible.
+    # up[g] is the vertex bitset of the kept faces g + (v,); the candidates
+    # extending f are the bits above f[-1] common to up[f minus f_i], i < d.
     candidates = [(v,) for v in range(1, n + 1)]
     us = rng.random(n)
     layer = list(itertools.compress(candidates, us < closure_p[0]))
     faces = list(layer)
     for d in range(1, r + 1):
-        prev = set(layer)
+        up: dict[tuple[int, ...], int] = {}
+        for g in layer:
+            up[g[:-1]] = up.get(g[:-1], 0) | 1 << g[-1]
         cands = []
         for face in layer:
-            for v in range(face[-1] + 1, n + 1):
-                ext = face + (v,)
-                if all(ext[:i] + ext[i + 1 :] in prev for i in range(d)):
-                    cands.append(ext)
+            above = face[-1] + 1
+            common = up[face[:-1]] >> above
+            for i in range(d - 1):
+                common &= up.get(face[:i] + face[i + 1 :], 0) >> above
+            cands.extend(face + (above + v,) for v in iter_bits(common))
         us = rng.random(len(cands))
         layer = list(itertools.compress(cands, us < closure_p[d]))
         faces.extend(layer)

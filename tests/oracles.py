@@ -5,9 +5,14 @@ ids, a hypergraph is a frozenset of faces) with no bitmask tricks, so the
 package's table/mask machinery can be checked against definitions that read
 like the definitions.  The one numpy oracle, o_push_pairwise, sums over
 every pair of masks, the O(4^m) definition of a binary pushforward.
+
+The last section keeps the mask and sampling layer's former per-pair and
+per-candidate loops.  The package computes the same outputs without them,
+and the differential tests require exact equality, consumed uniforms
+included.
 """
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, islice
 from math import comb
 
 import numpy as np
@@ -215,3 +220,89 @@ def o_push_pairwise(a, b, op):
             minlength=size,
         )
     return vec
+
+
+# ----- loop references for the mask and sampling layer -------------------------
+
+
+def o_sample_graph_words(n, p, rng):
+    """Erdos-Renyi adjacency words, one uniform per pair in row-major order."""
+    nwords = (n + 63) >> 6
+    words = np.zeros((n, nwords), dtype=np.uint64)
+    us = rng.random(n * (n - 1) // 2)
+    idx = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if us[idx] < p:
+                words[i, j >> 6] |= np.uint64(1) << np.uint64(j & 63)
+                words[j, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+            idx += 1
+    return words
+
+
+def o_relation_masks(amb):
+    """(sub, sup, meet, boundary) masks by testing every pair of faces."""
+    vms = amb.face_vmasks
+    m = len(vms)
+    sub, sup, meet, bnd = ([0] * m for _ in range(4))
+    for i, vi in enumerate(vms):
+        for j, vj in enumerate(vms):
+            if vj & ~vi == 0:
+                sub[i] |= 1 << j
+            if vi & ~vj == 0:
+                sup[i] |= 1 << j
+            if vi & vj:
+                meet[i] |= 1 << j
+            if vj & ~vi == 0 and bin(vj).count("1") == bin(vi).count("1") - 1:
+                bnd[i] |= 1 << j
+    return tuple(sub), tuple(sup), tuple(meet), tuple(bnd)
+
+
+def o_diameter(amb):
+    """Largest face eccentricity of the meets-graph, by a BFS from every face."""
+    from hyperops.metric import eccentricity
+
+    best = 1
+    for i in range(amb.num_faces):
+        e = eccentricity(amb, i)
+        if e < 0:
+            return -1
+        best = max(best, e)
+    return best
+
+
+def o_bernoulli_faces(n, base, r, rng):
+    """Stream every candidate face in lexicographic order, one uniform each,
+    drawn in blocks of 2^14 per dimension."""
+    kept = []
+    for d in range(r + 1):
+        q = base[d]
+        faces = combinations(range(1, n + 1), d + 1)
+        remaining = comb(n, d + 1)
+        while remaining:
+            block = min(remaining, 1 << 14)
+            us = rng.random(block)
+            chunk = islice(faces, block)
+            kept.extend(compress(chunk, us < q))
+            remaining -= block
+    return kept
+
+
+def o_staged_complex_faces(n, closure_p, r, rng):
+    """Stage-by-dimension draw; a candidate is tested facet by facet."""
+    candidates = [(v,) for v in range(1, n + 1)]
+    us = rng.random(n)
+    layer = list(compress(candidates, us < closure_p[0]))
+    faces = list(layer)
+    for d in range(1, r + 1):
+        prev = set(layer)
+        cands = []
+        for face in layer:
+            for v in range(face[-1] + 1, n + 1):
+                ext = face + (v,)
+                if all(ext[:i] + ext[i + 1 :] in prev for i in range(d)):
+                    cands.append(ext)
+        us = rng.random(len(cands))
+        layer = list(compress(cands, us < closure_p[d]))
+        faces.extend(layer)
+    return faces

@@ -10,7 +10,6 @@ import pytest
 from hyperops.kernels import (
     _load_numba,
     active_backend,
-    assoc_laws_hold,
     clique_stats,
     edge_count,
     pair_laws,
@@ -130,12 +129,6 @@ def test_edge_count():
     words = sample_graph_words(12, 0.4, rng_from(7, 0))
     a = dense(words, 12)
     assert edge_count(words) == int(a.sum()) // 2
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_assoc_laws_hold(monkeypatch, backend):
-    monkeypatch.setenv("HYPEROPS_BACKEND", backend)
-    assert assoc_laws_hold(64)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

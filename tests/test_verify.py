@@ -32,7 +32,7 @@ def test_laws_exhaustive(fixtures):
         res = suite_laws(amb)
         assert res.ok
         size = 1 << amb.num_faces
-        assert res.total == 3 * size * (size + 1) // 2 + 16
+        assert res.total == 3 * size * (size + 1) // 2
 
 
 def test_theorem1_fails_only_the_printed_ext_int_row(fixtures):

@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help="operator expression, e.g. 'Delta' or 'Ext^2'")
     p.add_argument("--model", choices=("phyper", "pcomplex"))
     p.add_argument("--hyper", help=".hg file for a point-mass start")
-    p.add_argument("--exact", action="store_true", help="exact pushforward (default)")
     p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
     _add_sampling_flags(p)
     p.set_defaults(fn=cmd_push)
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="|".join(sorted(SUITES)) + "|all")
     p.add_argument("--ambient", help="run on this .cx instead of the standard fixtures")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="accepted for compatibility; lattice sweeps are always exhaustive")
     p.add_argument("--seed", type=int, default=None, help="seed for the sampled checks (default 2026)")
     p.set_defaults(fn=cmd_verify)
 

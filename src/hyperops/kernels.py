@@ -5,10 +5,18 @@ The environment variable HYPEROPS_BACKEND selects the implementation:
 and the default "auto" uses numba when it imports cleanly.  Both backends
 produce identical results; the benchmark in bench/ compares their speed.
 
-Kernels here are the ones that dominate the large-n statistics run: clique
-censuses on bitset adjacency matrices, and the pair sweep of the
-distribution laws used by the verification suites.  Graph sampling is
-numpy on every backend.
+Kernels here are the ones that dominate the large-n statistics run: graph
+sampling and clique censuses on bitset adjacency matrices, and the pair
+sweep of the distribution laws used by the verification suites.
+
+Graphs travel in blocks: a (graphs, n, ceil(n/64)) uint64 array of
+adjacency rows, drawn from one rng.random call (numpy on every backend).
+The numpy census counts cliques over a whole block level by level: the
+k-cliques of every graph are rows (graph, common neighbours above the last
+vertex), the popcount of a row counts the (k+1)-cliques extending it, and
+the next level unpacks the nonzero rows.  A few dozen numpy calls per
+level then serve every graph of the block.  The numba census runs the
+compiled depth-first kernel graph by graph.
 """
 
 from __future__ import annotations
@@ -130,76 +138,139 @@ def warmup() -> None:
 # ----- graph sampling -------------------------------------------------------------
 
 
-def sample_graph_words(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Erdos-Renyi draw as uint64 adjacency bitset rows, shape (n, ceil(n/64)).
+def sample_graph_block(n: int, p: float, rng: np.random.Generator, graphs: int) -> np.ndarray:
+    """`graphs` Erdos-Renyi draws as uint64 adjacency bitset rows, shape
+    (graphs, n, ceil(n/64)).
 
-    Uniforms are consumed in row-major pair order (0,1), (0,2), ..., the
-    order of np.triu_indices, so a fixed (seed, stream) pins the graph.
-    Bit j of row i sits at bit j & 63 of word j >> 6: packing the bool
-    adjacency little-endian per row and reading it as little-endian
-    uint64 gives exactly that layout.
+    One rng.random call supplies every uniform; graph g reads the g-th
+    slice of n(n-1)/2 of them in row-major pair order (0,1), (0,2), ...,
+    the order of np.triu_indices.  A Philox stream yields the same doubles
+    in one call as in `graphs` calls, so a fixed (seed, stream) pins each
+    graph however the draws are grouped into blocks.  Bit j of row i sits at bit j & 63 of word j >> 6:
+    packing the bool adjacency little-endian per row and reading it as
+    little-endian uint64 gives exactly that layout.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability outside [0, 1]")
     nwords = (n + 63) >> 6
-    us = rng.random(n * (n - 1) // 2)
+    pairs = n * (n - 1) // 2
+    hit = np.flatnonzero(rng.random(graphs * pairs) < p)
+    g, pair = np.divmod(hit, max(pairs, 1))
     rows, cols = np.triu_indices(n, 1)
-    hit = us < p
-    rows, cols = rows[hit], cols[hit]
-    adj = np.zeros((n, 64 * nwords), dtype=bool)
-    adj[rows, cols] = True
-    adj[cols, rows] = True
-    packed = np.packbits(adj, axis=1, bitorder="little")
+    rows, cols = rows[pair], cols[pair]
+    adj = np.zeros((graphs, n, 64 * nwords), dtype=bool)
+    adj[g, rows, cols] = True
+    adj[g, cols, rows] = True
+    packed = np.packbits(adj, axis=2, bitorder="little")
     return packed.view("<u8").astype(np.uint64, copy=False)
 
 
-def _clique_stats_py(words: np.ndarray, count_size: int, exist_size: int):
-    # Same enumeration as the compiled kernel, on python ints.
-    n, nwords = words.shape
-    rows = [int.from_bytes(words[i].tobytes(), "little") for i in range(n)]
-    max_depth = max(count_size, exist_size)
-    count = 0
-    exists = False
-    stack = [(1 << n) - 1]
-    while stack:
-        candset = stack[-1]
-        if candset == 0:
-            stack.pop()
-            continue
-        low = candset & -candset
-        v = low.bit_length() - 1
-        stack[-1] = candset ^ low
-        k = len(stack)
-        if k == count_size:
-            count += 1
-        if k == exist_size:
-            exists = True
-        if k < max_depth:
-            stack.append(stack[-1] & rows[v])
-    return count, exists
+def sample_graph_words(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """One Erdos-Renyi draw as uint64 adjacency bitset rows, shape (n, ceil(n/64))."""
+    return sample_graph_block(n, p, rng, 1)[0]
 
 
-def clique_stats(words: np.ndarray, count_size: int, exist_size: int) -> tuple[int, bool]:
-    """(number of cliques on count_size vertices, any clique on exist_size).
+# ----- clique census ---------------------------------------------------------------
 
+_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333,
+                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+# Rows of one level handed to the next at a time, so a dense graph's
+# census holds a bounded slice of a level (at most about 256 KiB of
+# unpacked bits per adjacency word) rather than all of it.
+_LEVEL_ROWS = 1 << 12
+
+
+def _popcount_rows(cand: np.ndarray) -> np.ndarray:
+    # Bit-parallel popcount per uint64 word (np.bitwise_count needs numpy 2),
+    # then a column sum over the few words of a row.
+    x = cand - ((cand >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    x = ((x * _H01) >> np.uint64(56)).astype(np.int64)
+    total = x[:, 0].copy()
+    for w in range(1, x.shape[1]):
+        total += x[:, w]
+    return total
+
+
+def _census_numpy(block, count_size, exist_size):
+    # A row is a k-clique of graph g, held as (g, cand): cand is the bitset
+    # of common neighbours above the clique's last vertex, so popcount(cand)
+    # is the number of (k+1)-cliques extending it, each counted once.
+    # Level 1 is every vertex v of every graph g, at row g * n + v of
+    # `first`; appending w to a row ANDs its cand with first[g * n + w].
+    graphs, n, nwords = block.shape
+    top = max(count_size, exist_size)
+    counts = np.zeros(graphs, dtype=np.int64)
+    exists = np.zeros(graphs, dtype=bool)
+    # above[v]: the bitset of the vertices greater than v
+    bits = np.arange(64 * nwords)
+    above = np.packbits(bits[None, :] > np.arange(n)[:, None], axis=1, bitorder="little")
+    first = (block & above.view("<u8").astype(np.uint64, copy=False)).reshape(graphs * n, nwords)
+
+    def level(k, g, cand):
+        pc = _popcount_rows(cand)
+        if k + 1 == count_size:
+            # float weights sum integers exactly below 2^53 cliques
+            counts[:] += np.bincount(g, weights=pc, minlength=graphs).astype(np.int64)
+        if k + 1 == exist_size:
+            exists[g[pc > 0]] = True
+        if k + 1 >= top:
+            return
+        live = np.flatnonzero(pc)
+        if live.size == 0:
+            return
+        ends = np.cumsum(pc[live])
+        cuts = np.searchsorted(ends, np.arange(_LEVEL_ROWS, int(ends[-1]), _LEVEL_ROWS), "right")
+        for piece in np.split(live, cuts):
+            if piece.size == 0:
+                continue
+            # set bits of the piece, row by row in ascending order; a flat
+            # nonzero on a bool view is several times faster than a 2-D one
+            sub = cand[piece]
+            bit = np.flatnonzero(np.unpackbits(sub.view(np.uint8), bitorder="little").view(bool))
+            row = np.repeat(np.arange(piece.size), pc[piece])
+            gs = g[piece][row]
+            level(k + 1, gs, sub[row] & first[gs * n + bit - row * (64 * nwords)])
+
+    level(1, np.repeat(np.arange(graphs), n), first)
+    return counts, exists
+
+
+def clique_census(block: np.ndarray, count_size: int, exist_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph clique census of a (graphs, n, nwords) block of bitset rows.
+
+    Returns (int64 number of cliques on count_size vertices, bool whether
+    some clique on exist_size vertices exists), one entry per graph.  The
+    numpy path works level by level over every graph of the block at once;
+    the numba path runs the compiled depth-first kernel graph by graph.
     count_size and exist_size must be at least 2; vertex and edge counts are
     cheap enough to read off directly.
     """
     if count_size < 2 or exist_size < 2:
         raise ValueError("clique sizes below 2 are direct counts, not a census")
-    n, nwords = words.shape
+    graphs, n, nwords = block.shape
     if active_backend() == "numba":
         kern = _compiled()[0]
-        count, exists = kern(words, n, nwords, count_size, exist_size)
-        return int(count), bool(exists)
-    count, exists = _clique_stats_py(words, count_size, exist_size)
-    return count, exists
+        counts = np.zeros(graphs, dtype=np.int64)
+        exists = np.zeros(graphs, dtype=bool)
+        for g in range(graphs):
+            counts[g], exists[g] = kern(block[g], n, nwords, count_size, exist_size)
+        return counts, exists
+    return _census_numpy(block, count_size, exist_size)
+
+
+def clique_stats(words: np.ndarray, count_size: int, exist_size: int) -> tuple[int, bool]:
+    """(number of cliques on count_size vertices, any clique on exist_size)
+    for one graph's (n, nwords) bitset rows; see clique_census."""
+    counts, exists = clique_census(words[None], count_size, exist_size)
+    return int(counts[0]), bool(exists[0])
 
 
 def edge_count(words: np.ndarray) -> int:
-    n = words.shape[0]
     total = int(np.unpackbits(words.view(np.uint8)).sum())
     return total // 2
 

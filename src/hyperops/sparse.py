@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph, iter_bits
-from .kernels import clique_stats, sample_graph_words
+from .kernels import clique_census, sample_graph_block
 from .models import rng_from
 
 __all__ = [
@@ -211,24 +211,39 @@ class TruncatedSample:
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# Pair uniforms per graph block in dimension_stats (256 KiB of doubles).
+_BLOCK_UNIFORMS = 1 << 15
 
-def _bernoulli_faces(n, base, r, rng) -> list[tuple[int, ...]]:
+
+@lru_cache(maxsize=8)
+def _binomial_tables(n, r) -> dict[int, np.ndarray]:
+    # binom[j][c] = C(c, j) for c < n and 1 <= j <= r + 1, read-only since
+    # callers share them; refuses sizes whose counts (or face ranks) would
+    # overflow int64.
+    if max(math.comb(n, k) for k in range(1, r + 2)) > _INT64_MAX:
+        raise ValueError(f"C({n}, k) for some k <= {r + 1} exceeds int64: too many candidate faces")
+    binom = {}
+    for j in range(1, r + 2):
+        binom[j] = np.array([math.comb(c, j) for c in range(n)], dtype=np.int64)
+        binom[j].setflags(write=False)
+    return binom
+
+
+def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
     # One uniform per candidate face, in lexicographic order per dimension,
     # drawn in fixed-size blocks; consumption depends only on (n, r), never
     # on the outcomes.  Only the hits become faces: a hit's lexicographic
     # rank is unranked through the combinatorial number system.  With
     # x = C(n, k) - 1 - rank, for j = k..1 the largest c with C(c, j) <= x
-    # gives the next vertex n - c, and x drops by C(c, j).
-    if max(math.comb(n, k) for k in range(1, r + 2)) > _INT64_MAX:
-        raise ValueError(f"C({n}, k) for some k <= {r + 1} exceeds int64: too many candidate faces")
-    binom = {
-        j: np.array([math.comb(c, j) for c in range(n)], dtype=np.int64) for j in range(1, r + 2)
-    }
-    kept = []
+    # gives the next vertex n - c, and x drops by C(c, j).  Returns one
+    # int64 (hits, d + 1) vertex array per dimension d, rows in lex order.
+    binom = _binomial_tables(n, r)
+    layers = []
     for d in range(r + 1):
         q = base[d]
         k = d + 1
         total = math.comb(n, k)
+        blocks = [np.empty((0, k), dtype=np.int64)]
         for start in range(0, total, 1 << 14):
             us = rng.random(min(total - start, 1 << 14))
             x = total - 1 - (np.flatnonzero(us < q) + start)
@@ -237,8 +252,13 @@ def _bernoulli_faces(n, base, r, rng) -> list[tuple[int, ...]]:
                 c = np.searchsorted(binom[j], x, "right") - 1
                 verts[:, pos] = n - c
                 x -= binom[j][c]
-            kept.extend(map(tuple, verts.tolist()))
-    return kept
+            blocks.append(verts)
+        layers.append(np.concatenate(blocks))
+    return layers
+
+
+def _face_tuples(layers) -> list[tuple[int, ...]]:
+    return [face for verts in layers for face in map(tuple, verts.tolist())]
 
 
 def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
@@ -283,7 +303,7 @@ def algorithm1_truncated(n: int, p, r: int, rng) -> TruncatedSample:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     base = _base_tuple(n, p)
     dd = _derived_cached(n, base)
-    hyper = _bernoulli_faces(n, base, r, rng)
+    hyper = _face_tuples(_bernoulli_faces(n, base, r, rng))
     cx = _staged_complex_faces(n, dd.closure_marginals, r, rng)
     return TruncatedSample(n=n, r=r, hyper_faces=tuple(hyper), complex_faces=tuple(cx))
 
@@ -296,25 +316,37 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     nonempty subsets are hyperedges, and those subsets also have dimension
     <= r, so drawing the hypergraph only up to r is exact.  Membership is
     decided by facet recursion: keep a face iff it was drawn and all of its
-    facets were kept.
+    facets were kept.  Faces are compared by colex rank: v_0 < .. < v_d
+    has rank sum_j C(v_j - 1, j + 1).  The facet without v_0 shifts every
+    other vertex down one position, so its rank is sum_{j>0} C(v_j - 1, j);
+    the facet without v_i differs from the one without v_{i-1} only at
+    position i - 1, which holds v_{i-1} in place of v_i, so its rank adds
+    C(v_{i-1} - 1, i) - C(v_i - 1, i).
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     base = _base_tuple(n, p)
     drawn = _bernoulli_faces(n, base, r, rng)
-    kept: list[tuple[int, ...]] = []
-    prev: set = set()
-    for d in range(r + 1):
-        layer = [f for f in drawn if len(f) == d + 1]
-        if d > 0:
-            layer = [
-                f
-                for f in layer
-                if all(f[:i] + f[i + 1 :] in prev for i in range(d + 1))
-            ]
-        kept.extend(layer)
-        prev = set(layer)
-    return tuple(kept)
+    binom = _binomial_tables(n, r)
+    kept = [drawn[0]]
+    for d in range(1, r + 1):
+        prev, faces = kept[-1], drawn[d]
+        if prev.shape[0] == 0:
+            break
+        keys = np.sort(sum(binom[j + 1][prev[:, j] - 1] for j in range(d)))
+        c = [faces[:, j] - 1 for j in range(d + 1)]
+        facet_key = sum(binom[j][c[j]] for j in range(1, d + 1))
+        keep = _in_sorted(keys, facet_key)
+        for i in range(1, d + 1):
+            facet_key = facet_key + binom[i][c[i - 1]] - binom[i][c[i]]
+            keep &= _in_sorted(keys, facet_key)
+        kept.append(faces[keep])
+    return tuple(_face_tuples(kept))
+
+
+def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    pos = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return keys[pos] == x
 
 
 def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
@@ -325,6 +357,8 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
     dimension exactly r iff additionally some (r+1)-clique exists, and its
     r-face count is the (r+1)-clique count.  Each n gets its own generator
     stream, so rows are reproducible independently of the sweep order.
+    Graphs are drawn and censused in blocks of about _BLOCK_UNIFORMS pair
+    uniforms; the stream is read in the same order whatever the block size.
 
     Returns one dict per n with keys matching STATS_COLUMNS.
     """
@@ -336,14 +370,13 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
         p1 = schedule(n) if callable(schedule) else float(schedule)
         le = eq = 0
         total_faces = 0
-        for _ in range(samples):
-            words = sample_graph_words(n, p1, rng)
-            count, exists = clique_stats(words, r + 1, r + 2)
-            if not exists:
-                le += 1
-                if count > 0:
-                    eq += 1
-            total_faces += count
+        per_block = max(1, _BLOCK_UNIFORMS // max(n * (n - 1) // 2, 1))
+        for start in range(0, samples, per_block):
+            block = sample_graph_block(n, p1, rng, min(per_block, samples - start))
+            counts, exists = clique_census(block, r + 1, r + 2)
+            le += int(np.count_nonzero(~exists))
+            eq += int(np.count_nonzero(~exists & (counts > 0)))
+            total_faces += int(counts.sum())
         rows.append(
             {
                 "n": n,

@@ -240,6 +240,52 @@ def o_sample_graph_words(n, p, rng):
     return words
 
 
+def o_clique_stats(words, count_size, exist_size):
+    """(count_size-clique count, any exist_size-clique) of one graph, by a
+    depth-first enumeration over Python-int bitset rows."""
+    n, nwords = words.shape
+    rows = [int.from_bytes(words[i].tobytes(), "little") for i in range(n)]
+    max_depth = max(count_size, exist_size)
+    count = 0
+    exists = False
+    stack = [(1 << n) - 1]
+    while stack:
+        candset = stack[-1]
+        if candset == 0:
+            stack.pop()
+            continue
+        low = candset & -candset
+        v = low.bit_length() - 1
+        stack[-1] = candset ^ low
+        k = len(stack)
+        if k == count_size:
+            count += 1
+        if k == exist_size:
+            exists = True
+        if k < max_depth:
+            stack.append(stack[-1] & rows[v])
+    return count, exists
+
+
+def o_dimension_stats(n_values, schedule, r, samples, seed):
+    """dimension_stats rows from one graph draw and one census at a time."""
+    from hyperops.models import rng_from
+
+    rows = []
+    for offset, n in enumerate(n_values):
+        rng = rng_from(seed, stream=offset)
+        p1 = schedule(n)
+        le = eq = total = 0
+        for _ in range(samples):
+            count, exists = o_clique_stats(o_sample_graph_words(n, p1, rng), r + 1, r + 2)
+            le += not exists
+            eq += not exists and count > 0
+            total += count
+        rows.append({"n": n, "p1": p1, "samples": samples, "prob_dim_le_r": le / samples,
+                     "prob_dim_eq_r": eq / samples, "mean_r_faces": total / samples})
+    return rows
+
+
 def o_relation_masks(amb):
     """(sub, sup, meet, boundary) masks by testing every pair of faces."""
     vms = amb.face_vmasks
@@ -306,3 +352,20 @@ def o_staged_complex_faces(n, closure_p, r, rng):
         layer = list(compress(cands, us < closure_p[d]))
         faces.extend(layer)
     return faces
+
+
+def o_algorithm2_truncated(n, p, r, rng):
+    """Simplicial part up to dimension r: rescan the drawn list once per
+    dimension and keep a face iff every facet tuple was kept."""
+    from hyperops.sparse import _base_tuple
+
+    drawn = o_bernoulli_faces(n, _base_tuple(n, p), r, rng)
+    kept = []
+    prev = set()
+    for d in range(r + 1):
+        layer = [f for f in drawn if len(f) == d + 1]
+        if d > 0:
+            layer = [f for f in layer if all(f[:i] + f[i + 1 :] in prev for i in range(d + 1))]
+        kept.extend(layer)
+        prev = set(layer)
+    return tuple(kept)

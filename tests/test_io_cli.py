@@ -290,6 +290,15 @@ def test_cli_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [["push", "--ambient", "t.cx", "--expr", "Delta", "--exact"],
+                                  ["verify", "--exhaustive"]])
+def test_cli_removed_noop_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run_cli(
         capsys, "powers", "--file", "nope.hg", "--ambient", "nope.cx"

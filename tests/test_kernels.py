@@ -10,10 +10,12 @@ import pytest
 from hyperops.kernels import (
     _load_numba,
     active_backend,
+    clique_census,
     clique_stats,
     edge_count,
     pair_laws,
     requested_backend,
+    sample_graph_block,
     sample_graph_words,
     warmup,
 )
@@ -110,10 +112,12 @@ def test_clique_stats_multiword(monkeypatch, backend):
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 def test_backends_agree(monkeypatch):
     words = sample_graph_words(40, 0.25, rng_from(5, 0))
+    block = sample_graph_block(70, 0.2, rng_from(5, 1), 6)
     results = {}
     for backend in BACKENDS:
         monkeypatch.setenv("HYPEROPS_BACKEND", backend)
-        results[backend] = clique_stats(words, 4, 5)
+        counts, exists = clique_census(block, 3, 4)
+        results[backend] = clique_stats(words, 4, 5), counts.tolist(), exists.tolist()
     assert results["numpy"] == results["numba"]
 
 

@@ -5,6 +5,7 @@ same faces in the same order, and the same number of uniforms consumed.
 """
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hyperops import sparse
 from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.io import write_probability
-from hyperops.kernels import sample_graph_words
+from hyperops.kernels import clique_census, sample_graph_block, sample_graph_words
 from hyperops.metric import diameter, triangulated_triangle
 from hyperops.models import ProbabilityAssignment, rng_from
 
@@ -74,6 +75,53 @@ def test_graph_words_pinned_by_seed_and_stream():
     assert not np.array_equal(first, sample_graph_words(70, 0.3, rng_from(12, 4)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 64, 65, 130])
+def test_graph_block_matches_successive_draws(n):
+    for p in (0.0, 0.1, 0.5, 1.0):
+        for graphs in (0, 1, 4):
+            got_rng, want_rng = rng_from(n, 7), rng_from(n, 7)
+            got = sample_graph_block(n, p, got_rng, graphs)
+            assert got.dtype == np.uint64
+            assert got.shape == (graphs, n, (n + 63) >> 6)
+            for g in range(graphs):
+                assert np.array_equal(got[g], oracles.o_sample_graph_words(n, p, want_rng)), (n, p, g)
+            assert _same_stream_state(got_rng, want_rng)
+
+
+# ----- clique census ------------------------------------------------------------
+
+CENSUS_SIZES = [(2, 2), (2, 4), (3, 3), (3, 4), (4, 2), (4, 5), (5, 3)]
+
+
+def _census_rows(block, count_size, exist_size):
+    counts, exists = clique_census(block, count_size, exist_size)
+    assert counts.dtype == np.int64 and exists.dtype == bool
+    return [(int(c), bool(e)) for c, e in zip(counts, exists)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 63, 64, 65, 130])
+def test_clique_census_matches_depth_first(n):
+    for p in (0.0, 0.1, 0.5, 1.0):
+        # complete graphs are all alike, and one is enough at n = 130
+        block = sample_graph_block(n, p, rng_from(n, 8), 1 if p == 1.0 else 3)
+        for count_size, exist_size in CENSUS_SIZES:
+            if p == 1.0 and comb(n, max(count_size, exist_size)) > 10**5:
+                # the depth-first loop would visit every clique one by one
+                want = [(comb(n, count_size), n >= exist_size)]
+            else:
+                want = [oracles.o_clique_stats(words, count_size, exist_size) for words in block]
+            assert _census_rows(block, count_size, exist_size) == want, (n, p, count_size, exist_size)
+
+
+def test_clique_census_block_of_mixed_graphs():
+    # graphs of very different density share the arrays of every level
+    rng = rng_from(9)
+    block = np.concatenate([sample_graph_block(70, p, rng, 2) for p in (0.0, 0.5, 0.05, 0.3)])
+    for count_size, exist_size in CENSUS_SIZES:
+        want = [oracles.o_clique_stats(words, count_size, exist_size) for words in block]
+        assert _census_rows(block, count_size, exist_size) == want, (count_size, exist_size)
+
+
 # ----- ambient relations and diameter -------------------------------------------
 
 
@@ -113,6 +161,9 @@ SPARSE_CASES = [
     (12, 3, [1.0, 0.6, 0.4, 0.3]),
     (30, 2, [1.0, 0.2, 0.05]),
     (60, 2, [1.0, 0.1, 0.002]),  # C(60, 3) spans three uniform blocks
+    (8, 3, [1.0, 0.0]),  # every layer above the vertices is empty
+    (10, 4, [1.0, 1.0, 0.9, 1.0, 0.7]),
+    (25, 4, [1.0, 0.6, 0.5, 0.5, 0.5]),
 ]
 
 
@@ -120,7 +171,9 @@ SPARSE_CASES = [
 def test_bernoulli_faces_match_stream(n, r, p):
     base = sparse._base_tuple(n, p)
     got_rng, want_rng = rng_from(n, 2), rng_from(n, 2)
-    got = sparse._bernoulli_faces(n, base, r, got_rng)
+    layers = sparse._bernoulli_faces(n, base, r, got_rng)
+    assert [(v.dtype, v.shape[1]) for v in layers] == [(np.int64, d + 1) for d in range(r + 1)]
+    got = sparse._face_tuples(layers)
     assert got == oracles.o_bernoulli_faces(n, base, r, want_rng)
     assert all(type(v) is int for face in got for v in face)
     assert _same_stream_state(got_rng, want_rng)
@@ -138,13 +191,35 @@ def test_staged_faces_match_candidate_loop(n, r, p):
 
 
 @pytest.mark.parametrize("n, r, p", SPARSE_CASES)
-def test_generators_match_loops(monkeypatch, n, r, p):
-    got1 = sparse.algorithm1_truncated(n, p, r, rng_from(5, n))
-    got2 = sparse.algorithm2_truncated(n, p, r, rng_from(6, n))
-    monkeypatch.setattr(sparse, "_bernoulli_faces", oracles.o_bernoulli_faces)
-    monkeypatch.setattr(sparse, "_staged_complex_faces", oracles.o_staged_complex_faces)
-    assert got1 == sparse.algorithm1_truncated(n, p, r, rng_from(5, n))
-    assert got2 == sparse.algorithm2_truncated(n, p, r, rng_from(6, n))
+def test_generators_match_loops(n, r, p):
+    base = sparse._base_tuple(n, p)
+    closure = sparse._derived_cached(n, base).closure_marginals
+    got_rng, want_rng = rng_from(5, n), rng_from(5, n)
+    got1 = sparse.algorithm1_truncated(n, p, r, got_rng)
+    hyper = oracles.o_bernoulli_faces(n, base, r, want_rng)
+    cx = oracles.o_staged_complex_faces(n, closure, r, want_rng)
+    assert got1 == sparse.TruncatedSample(n=n, r=r, hyper_faces=tuple(hyper), complex_faces=tuple(cx))
+    assert _same_stream_state(got_rng, want_rng)
+    for seed in range(6, 10):
+        got_rng, want_rng = rng_from(seed, n), rng_from(seed, n)
+        got2 = sparse.algorithm2_truncated(n, p, r, got_rng)
+        assert got2 == oracles.o_algorithm2_truncated(n, p, r, want_rng)
+        assert all(type(v) is int for face in got2 for v in face)
+        assert _same_stream_state(got_rng, want_rng)
+
+
+def _dims_schedule(n):
+    return {1: 0.5, 3: 0.7, 20: 0.25, 70: 0.1}[n]
+
+
+@pytest.mark.parametrize("block_uniforms", [sparse._BLOCK_UNIFORMS, 1000])
+def test_dimension_stats_match_graph_loop(monkeypatch, block_uniforms):
+    # 131 samples fill no whole number of blocks: 13 graphs a block at n = 70
+    # by default; 1 at n = 70, 5 at n = 20 and 333 at n = 3 with the small one.
+    monkeypatch.setattr(sparse, "_BLOCK_UNIFORMS", block_uniforms)
+    for r in (1, 2):
+        got = sparse.dimension_stats([1, 3, 20, 70], _dims_schedule, r, 131, seed=12)
+        assert got == oracles.o_dimension_stats([1, 3, 20, 70], _dims_schedule, r, 131, seed=12)
 
 
 def test_candidate_counts_beyond_int64_are_rejected(tmp_path, capsys):

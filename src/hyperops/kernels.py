@@ -1,13 +1,10 @@
-"""Hot kernels with two interchangeable backends.
+"""Hot kernels of the statistics run and of the verification suites.
 
-The environment variable HYPEROPS_BACKEND selects the implementation:
-"numba" compiles the kernels, "numpy" uses pure python/numpy equivalents,
-and the default "auto" uses numba when it imports cleanly.  Both backends
-produce identical results; the benchmark in bench/ compares their speed.
-
-Kernels here are the ones that dominate the large-n statistics run: graph
-sampling and clique censuses on bitset adjacency matrices, and the pair
-sweep of the distribution laws used by the verification suites.
+The environment variable HYPEROPS_BACKEND selects the clique census
+implementation: "numba" compiles it, "numpy" uses the pure numpy
+equivalent, and the default "auto" uses numba when it imports cleanly.
+Both backends produce identical results; the benchmark in bench/ compares
+their speed.  Everything else here is numpy on every backend.
 
 Graphs travel in blocks: a (graphs, n, ceil(n/64)) uint64 array of
 adjacency rows, drawn from one rng.random call (numpy on every backend).
@@ -17,6 +14,11 @@ vertex), the popcount of a row counts the (k+1)-cliques extending it, and
 the next level unpacks the nonzero rows.  A few dozen numpy calls per
 level then serve every graph of the block.  The numba census runs the
 compiled depth-first kernel graph by graph.
+
+The distribution laws of the verification suites are checked by their
+atoms: a table that distributes over union is fixed by its value at the
+empty mask and at the single faces, so one doubling over the 2^m masks
+rebuilds what the table must be, and one comparison checks every pair.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _load_numba():
 
 
 def _compiled():
-    """Build (once) and return the njit-compiled kernel table."""
+    """Build (once) and return the njit-compiled census kernel."""
     if "kernels" in _numba_cache:
         return _numba_cache["kernels"]
     numba = _load_numba()
@@ -102,37 +104,14 @@ def _compiled():
                 depth += 1
         return count, exists
 
-    @njit(cache=True)
-    def pair_laws_kernel(ct, dt, gt):
-        # Unordered pairs (a, b) with a <= b; the three identities are
-        # symmetric, so this covers all ordered pairs.
-        n = ct.shape[0]
-        bad = np.zeros(3, dtype=np.int64)
-        for a in range(n):
-            ca = ct[a]
-            da = dt[a]
-            ga = gt[a]
-            for b in range(a, n):
-                u = a | b
-                if gt[u] != ga & gt[b]:
-                    bad[0] += 1
-                if ct[u] != ca | ct[b]:
-                    bad[1] += 1
-                if dt[a & b] != da & dt[b]:
-                    bad[2] += 1
-        return bad
-
-    _numba_cache["kernels"] = (clique_stats_kernel, pair_laws_kernel)
-    return _numba_cache["kernels"]
+    _numba_cache["kernels"] = clique_stats_kernel
+    return clique_stats_kernel
 
 
 def warmup() -> None:
-    """Force kernel compilation so timed runs measure the sweep only."""
+    """Force kernel compilation so timed runs measure the census only."""
     if active_backend() == "numba":
-        words = np.zeros((1, 1), dtype=np.uint64)
-        _compiled()[0](words, 1, 1, 2, 2)
-        table = np.zeros(2, dtype=np.uint32)
-        _compiled()[1](table, table, table)
+        _compiled()(np.zeros((1, 1), dtype=np.uint64), 1, 1, 2, 2)
 
 
 # ----- graph sampling -------------------------------------------------------------
@@ -254,7 +233,7 @@ def clique_census(block: np.ndarray, count_size: int, exist_size: int) -> tuple[
         raise ValueError("clique sizes below 2 are direct counts, not a census")
     graphs, n, nwords = block.shape
     if active_backend() == "numba":
-        kern = _compiled()[0]
+        kern = _compiled()
         counts = np.zeros(graphs, dtype=np.int64)
         exists = np.zeros(graphs, dtype=bool)
         for g in range(graphs):
@@ -275,25 +254,46 @@ def edge_count(words: np.ndarray) -> int:
     return total // 2
 
 
+def _atoms_hold(table: np.ndarray, op) -> bool:
+    """True iff table[a | b] = op(table[a], table[b]) for every pair of masks.
+
+    With op an OR or an AND, that holds exactly when each table[a] is op
+    over table[0] and the table[{i}] of the faces i of a, so a doubling
+    over the face bits rebuilds the table from those atoms.
+    """
+    want = np.empty_like(table)
+    want[0] = table[0]
+    half = 1
+    while half < want.size:
+        op(want[:half], table[half], out=want[half : 2 * half])
+        half <<= 1
+    return bool(np.array_equal(want, table))
+
+
+def _bad_pairs(table: np.ndarray, op) -> int:
+    """Number of unordered pairs a <= b with table[a | b] != op(table[a], table[b])."""
+    idx = np.arange(table.size, dtype=np.uint32)
+    bad = 0
+    for a in range(table.size):
+        b = idx[a:]
+        bad += int(np.count_nonzero(table[np.uint32(a) | b] != op(table[a], table[b])))
+    return bad
+
+
 def pair_laws(ct: np.ndarray, dt: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, int]:
     """Violation counts for the three distribution laws over all unordered
     mask pairs, given the closure, interior-complex, and complement tables.
 
     Checks gamma(a+b) = gamma a /\\ gamma b, Delta(a+b) = Delta a + Delta b,
     and delta(a /\\ b) = delta a /\\ delta b.  Returns (violations per law,
-    number of pairs swept).  Both backends sweep the same pairs.
+    number of pairs).  Each law is checked by its atoms (_atoms_hold); the
+    delta law is a union law of S(x) = delta(L minus x), which is dt read
+    backwards.  Only a law that fails is swept pair by pair, for its count.
     """
     n = int(ct.shape[0])
-    pairs = n * (n + 1) // 2
-    if active_backend() == "numba":
-        bad = _compiled()[1](ct, dt, gt)
-        return np.asarray(bad, dtype=np.int64), pairs
+    laws = ((gt, np.bitwise_and), (ct, np.bitwise_or), (dt[::-1], np.bitwise_and))
     bad = np.zeros(3, dtype=np.int64)
-    idx = np.arange(n, dtype=np.uint32)
-    for a in range(n):
-        b = idx[a:]
-        u = np.uint32(a) | b
-        bad[0] += int(np.count_nonzero(gt[u] != (gt[a] & gt[b])))
-        bad[1] += int(np.count_nonzero(ct[u] != (ct[a] | ct[b])))
-        bad[2] += int(np.count_nonzero(dt[np.uint32(a) & b] != (dt[a] & dt[b])))
-    return bad, pairs
+    for k, (table, op) in enumerate(laws):
+        if not _atoms_hold(table, op):
+            bad[k] = _bad_pairs(table, op)
+    return bad, n * (n + 1) // 2

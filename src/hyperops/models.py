@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .operators import external_faces_mask
+from .operators import complex_indicator, external_faces_mask
 
 
 def rng_from(seed: int, stream: int = 0) -> np.random.Generator:
@@ -253,20 +253,7 @@ def enumerate_subhypergraphs(amb: AmbientComplex) -> Iterator[int]:
 
 
 def enumerate_subcomplexes(amb: AmbientComplex) -> Iterator[int]:
-    """Every downward-closed subset, built by dimension stages."""
+    """Every downward-closed subset, as masks in increasing order."""
     if amb.num_faces > ENUMERATION_LIMIT:
         raise ValueError(f"too many faces to enumerate ({amb.num_faces})")
-    partial = [0]
-    for d in range(amb.dim + 1):
-        layer = list(iter_bits(amb.faces_by_dim(d)))
-        grown = []
-        for base in partial:
-            ok = [i for i in layer if amb.boundary_masks[i] & ~base == 0]
-            for pick in range(1 << len(ok)):
-                add = 0
-                for b, i in enumerate(ok):
-                    if pick >> b & 1:
-                        add |= 1 << i
-                grown.append(base | add)
-        partial = grown
-    yield from sorted(set(partial))
+    yield from np.flatnonzero(complex_indicator(amb)).tolist()

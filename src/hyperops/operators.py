@@ -241,6 +241,13 @@ def closure_table(amb: AmbientComplex) -> np.ndarray:
     return _join_table(amb, closure_mask)
 
 
+def complex_indicator(amb: AmbientComplex) -> np.ndarray:
+    """Bool per mask: True on the downward-closed masks, the fixed points
+    of the closure."""
+    table = closure_table(amb)
+    return table == np.arange(table.size, dtype=table.dtype)
+
+
 def interior_complex_table(amb: AmbientComplex) -> np.ndarray:
     return _meet_table(amb, interior_complex_mask)
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .models import enumerate_subcomplexes, resolve_probabilities, pmf_complex
+from .models import resolve_probabilities
 from .operators import (
     TABLE_LIMIT,
     closure_mask,
     closure_table,
     complement_mask,
+    complex_indicator,
     extension_mask,
     external_faces_mask,
     interior_complex_mask,
@@ -104,11 +105,27 @@ def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
 
 
 def complex_product(amb: AmbientComplex, p) -> Distribution:
-    """The staged law: mass on downward-closed masks, zero elsewhere."""
+    """The staged law: mass on downward-closed masks, zero elsewhere.
+
+    A subcomplex's mass is p over its faces times 1 - p over its external
+    faces.  The vector starts at 1 on the subcomplexes and 0 elsewhere, then
+    takes p_i on every mask holding face i, face by face, then 1 - p_i on
+    every mask lacking face i but holding its boundary, face by face: the
+    multiplies pmf_complex makes, in its order, so each entry is
+    bit-identical to it.
+    """
     probs = resolve_probabilities(amb, p)
-    vec = np.zeros(1 << amb.num_faces)
-    for mask in enumerate_subcomplexes(amb):
-        vec[mask] = pmf_complex(amb, probs, mask)
+    m = amb.num_faces
+    vec = complex_indicator(amb).astype(np.float64)
+    for i in range(m):
+        vec.reshape(-1, 2, 1 << i)[:, 1] *= probs[i]
+    cube = vec.reshape((2,) * m)  # axis m - 1 - i is face bit i
+    for i in range(m):
+        at = [slice(None)] * m
+        at[m - 1 - i] = 0
+        for j in iter_bits(amb.boundary_masks[i]):
+            at[m - 1 - j] = 1
+        cube[tuple(at)] *= 1.0 - probs[i]
     return Distribution(amb, vec)
 
 
@@ -263,10 +280,7 @@ def marginals(dist: Distribution) -> np.ndarray:
 
 def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
     """True iff all mass (above tol per point) sits on downward-closed sets."""
-    amb = dist.ambient
-    return all(
-        amb.is_complex_mask(m) for m in range(dist.vec.size) if dist.vec[m] > tol
-    )
+    return not np.any((dist.vec > tol) & ~complex_indicator(dist.ambient))
 
 
 def verify_transforms(amb: AmbientComplex, p, p2=None) -> dict[str, float]:
@@ -373,16 +387,25 @@ def interior_limit(dist: Distribution) -> Distribution:
     return Distribution(amb, vec)
 
 
+def vertex_supported(amb: AmbientComplex) -> np.ndarray:
+    """Bool per mask: True when every vertex of the mask's faces is a 0-face
+    of the mask."""
+    dim0 = amb.skeleton_mask(0)
+    size = 1 << amb.num_faces
+    spans = np.zeros(size, dtype=np.uint32)
+    for b in range(amb.num_faces):
+        half = 1 << b
+        spans[half : 2 * half] = spans[:half] | np.uint32(amb.sub_masks[b] & dim0)
+    return (spans & ~np.arange(size, dtype=np.uint32)) == 0
+
+
 def vertex_support_mass(dist: Distribution) -> float:
     """Mass of hypergraphs whose vertex set is contained in their edges.
 
     This is the lower bound for the probability that the closure of a draw
     is recovered by interior-after-extension.
     """
-    amb = dist.ambient
-    return dist.probability_that(
-        lambda m: amb.vertex_faces_mask(m) & ~m == 0
-    )
+    return float(dist.vec[vertex_supported(dist.ambient)].sum())
 
 
 def containment_probabilities(dist: Distribution, k: int) -> dict:

@@ -28,7 +28,6 @@ from .operators import (
     closure_table,
     complement_table,
     extension_table,
-    identity_table,
     interior_complex_table,
     interior_table,
     neighborhood_inverse_table,
@@ -43,6 +42,7 @@ from .pushforward import (
     random_exact,
     total_variation,
     verify_transforms,
+    vertex_supported,
 )
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_standard", "default_fixtures"]
@@ -66,10 +66,11 @@ class SuiteResult:
         return f"SUITE {self.name} {status} {self.passed}/{self.total}"
 
 
-def _chain_table(amb: AmbientComplex, names) -> np.ndarray:
-    arr = identity_table(amb)
-    for name in reversed(names):
-        arr = primitive_table(amb, name)[arr]
+def _chain_table(tables: dict, names) -> np.ndarray:
+    # tables maps each primitive name to its table; names[-1] applies first
+    arr = tables[names[-1]]
+    for name in reversed(names[:-1]):
+        arr = tables[name][arr]
     return arr
 
 
@@ -95,10 +96,13 @@ _RELATIONS = [
 def suite_identities(amb: AmbientComplex, rng=None) -> SuiteResult:
     """The seven composition relations, every sub-hypergraph of the ambient."""
     size = 1 << amb.num_faces
+    # each primitive is built once per call and dropped with it
+    names = {name for _, lhs, rhs in _RELATIONS for name in lhs + rhs}
+    tables = {name: primitive_table(amb, name) for name in names}
     passed = 0
     failures = []
     for label, lhs, rhs in _RELATIONS:
-        eq = int(np.count_nonzero(_chain_table(amb, lhs) == _chain_table(amb, rhs)))
+        eq = int(np.count_nonzero(_chain_table(tables, lhs) == _chain_table(tables, rhs)))
         passed += eq
         if eq != size:
             failures.append(f"{label}: {size - eq} of {size} masks disagree")
@@ -123,18 +127,6 @@ def suite_laws(amb: AmbientComplex, rng=None) -> SuiteResult:
     ]
     passed = 3 * pairs - int(bad.sum())
     return SuiteResult("laws", passed, 3 * pairs, failures)
-
-
-def _vertex_condition(amb: AmbientComplex) -> np.ndarray:
-    # mask -> True when every vertex of the mask's faces is a 0-face bit
-    dim0 = amb.skeleton_mask(0)
-    size = 1 << amb.num_faces
-    spans = np.zeros(size, dtype=np.uint32)
-    for b in range(amb.num_faces):
-        half = 1 << b
-        spans[half : 2 * half] = spans[:half] | np.uint32(amb.sub_masks[b] & dim0)
-    idx = np.arange(size, dtype=np.uint32)
-    return (spans & ~idx) == 0
 
 
 def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +188,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None) -> SuiteResult:
         sandwich &= _subset(ext_gpow[k - 1], mid) & _subset(mid, ext_gpow[k + 1])
     record("power sandwich between extension chains", int(sandwich.sum()), size)
 
-    vcond = _vertex_condition(amb)
+    vcond = vertex_supported(amb)
     record(
         "neighborhood of co-neighborhood inside the simplicial part",
         int(_subset(nt[nit], dt).sum()),

@@ -6,10 +6,11 @@ package's table/mask machinery can be checked against definitions that read
 like the definitions.  The one numpy oracle, o_push_pairwise, sums over
 every pair of masks, the O(4^m) definition of a binary pushforward.
 
-The last section keeps the mask and sampling layer's former per-pair and
-per-candidate loops.  The package computes the same outputs without them,
-and the differential tests require exact equality, consumed uniforms
-included.
+The last two sections keep the former loops of the mask and sampling
+layer (per pair and per candidate) and of the exact layer (the staged
+subcomplex enumeration and the pair sweep of the distribution laws).  The
+package computes the same outputs without them, and the differential tests
+require exact equality, consumed uniforms included.
 """
 
 from itertools import chain, combinations, compress, islice
@@ -369,3 +370,44 @@ def o_algorithm2_truncated(n, p, r, rng):
         kept.extend(layer)
         prev = set(layer)
     return tuple(kept)
+
+
+# ----- loop references for the exact layer --------------------------------------
+
+
+def o_enumerate_subcomplexes(amb):
+    """Every downward-closed mask in increasing order, built by dimension
+    stages: each partial complex grows by every subset of the next
+    dimension's faces whose boundary it holds."""
+    from hyperops.complexes import iter_bits
+
+    partial = [0]
+    for d in range(amb.dim + 1):
+        layer = list(iter_bits(amb.faces_by_dim(d)))
+        grown = []
+        for base in partial:
+            ok = [i for i in layer if amb.boundary_masks[i] & ~base == 0]
+            for pick in range(1 << len(ok)):
+                add = 0
+                for b, i in enumerate(ok):
+                    if pick >> b & 1:
+                        add |= 1 << i
+                grown.append(base | add)
+        partial = grown
+    return sorted(set(partial))
+
+
+def o_pair_laws(ct, dt, gt):
+    """(violations per law, pairs) of gamma(a | b) = gamma a & gamma b,
+    Delta(a | b) = Delta a | Delta b and delta(a & b) = delta a & delta b,
+    sweeping every unordered pair a <= b of masks."""
+    n = int(ct.shape[0])
+    bad = np.zeros(3, dtype=np.int64)
+    idx = np.arange(n, dtype=np.uint32)
+    for a in range(n):
+        b = idx[a:]
+        u = np.uint32(a) | b
+        bad[0] += int(np.count_nonzero(gt[u] != (gt[a] & gt[b])))
+        bad[1] += int(np.count_nonzero(ct[u] != (ct[a] | ct[b])))
+        bad[2] += int(np.count_nonzero(dt[np.uint32(a) & b] != (dt[a] & dt[b])))
+    return bad, n * (n + 1) // 2

@@ -153,19 +153,6 @@ def test_pair_laws_clean_and_broken(monkeypatch, backend, delta2):
     assert bad[0] == 0 and bad[2] == 0
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_pair_laws_backend_equivalence(monkeypatch, p3):
-    ct = closure_table(p3)
-    dt = interior_complex_table(p3)
-    gt = complement_table(p3)
-    got = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("HYPEROPS_BACKEND", backend)
-        bad, pairs = pair_laws(ct, dt, gt)
-        got[backend] = (bad.tolist(), pairs)
-    assert got["numpy"] == got["numba"]
-
-
 def test_env_flag_crosses_process_boundary(tmp_path):
     # the flag is read from the environment at call time in a fresh process
     snippet = (

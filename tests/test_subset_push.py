@@ -12,6 +12,7 @@ import pytest
 import hyperops.words as words_module
 from hyperops.complexes import AmbientComplex
 from hyperops.expr import parse_expression
+from hyperops.metric import triangulated_triangle
 from hyperops.models import pmf_complex
 from hyperops.operators import primitive_table
 from hyperops.pushforward import (
@@ -104,15 +105,25 @@ def test_dense_laws_on_the_six_cycle():
     _assert_law(push_intersection(a, b), o_push_pairwise(a.vec, b.vec, np.bitwise_and))
 
 
+def _with_zeros_and_ones(rng, m):
+    """Random probabilities, with about a third of the faces set to exactly
+    0 or exactly 1."""
+    probs = rng.random(m)
+    pick = rng.random(m) < 1 / 3
+    probs[pick] = rng.integers(0, 2, m)[pick]
+    return probs
+
+
 def test_complex_product_is_bit_identical_to_all_masks_loop(fixtures):
     rng = np.random.default_rng(19)
-    for amb in list(fixtures.values()) + [_cycle6()]:
-        probs = rng.random(amb.num_faces)
-        want = np.zeros(1 << amb.num_faces)
-        for mask in range(1 << amb.num_faces):
-            if amb.is_complex_mask(mask):
+    for amb in list(fixtures.values()) + [_cycle6(), triangulated_triangle(2)]:
+        m = amb.num_faces
+        complexes = [mask for mask in range(1 << m) if amb.is_complex_mask(mask)]
+        for probs in (rng.random(m), _with_zeros_and_ones(rng, m)):
+            want = np.zeros(1 << m)
+            for mask in complexes:
                 want[mask] = pmf_complex(amb, probs, mask)
-        assert np.array_equal(complex_product(amb, probs).vec, want)
+            assert np.array_equal(complex_product(amb, probs).vec, want)
 
 
 def test_each_primitive_table_built_once_per_evaluation(delta2, monkeypatch):

@@ -1,24 +1,20 @@
-"""Benchmark the kernels that dominate runtime, census on both backends.
+"""Benchmark the kernels that dominate runtime, all in numpy.
 
 Run:  python3 bench/bench_kernels.py [--samples N] [--n VERTICES]
 
-Backends are selected per measurement through HYPEROPS_BACKEND, so one
-process times both.  The numba warmup (jit compilation) happens before any
-timer starts.  Graphs are drawn and censused the way
-sparse.dimension_stats does it: blocks of the same size, from one stream.
-Graph sampling has no numba path; it is timed next to the census it feeds,
-on the same graphs.  The distribution laws have no numba path either: they
-are checked by their atoms in numpy, one doubling per law.
+Graphs are drawn and censused the way sparse.dimension_stats does it:
+blocks of the same size, from one stream.  Graph sampling is timed next to
+the census it feeds, on the same graphs.  The distribution laws are
+checked by their atoms, one doubling per law.  Each time is the best of 3.
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
 
 from hyperops.complexes import standard_fixtures
-from hyperops.kernels import clique_census, edge_count, pair_laws, sample_graph_block, warmup
+from hyperops.kernels import clique_census, edge_count, pair_laws, sample_graph_block
 from hyperops.models import rng_from
 from hyperops.operators import closure_table, complement_table, interior_complex_table
 from hyperops.sparse import _BLOCK_UNIFORMS
@@ -85,36 +81,18 @@ def main():
     ap.add_argument("--n", type=int, default=120, help="vertices per graph")
     args = ap.parse_args()
 
-    os.environ["HYPEROPS_BACKEND"] = "numba"
-    try:
-        warmup()
-        have_numba = True
-    except RuntimeError:
-        have_numba = False
-    census_backends = ("numpy", "numba") if have_numba else ("numpy",)
-
     blocks = len(_block_sizes(args.n, args.samples))
-    # (label, run, backends it is timed on)
     workloads = [
         (f"graph sampling (n={args.n}, p={P}, {args.samples} graphs in {blocks} blocks)",
-         bench_graph_sampling(args.n, args.samples), ("numpy",)),
-        ("clique census (same graphs, sizes 3 and 4)",
-         bench_clique_census(args.n, args.samples), census_backends),
-        ("pair laws by atoms (10-face fixture, 1024 masks)", bench_pair_laws(), ("numpy",)),
+         bench_graph_sampling(args.n, args.samples)),
+        ("clique census (same graphs, sizes 3 and 4)", bench_clique_census(args.n, args.samples)),
+        ("pair laws by atoms (10-face fixture, 1024 masks)", bench_pair_laws()),
     ]
 
-    print(f"{'workload':<62} " + " ".join(f"{b:>12}" for b in census_backends) + "  speedup")
-    for label, run, backends in workloads:
-        times = {}
-        results = {}
-        for backend in backends:
-            os.environ["HYPEROPS_BACKEND"] = backend
-            times[backend], results[backend] = timed(run)
-        assert len(set(results.values())) == 1, f"backends disagree on {label}"
-        row = " ".join(f"{times[b] * 1e3:>10.2f}ms" for b in backends)
-        if len(backends) > 1:
-            row += f"  {times['numpy'] / times['numba']:>6.1f}x"
-        print(f"{label:<62} {row}")
+    print(f"{'workload':<62} {'numpy':>12}")
+    for label, run in workloads:
+        seconds, _ = timed(run)
+        print(f"{label:<62} {seconds * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

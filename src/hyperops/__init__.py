@@ -30,7 +30,6 @@ from .io import (
     write_hypergraph,
     write_probability,
 )
-from .kernels import active_backend, requested_backend
 from .metric import (
     PowerIndices,
     diameter,

@@ -1,19 +1,12 @@
-"""Hot kernels of the statistics run and of the verification suites.
-
-The environment variable HYPEROPS_BACKEND selects the clique census
-implementation: "numba" compiles it, "numpy" uses the pure numpy
-equivalent, and the default "auto" uses numba when it imports cleanly.
-Both backends produce identical results; the benchmark in bench/ compares
-their speed.  Everything else here is numpy on every backend.
+"""Hot kernels of the statistics run and of the verification suites, in numpy.
 
 Graphs travel in blocks: a (graphs, n, ceil(n/64)) uint64 array of
-adjacency rows, drawn from one rng.random call (numpy on every backend).
-The numpy census counts cliques over a whole block level by level: the
-k-cliques of every graph are rows (graph, common neighbours above the last
-vertex), the popcount of a row counts the (k+1)-cliques extending it, and
-the next level unpacks the nonzero rows.  A few dozen numpy calls per
-level then serve every graph of the block.  The numba census runs the
-compiled depth-first kernel graph by graph.
+adjacency rows, drawn from one rng.random call.  The clique census counts
+cliques over a whole block level by level: the k-cliques of every graph
+are rows (graph, common neighbours above the last vertex), the popcount of
+a row counts the (k+1)-cliques extending it, and the next level unpacks
+the nonzero rows.  A few dozen numpy calls per level then serve every
+graph of the block.
 
 The distribution laws of the verification suites are checked by their
 atoms: a table that distributes over union is fixed by its value at the
@@ -23,95 +16,12 @@ rebuilds what the table must be, and one comparison checks every pair.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_numba_cache: dict = {}
-
-
-def requested_backend() -> str:
-    return os.environ.get("HYPEROPS_BACKEND", "auto")
 
 
 def active_backend() -> str:
-    """The backend actually in use: "numba" or "numpy"."""
-    req = requested_backend()
-    if req == "numpy":
-        return "numpy"
-    if req in ("numba", "auto"):
-        if _load_numba() is not None:
-            return "numba"
-        if req == "numba":
-            raise RuntimeError("HYPEROPS_BACKEND=numba but numba failed to import")
-        return "numpy"
-    raise ValueError(f"unknown backend {req!r}")
-
-
-def _load_numba():
-    if "mod" not in _numba_cache:
-        try:
-            import numba
-        except ImportError:
-            numba = None
-        _numba_cache["mod"] = numba
-    return _numba_cache["mod"]
-
-
-def _compiled():
-    """Build (once) and return the njit-compiled census kernel."""
-    if "kernels" in _numba_cache:
-        return _numba_cache["kernels"]
-    numba = _load_numba()
-    njit = numba.njit
-
-    @njit(cache=True)
-    def clique_stats_kernel(words, n, nwords, count_size, exist_size):
-        # Depth-first clique enumeration over uint64 bitset rows.  Candidates
-        # at each level are the remaining vertices adjacent to every chosen
-        # vertex; popping the lowest bit keeps the enumeration canonical.
-        max_depth = count_size if count_size > exist_size else exist_size
-        count = 0
-        exists = False
-        cand = np.zeros((max_depth + 1, nwords), dtype=np.uint64)
-        for v in range(n):
-            cand[0, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
-        depth = 0
-        while depth >= 0:
-            v = -1
-            for w in range(nwords):
-                x = cand[depth, w]
-                if x != np.uint64(0):
-                    low = x & (~x + np.uint64(1))
-                    pos = 0
-                    while low > np.uint64(1):
-                        low >>= np.uint64(1)
-                        pos += 1
-                    v = (w << 6) + pos
-                    break
-            if v < 0:
-                depth -= 1
-                continue
-            cand[depth, v >> 6] &= ~(np.uint64(1) << np.uint64(v & 63))
-            k = depth + 1
-            if k == count_size:
-                count += 1
-            if k == exist_size:
-                exists = True
-            if k < max_depth:
-                for w in range(nwords):
-                    cand[depth + 1, w] = cand[depth, w] & words[v, w]
-                depth += 1
-        return count, exists
-
-    _numba_cache["kernels"] = clique_stats_kernel
-    return clique_stats_kernel
-
-
-def warmup() -> None:
-    """Force kernel compilation so timed runs measure the census only."""
-    if active_backend() == "numba":
-        _compiled()(np.zeros((1, 1), dtype=np.uint64), 1, 1, 2, 2)
+    """The census implementation in use; numpy is the only one."""
+    return "numpy"
 
 
 # ----- graph sampling -------------------------------------------------------------
@@ -175,7 +85,17 @@ def _popcount_rows(cand: np.ndarray) -> np.ndarray:
     return total
 
 
-def _census_numpy(block, count_size, exist_size):
+def clique_census(block: np.ndarray, count_size: int, exist_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph clique census of a (graphs, n, nwords) block of bitset rows.
+
+    Returns (int64 number of cliques on count_size vertices, bool whether
+    some clique on exist_size vertices exists), one entry per graph, found
+    level by level over every graph of the block at once.  count_size and
+    exist_size must be at least 2; vertex and edge counts are cheap enough
+    to read off directly.
+    """
+    if count_size < 2 or exist_size < 2:
+        raise ValueError("clique sizes below 2 are direct counts, not a census")
     # A row is a k-clique of graph g, held as (g, cand): cand is the bitset
     # of common neighbours above the clique's last vertex, so popcount(cand)
     # is the number of (k+1)-cliques extending it, each counted once.
@@ -217,29 +137,6 @@ def _census_numpy(block, count_size, exist_size):
 
     level(1, np.repeat(np.arange(graphs), n), first)
     return counts, exists
-
-
-def clique_census(block: np.ndarray, count_size: int, exist_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph clique census of a (graphs, n, nwords) block of bitset rows.
-
-    Returns (int64 number of cliques on count_size vertices, bool whether
-    some clique on exist_size vertices exists), one entry per graph.  The
-    numpy path works level by level over every graph of the block at once;
-    the numba path runs the compiled depth-first kernel graph by graph.
-    count_size and exist_size must be at least 2; vertex and edge counts are
-    cheap enough to read off directly.
-    """
-    if count_size < 2 or exist_size < 2:
-        raise ValueError("clique sizes below 2 are direct counts, not a census")
-    graphs, n, nwords = block.shape
-    if active_backend() == "numba":
-        kern = _compiled()
-        counts = np.zeros(graphs, dtype=np.int64)
-        exists = np.zeros(graphs, dtype=bool)
-        for g in range(graphs):
-            counts[g], exists[g] = kern(block[g], n, nwords, count_size, exist_size)
-        return counts, exists
-    return _census_numpy(block, count_size, exist_size)
 
 
 def clique_stats(words: np.ndarray, count_size: int, exist_size: int) -> tuple[int, bool]:

@@ -13,7 +13,6 @@ the complement that is everything (r).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .complexes import AmbientComplex, Hypergraph, iter_bits
@@ -25,45 +24,43 @@ from .operators import (
 )
 
 
-def distance(amb: AmbientComplex, i: int, j: int) -> int:
-    """Least number of faces in a path from face i to face j (inf -> -1)."""
-    if i == j:
-        return 1
-    seen = 1 << i
-    frontier = [i]
-    steps = 1
+def _balls(amb: AmbientComplex, i: int, within: int):
+    """Balls around face i in the meets-graph on the faces of `within`.
+
+    Ball k holds the faces at most k hops from i, as a face bitset; the
+    balls stop when one stops growing.  Each round ORs the meet masks of
+    the faces that the last round added.
+    """
+    ball = frontier = 1 << i
     while frontier:
-        steps += 1
-        nxt = []
-        for a in frontier:
-            reach = amb.meet_masks[a] & ~seen
-            if reach >> j & 1:
-                return steps
-            seen |= reach
-            nxt.extend(iter_bits(reach))
-        frontier = nxt
-    return -1
-
-
-def eccentricity(amb: AmbientComplex, i: int) -> int:
-    # Single-source BFS over the face meets-graph; level k holds faces at
-    # distance k+1 from i.
-    seen = 1 << i
-    frontier = 1 << i
-    ecc = 1
-    while True:
+        yield ball
         reach = 0
         for a in iter_bits(frontier):
             reach |= amb.meet_masks[a]
-        reach &= ~seen
-        if not reach:
-            break
-        seen |= reach
-        frontier = reach
-        ecc += 1
-    if seen != amb.full_mask:
-        return -1
-    return ecc
+        frontier = reach & within & ~ball
+        ball |= frontier
+
+
+def distance(amb: AmbientComplex, i: int, j: int) -> int:
+    """Least number of faces in a path from face i to face j (inf -> -1)."""
+    for hops, ball in enumerate(_balls(amb, i, amb.full_mask)):
+        if ball >> j & 1:
+            return hops + 1
+    return -1
+
+
+def _radius(amb: AmbientComplex, i: int, within: int) -> int:
+    # hops from face i to the farthest face of `within`; -1 if some face
+    # of `within` is out of reach
+    for hops, ball in enumerate(_balls(amb, i, within)):
+        pass
+    return hops if ball == within else -1
+
+
+def eccentricity(amb: AmbientComplex, i: int) -> int:
+    """Largest distance from face i to any face; -1 if some face is out of reach."""
+    hops = _radius(amb, i, amb.full_mask)
+    return hops + 1 if hops >= 0 else -1
 
 
 def diameter(amb: AmbientComplex) -> int:
@@ -103,20 +100,12 @@ def diameter(amb: AmbientComplex) -> int:
 
 def hop_diameter_maximal(amb: AmbientComplex) -> int:
     """Edge-count diameter of the meets-graph restricted to maximal faces."""
-    maxima = list(iter_bits(amb.maximal_mask))
     best = 0
-    for i in maxima:
-        dist = {i: 0}
-        q = deque([i])
-        while q:
-            a = q.popleft()
-            for b in maxima:
-                if b not in dist and amb.meet_masks[a] >> b & 1:
-                    dist[b] = dist[a] + 1
-                    q.append(b)
-        if len(dist) != len(maxima):
+    for i in iter_bits(amb.maximal_mask):
+        hops = _radius(amb, i, amb.maximal_mask)
+        if hops < 0:
             return -1
-        best = max(best, max(dist.values()))
+        best = max(best, hops)
     return best
 
 

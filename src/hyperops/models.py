@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .operators import complex_indicator, external_faces_mask
+from .operators import TABLE_LIMIT, complex_indicator, external_faces_mask
 
 
 def rng_from(seed: int, stream: int = 0) -> np.random.Generator:
@@ -242,18 +242,16 @@ def sample_complex_batch(
 
 # ----- enumeration -------------------------------------------------------------
 
-ENUMERATION_LIMIT = 20
-
 
 def enumerate_subhypergraphs(amb: AmbientComplex) -> Iterator[int]:
     """Every subset of the ambient's faces, as masks in increasing order."""
-    if amb.num_faces > ENUMERATION_LIMIT:
+    if amb.num_faces > TABLE_LIMIT:
         raise ValueError(f"too many faces to enumerate ({amb.num_faces})")
     yield from range(1 << amb.num_faces)
 
 
 def enumerate_subcomplexes(amb: AmbientComplex) -> Iterator[int]:
     """Every downward-closed subset, as masks in increasing order."""
-    if amb.num_faces > ENUMERATION_LIMIT:
+    if amb.num_faces > TABLE_LIMIT:
         raise ValueError(f"too many faces to enumerate ({amb.num_faces})")
     yield from np.flatnonzero(complex_indicator(amb)).tolist()

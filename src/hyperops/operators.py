@@ -16,7 +16,7 @@ import numpy as np
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, same_ambient
 
 # Above this many faces a 2**m table no longer fits; callers must use the
-# single-mask functions instead.
+# single-mask functions instead.  Up to it, every mask fits a uint32 entry.
 TABLE_LIMIT = 20
 
 
@@ -179,10 +179,6 @@ def external_faces(y: Hypergraph) -> Hypergraph:
 # ----- full lookup tables ----------------------------------------------------
 
 
-def _table_dtype(m: int):
-    return np.uint32 if m <= 20 else np.uint64
-
-
 def _check_table_size(amb: AmbientComplex) -> int:
     m = amb.num_faces
     if m > TABLE_LIMIT:
@@ -194,24 +190,22 @@ def _check_table_size(amb: AmbientComplex) -> int:
 
 def identity_table(amb: AmbientComplex) -> np.ndarray:
     m = _check_table_size(amb)
-    return np.arange(1 << m, dtype=_table_dtype(m))
+    return np.arange(1 << m, dtype=np.uint32)
 
 
 def complement_table(amb: AmbientComplex) -> np.ndarray:
     m = _check_table_size(amb)
-    dt = _table_dtype(m)
-    return np.asarray(amb.full_mask, dtype=dt) ^ np.arange(1 << m, dtype=dt)
+    return np.uint32(amb.full_mask) ^ np.arange(1 << m, dtype=np.uint32)
 
 
 def _join_table(amb: AmbientComplex, op) -> np.ndarray:
     """Table of an operator that maps the empty set to itself and distributes
     over union: doubling over face bits ORs in each single face's image."""
     m = _check_table_size(amb)
-    dt = _table_dtype(m)
-    out = np.zeros(1 << m, dtype=dt)
+    out = np.zeros(1 << m, dtype=np.uint32)
     for b in range(m):
         half = 1 << b
-        np.bitwise_or(out[:half], dt(op(amb, 1 << b)), out=out[half : 2 * half])
+        np.bitwise_or(out[:half], np.uint32(op(amb, 1 << b)), out=out[half : 2 * half])
     return out
 
 
@@ -223,15 +217,14 @@ def _meet_table(amb: AmbientComplex, op) -> np.ndarray:
     is that doubling read backwards.
     """
     m = _check_table_size(amb)
-    dt = _table_dtype(m)
-    out = np.empty(1 << m, dtype=dt)
+    out = np.empty(1 << m, dtype=np.uint32)
     by_complement = out[::-1]
     by_complement[0] = amb.full_mask
     for b in range(m):
         half = 1 << b
         np.bitwise_and(
             by_complement[:half],
-            dt(op(amb, amb.full_mask & ~(1 << b))),
+            np.uint32(op(amb, amb.full_mask & ~(1 << b))),
             out=by_complement[half : 2 * half],
         )
     return out
@@ -295,7 +288,7 @@ PRIMITIVE_MASK_OPS = {
 def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
     if name == "zero":
         m = _check_table_size(amb)
-        return np.zeros(1 << m, dtype=_table_dtype(m))
+        return np.zeros(1 << m, dtype=np.uint32)
     try:
         builder = PRIMITIVE_TABLES[name]
     except KeyError:

@@ -123,6 +123,20 @@ def o_distance(ambient, a, b):
     return None
 
 
+def o_hop_diameter_maximal(ambient):
+    """Edge-count diameter of the meets-graph on the maximal faces, by
+    Floyd-Warshall over every triple; -1 if that graph is disconnected."""
+    top = list(o_maximal(ambient))
+    inf = len(top)
+    d = [[0 if a == b else 1 if a & b else inf for b in top] for a in top]
+    for k in range(len(top)):
+        for i in range(len(top)):
+            for j in range(len(top)):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    far = max(max(row) for row in d)
+    return -1 if far >= inf else far
+
+
 def o_staged_pmf(ambient, per_dim, k):
     """Probability of the complex k under the stagewise clique-filling law.
 

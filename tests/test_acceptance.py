@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from hyperops.complexes import Complex, full_complex, skeleton_complex
-from hyperops.kernels import warmup
 from hyperops.metric import diameter, figure_hypergraphs, minimal_powers
 from hyperops.models import (
     ProbabilityAssignment,
@@ -82,7 +81,6 @@ def report(number: int, label: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_identities_and_laws(fixtures):
-    warmup()
     t0 = time.perf_counter()
     ok = True
     cases = 0
@@ -338,7 +336,6 @@ def test_criterion_7_derived_formulas():
 
 
 def test_criterion_8_asymptotic_trends():
-    warmup()
     t0 = time.perf_counter()
     ns = [20, 40, 80]
     rows_a = dimension_stats(ns, threshold_schedule(0.5, 3.0), 2, 1000, ASYMPTOTIC_SEED)

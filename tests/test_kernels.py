@@ -1,30 +1,12 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from hyperops.kernels import (
-    _load_numba,
-    active_backend,
-    clique_census,
-    clique_stats,
-    edge_count,
-    pair_laws,
-    requested_backend,
-    sample_graph_block,
-    sample_graph_words,
-    warmup,
-)
+from hyperops.kernels import clique_stats, edge_count, pair_laws, sample_graph_words
 from hyperops.models import rng_from
 from hyperops.operators import closure_table, complement_table, interior_complex_table
-
-HAVE_NUMBA = _load_numba() is not None
-
-BACKENDS = ("numpy", "numba") if HAVE_NUMBA else ("numpy",)
 
 
 def dense(words, n):
@@ -39,24 +21,6 @@ def brute_clique_count(words, n, k):
         if all(a[i, j] for i, j in itertools.combinations(combo, 2)):
             count += 1
     return count
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("HYPEROPS_BACKEND", "numpy")
-    assert requested_backend() == "numpy"
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("HYPEROPS_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        active_backend()
-    monkeypatch.delenv("HYPEROPS_BACKEND")
-    assert active_backend() in ("numpy", "numba")
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_warmup_compiles(monkeypatch):
-    monkeypatch.setenv("HYPEROPS_BACKEND", "numba")
-    warmup()
-    assert active_backend() == "numba"
 
 
 def test_sample_graph_words_contract():
@@ -85,9 +49,7 @@ def test_sample_graph_edge_density():
     assert abs(total - want) <= 4 * sigma
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_clique_stats_small_graphs(monkeypatch, backend):
-    monkeypatch.setenv("HYPEROPS_BACKEND", backend)
+def test_clique_stats_small_graphs():
     for s in range(8):
         words = sample_graph_words(9, 0.5, rng_from(3, s))
         for k in (2, 3, 4):
@@ -97,28 +59,14 @@ def test_clique_stats_small_graphs(monkeypatch, backend):
             assert exists == (want > 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_clique_stats_multiword(monkeypatch, backend):
+def test_clique_stats_multiword():
     # n > 64 exercises the second bitset word; triangles come from trace(A^3)
-    monkeypatch.setenv("HYPEROPS_BACKEND", backend)
     n = 70
     words = sample_graph_words(n, 0.1, rng_from(4, 0))
     a = dense(words, n)
     want = int(np.trace(a @ a @ a)) // 6
     count, exists = clique_stats(words, 3, 4)
     assert count == want
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree(monkeypatch):
-    words = sample_graph_words(40, 0.25, rng_from(5, 0))
-    block = sample_graph_block(70, 0.2, rng_from(5, 1), 6)
-    results = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("HYPEROPS_BACKEND", backend)
-        counts, exists = clique_census(block, 3, 4)
-        results[backend] = clique_stats(words, 4, 5), counts.tolist(), exists.tolist()
-    assert results["numpy"] == results["numba"]
 
 
 def test_clique_stats_guards():
@@ -135,9 +83,7 @@ def test_edge_count():
     assert edge_count(words) == int(a.sum()) // 2
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pair_laws_clean_and_broken(monkeypatch, backend, delta2):
-    monkeypatch.setenv("HYPEROPS_BACKEND", backend)
+def test_pair_laws_clean_and_broken(delta2):
     ct = closure_table(delta2)
     dt = interior_complex_table(delta2)
     gt = complement_table(delta2)
@@ -151,30 +97,3 @@ def test_pair_laws_clean_and_broken(monkeypatch, backend, delta2):
     bad, _ = pair_laws(ct_broken, dt, gt)
     assert bad[1] > 0
     assert bad[0] == 0 and bad[2] == 0
-
-
-def test_env_flag_crosses_process_boundary(tmp_path):
-    # the flag is read from the environment at call time in a fresh process
-    snippet = (
-        "from hyperops.kernels import active_backend, clique_stats, sample_graph_words\n"
-        "from hyperops.models import rng_from\n"
-        "words = sample_graph_words(12, 0.5, rng_from(8, 0))\n"
-        "print(active_backend(), clique_stats(words, 3, 4))\n"
-    )
-    outs = {}
-    for backend in BACKENDS:
-        proc = subprocess.run(
-            [sys.executable, "-c", snippet],
-            capture_output=True,
-            text=True,
-            env={
-                "HYPEROPS_BACKEND": backend,
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": os.pathsep.join(sys.path),
-            },
-        )
-        assert proc.returncode == 0, proc.stderr
-        name, _, rest = proc.stdout.strip().partition(" ")
-        assert name == backend
-        outs[backend] = rest
-    assert len(set(outs.values())) == 1

@@ -20,7 +20,7 @@ from hyperops.metric import (
     triangulated_triangle,
 )
 
-from oracles import ambient_faces, o_distance
+from oracles import ambient_faces, o_distance, o_hop_diameter_maximal
 
 
 def test_distance_counts_simplices(delta1, p3):
@@ -36,14 +36,19 @@ def test_distance_counts_simplices(delta1, p3):
 
 
 def test_distance_matches_oracle(fixtures):
-    for amb in fixtures.values():
+    # distance, eccentricity and the maximal-face hop diameter grow the same
+    # balls; each is checked against brute force, on a disconnected ambient too
+    extra = [triangulated_triangle(2), triangulated_triangle(3), AmbientComplex([(1, 2), (3, 4, 5)])]
+    for amb in [*fixtures.values(), *extra]:
         universe = ambient_faces(amb)
         by_index = [frozenset(amb.face_vertices(i)) for i in range(amb.num_faces)]
         for i in range(amb.num_faces):
-            for j in range(amb.num_faces):
-                assert distance(amb, i, j) == o_distance(
-                    universe, by_index[i], by_index[j]
-                )
+            want = [o_distance(universe, by_index[i], b) for b in by_index]
+            assert [distance(amb, i, j) for j in range(amb.num_faces)] == [
+                -1 if d is None else d for d in want
+            ]
+            assert eccentricity(amb, i) == (-1 if None in want else max(want))
+        assert hop_diameter_maximal(amb) == o_hop_diameter_maximal(universe)
 
 
 def test_diameter_examples(delta1, delta2, p3, sk1d3):

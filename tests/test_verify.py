@@ -1,5 +1,6 @@
 import pytest
 
+from hyperops import pushforward, verify
 from hyperops.models import rng_from
 from hyperops.verify import (
     SUITES,
@@ -42,6 +43,18 @@ def test_theorem1_fails_only_the_printed_ext_int_row(fixtures):
         assert len(res.failures) == 1
         assert "all masks" in res.failures[0]
         assert res.total - res.passed == EXT_INT_VIOLATIONS[name], name
+
+
+def test_theorem1_builds_ext_and_int_once(sk1d3, monkeypatch):
+    # the saturation pushes go through the suite's own tables
+    built = []
+    for module in (verify, pushforward):
+        for name in ("extension_table", "interior_table"):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda amb, b=build, n=name: built.append(n) or b(amb))
+    res = suite_theorem1(sk1d3, rng_from(2026))
+    assert sorted(built) == ["extension_table", "interior_table"]
+    assert res.total - res.passed == EXT_INT_VIOLATIONS["sk1d3"]
 
 
 def test_theorem2_known_gaps(delta1, delta2):

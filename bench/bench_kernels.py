@@ -5,21 +5,31 @@ Run:  python3 bench/bench_kernels.py [--samples N] [--n VERTICES]
 Graphs are drawn and censused the way sparse.dimension_stats does it:
 blocks of the same size, from one stream.  Graph sampling is timed next to
 the census it feeds, on the same graphs.  The distribution laws are
-checked by their atoms, one doubling per law.  Each time is the best of 3.
+checked by their atoms, one doubling per law.  The six primitive mask
+operators are timed on fixed random masks of a triangulated triangle too
+large for tables.  Each time is the best of 3.
 """
 
 import argparse
+import random
 import time
 
 import numpy as np
 
 from hyperops.complexes import standard_fixtures
 from hyperops.kernels import clique_census, edge_count, pair_laws, sample_graph_block
+from hyperops.metric import triangulated_triangle
 from hyperops.models import rng_from
-from hyperops.operators import closure_table, complement_table, interior_complex_table
+from hyperops.operators import (
+    PRIMITIVE_MASK_OPS,
+    closure_table,
+    complement_table,
+    interior_complex_table,
+)
 from hyperops.sparse import _BLOCK_UNIFORMS
 
 P = 0.15
+SIDE, MASKS = 20, 10  # triangle and random masks for the mask ops
 
 
 def timed(fn, repeats=3):
@@ -75,6 +85,17 @@ def bench_pair_laws():
     return run
 
 
+def bench_mask_ops(amb, masks):
+    rng = random.Random(1)
+    hs = [rng.getrandbits(amb.num_faces) for _ in range(masks)]
+    ops = [PRIMITIVE_MASK_OPS[name] for name in ("Delta", "delta", "Ext", "Int", "Nbd", "NbdInv")]
+
+    def run():
+        return [op(amb, h) for op in ops for h in hs]
+
+    return run
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=300, help="graphs per census")
@@ -82,17 +103,20 @@ def main():
     args = ap.parse_args()
 
     blocks = len(_block_sizes(args.n, args.samples))
+    tri = triangulated_triangle(SIDE)
     workloads = [
         (f"graph sampling (n={args.n}, p={P}, {args.samples} graphs in {blocks} blocks)",
          bench_graph_sampling(args.n, args.samples)),
         ("clique census (same graphs, sizes 3 and 4)", bench_clique_census(args.n, args.samples)),
         ("pair laws by atoms (10-face fixture, 1024 masks)", bench_pair_laws()),
+        (f"six primitive mask ops (side-{SIDE} triangle, {tri.num_faces} faces, {MASKS} masks)",
+         bench_mask_ops(tri, MASKS)),
     ]
 
-    print(f"{'workload':<62} {'numpy':>12}")
+    print(f"{'workload':<72} {'numpy':>12}")
     for label, run in workloads:
         seconds, _ = timed(run)
-        print(f"{label:<62} {seconds * 1e3:>10.2f}ms")
+        print(f"{label:<72} {seconds * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

@@ -18,15 +18,27 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .words import ALIASES, Compose, Join, Meet, Power, Prim, Word, WordError, word_from_names
+from .words import (
+    ALIASES,
+    PRIMITIVES,
+    Compose,
+    Join,
+    Meet,
+    Power,
+    Prim,
+    Word,
+    WordError,
+    word_from_names,
+)
 
 __all__ = ["OperatorExpression", "ParseError", "parse_expression"]
 
 # Abbreviations that the grammar expands before evaluation.  NbdInv stays a
 # primitive: it is an operator in its own right, not notation for a chain.
-_EXPAND = ("Ext", "Int", "alpha", "beta")
+_EXPAND = tuple(ALIASES)
 
-_PLAIN = ("Delta", "delta", "gamma", "Nbd", "NbdInv", "id")
+# zero is a primitive of the evaluator with no surface syntax.
+_PLAIN = tuple(name for name in PRIMITIVES if name not in ALIASES and name != "zero")
 
 _TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>/\\|[.^+()])")
 

@@ -16,28 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import AmbientComplex, Hypergraph, iter_bits
-from .operators import (
-    closure_mask,
-    complement_mask,
-    extension_mask,
-    interior_mask,
-)
+from .operators import _meets, complement_mask, extension_mask, interior_mask
 
 
 def _balls(amb: AmbientComplex, i: int, within: int):
     """Balls around face i in the meets-graph on the faces of `within`.
 
     Ball k holds the faces at most k hops from i, as a face bitset; the
-    balls stop when one stops growing.  Each round ORs the meet masks of
-    the faces that the last round added.
+    balls stop when one stops growing.  Each round adds the faces of
+    `within` that meet a face the last round added.
     """
     ball = frontier = 1 << i
     while frontier:
         yield ball
-        reach = 0
-        for a in iter_bits(frontier):
-            reach |= amb.meet_masks[a]
-        frontier = reach & within & ~ball
+        frontier = _meets(amb, frontier) & within & ~ball
         ball |= frontier
 
 
@@ -110,57 +102,6 @@ def hop_diameter_maximal(amb: AmbientComplex) -> int:
 
 
 # ----- iterated extension and interior ----------------------------------------
-
-
-def extension_power_mask(amb: AmbientComplex, h: int, k: int) -> int:
-    out = h
-    for _ in range(k):
-        out = extension_mask(amb, out)
-    return out
-
-
-def interior_power_mask(amb: AmbientComplex, h: int, k: int) -> int:
-    out = h
-    for _ in range(k):
-        out = interior_mask(amb, out)
-    return out
-
-
-def extension_power_by_paths(amb: AmbientComplex, h: int, k: int) -> int:
-    """Ext^k via reachability: faces joined to h by a broad path of length <= k+1.
-
-    A broad path consists of maximal faces only.  S_1 holds the maximal faces
-    containing an edge of h; each further step adds maximal faces meeting the
-    previous layer; the result is the closure of S_k.  Agrees with iterating
-    the operator, and serves as an independent route in tests.
-    """
-    if k <= 0:
-        return h
-    layer = 0
-    for i in iter_bits(amb.maximal_mask):
-        if amb.sub_masks[i] & h:
-            layer |= 1 << i
-    for _ in range(k - 1):
-        grown = layer
-        for i in iter_bits(amb.maximal_mask):
-            if amb.meet_masks[i] & layer:
-                grown |= 1 << i
-        layer = grown
-    return closure_mask(amb, layer)
-
-
-def interior_power_by_paths(amb: AmbientComplex, h: int, k: int) -> int:
-    """Int^k via distance: drop every face within distance k+1 of the complement."""
-    if k <= 0:
-        return h
-    ball = complement_mask(amb, h)
-    for _ in range(k):
-        grown = ball
-        for i in range(amb.num_faces):
-            if amb.meet_masks[i] & ball:
-                grown |= 1 << i
-        ball = grown
-    return complement_mask(amb, ball)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,26 @@ Unary operators: closure, interior-complex, complement, extension, interior,
 neighborhood and its adjoint.  Binary operators: union, intersection.  All
 operate on face-index bitmasks; thin wrappers accept Hypergraph values.
 
+The six non-trivial primitives come from three face relations of the
+ambient, each stored as one mask per face: `sub_masks` (faces contained in
+face i), `sup_masks` (faces containing it) and `meet_masks` (faces sharing a
+vertex with it).  The join J_rel(h) of a relation is the OR of rel[i] over
+the faces i of h; it maps the empty set to itself and distributes over
+union.  Closure, extension and neighborhood are joins:
+
+    Delta = J_sub      Ext = J_sub(maximal & J_sup)      Nbd = J_sub . J_meet
+
+and the other three are their complement duals gamma . J . gamma, which fix
+L and distribute over intersection:
+
+    delta = gamma J_sup gamma    Int = gamma J_meet gamma    NbdInv = gamma J_meet J_sup gamma
+
 For ambients with at most `TABLE_LIMIT` faces the module also builds full
 lookup tables (numpy arrays indexed by every subset of faces), which the
 exact distribution code uses to push measures through operators in bulk.
+A join's table is one doubling over the face bits of its single-face
+images; the table of gamma . J . gamma is J's table XORed with L and read
+backwards, since mask L - X is 2^m - 1 - X.
 """
 
 from __future__ import annotations
@@ -23,21 +40,46 @@ TABLE_LIMIT = 20
 # ----- single-mask operators ------------------------------------------------
 
 
+def _join(rel, h: int) -> int:
+    """The OR of rel[i] over the set bits i of h."""
+    out = 0
+    bits = bin(h)[:1:-1]  # bits[i] is bit i of h
+    i = bits.find("1")
+    while i >= 0:
+        out |= rel[i]
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _sups(amb: AmbientComplex, h: int) -> int:
+    # faces containing an edge of h
+    return _join(amb.sup_masks, h)
+
+
+def _meets(amb: AmbientComplex, h: int) -> int:
+    # faces meeting an edge of h
+    return _join(amb.meet_masks, h)
+
+
+def _meets_of_sups(amb: AmbientComplex, h: int) -> int:
+    # faces meeting a face that contains an edge of h
+    return _meets(amb, _sups(amb, h))
+
+
+def _dual(amb: AmbientComplex, join, h: int) -> int:
+    # gamma . join . gamma
+    return amb.full_mask & ~join(amb, amb.full_mask & ~h)
+
+
 def closure_mask(amb: AmbientComplex, h: int) -> int:
     """All faces contained in some edge of h (the operator Delta)."""
-    out = 0
-    for i in iter_bits(h):
-        out |= amb.sub_masks[i]
-    return out
+    return _join(amb.sub_masks, h)
 
 
 def interior_complex_mask(amb: AmbientComplex, h: int) -> int:
-    """Faces all of whose nonempty subsets are edges of h (the operator delta)."""
-    out = 0
-    for i in range(amb.num_faces):
-        if amb.sub_masks[i] & ~h == 0:
-            out |= 1 << i
-    return out
+    """Faces all of whose nonempty subsets are edges of h (the operator delta):
+    the faces containing no face outside h."""
+    return _dual(amb, _sups, h)
 
 
 def complement_mask(amb: AmbientComplex, h: int) -> int:
@@ -49,13 +91,10 @@ def extension_mask(amb: AmbientComplex, h: int) -> int:
     """Ext = closure . complement . interior-complex . complement.
 
     Equivalently: the closure of the maximal ambient faces that contain an
-    edge of h.
+    edge of h.  Every face lies in a maximal one, so the restriction to
+    maximal faces only shortens the outer join.
     """
-    out = 0
-    for i in iter_bits(amb.maximal_mask):
-        if amb.sub_masks[i] & h:
-            out |= amb.sub_masks[i]
-    return out
+    return _join(amb.sub_masks, amb.maximal_mask & _sups(amb, h))
 
 
 def interior_mask(amb: AmbientComplex, h: int) -> int:
@@ -63,36 +102,24 @@ def interior_mask(amb: AmbientComplex, h: int) -> int:
 
     Equivalently: the faces meeting no face outside h.
     """
-    out = 0
-    comp = amb.full_mask & ~h
-    for i in range(amb.num_faces):
-        if amb.meet_masks[i] & comp == 0:
-            out |= 1 << i
-    return out
+    return _dual(amb, _meets, h)
 
 
 def neighborhood_mask(amb: AmbientComplex, h: int) -> int:
     """Closure of every ambient face meeting an edge of h."""
-    hit = 0
-    for i in iter_bits(h):
-        hit |= amb.meet_masks[i]
-    return closure_mask(amb, hit)
+    return _join(amb.sub_masks, _meets(amb, h))
 
 
 def neighborhood_inverse_mask(amb: AmbientComplex, h: int) -> int:
     """Largest h' with neighborhood(h') contained in h.
 
     Neighborhoods distribute over union, so this is the set of single faces
-    whose neighborhood lies inside h.  It is always contained in
-    interior_mask and coincides with it when h is a complex; for non-closed
-    h the two differ, because Nbd(tau) is closed while the faces meeting
-    tau need not be.
+    whose neighborhood lies inside h: the faces meeting no face that
+    contains a face outside h.  It is always contained in interior_mask and
+    coincides with it when h is a complex; for non-closed h the two differ,
+    because Nbd(tau) is closed while the faces meeting tau need not be.
     """
-    out = 0
-    for i in range(amb.num_faces):
-        if neighborhood_mask(amb, 1 << i) & ~h == 0:
-            out |= 1 << i
-    return out
+    return _dual(amb, _meets_of_sups, h)
 
 
 def closed_star_mask(amb: AmbientComplex, vertex: int) -> int:
@@ -198,36 +225,23 @@ def complement_table(amb: AmbientComplex) -> np.ndarray:
     return np.uint32(amb.full_mask) ^ np.arange(1 << m, dtype=np.uint32)
 
 
-def _join_table(amb: AmbientComplex, op) -> np.ndarray:
-    """Table of an operator that maps the empty set to itself and distributes
-    over union: doubling over face bits ORs in each single face's image."""
+def _join_table(amb: AmbientComplex, join) -> np.ndarray:
+    """Table of a join: doubling over face bits ORs in each single face's image."""
     m = _check_table_size(amb)
     out = np.zeros(1 << m, dtype=np.uint32)
     for b in range(m):
         half = 1 << b
-        np.bitwise_or(out[:half], np.uint32(op(amb, 1 << b)), out=out[half : 2 * half])
+        np.bitwise_or(out[:half], np.uint32(join(amb, 1 << b)), out=out[half : 2 * half])
     return out
 
 
-def _meet_table(amb: AmbientComplex, op) -> np.ndarray:
-    """Table of an operator that fixes L and distributes over intersection.
-
-    op(L minus X) is the AND of op(L minus face b) over the bits b of X, so
-    a doubling over X builds it; L minus X is mask 2^m - 1 - X, so the table
-    is that doubling read backwards.
-    """
-    m = _check_table_size(amb)
-    out = np.empty(1 << m, dtype=np.uint32)
-    by_complement = out[::-1]
-    by_complement[0] = amb.full_mask
-    for b in range(m):
-        half = 1 << b
-        np.bitwise_and(
-            by_complement[:half],
-            np.uint32(op(amb, amb.full_mask & ~(1 << b))),
-            out=by_complement[half : 2 * half],
-        )
-    return out
+def _dual_table(amb: AmbientComplex, join) -> np.ndarray:
+    """Table of gamma . join . gamma: entry X is L - join(L - X), and mask
+    L - X is 2^m - 1 - X, so it is the join's table complemented in place
+    and read backwards."""
+    out = _join_table(amb, join)
+    out ^= np.uint32(amb.full_mask)
+    return out[::-1]
 
 
 def closure_table(amb: AmbientComplex) -> np.ndarray:
@@ -242,11 +256,11 @@ def complex_indicator(amb: AmbientComplex) -> np.ndarray:
 
 
 def interior_complex_table(amb: AmbientComplex) -> np.ndarray:
-    return _meet_table(amb, interior_complex_mask)
+    return _dual_table(amb, _sups)
 
 
 def interior_table(amb: AmbientComplex) -> np.ndarray:
-    return _meet_table(amb, interior_mask)
+    return _dual_table(amb, _meets)
 
 
 def extension_table(amb: AmbientComplex) -> np.ndarray:
@@ -258,7 +272,7 @@ def neighborhood_table(amb: AmbientComplex) -> np.ndarray:
 
 
 def neighborhood_inverse_table(amb: AmbientComplex) -> np.ndarray:
-    return _meet_table(amb, neighborhood_inverse_mask)
+    return _dual_table(amb, _meets_of_sups)
 
 
 PRIMITIVE_TABLES = {

@@ -43,6 +43,7 @@ from .pushforward import (
     verify_transforms,
     vertex_supported,
 )
+from .words import REWRITE_RULES, word_from_names
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_standard", "default_fixtures"]
 
@@ -65,47 +66,29 @@ class SuiteResult:
         return f"SUITE {self.name} {status} {self.passed}/{self.total}"
 
 
-def _chain_table(tables: dict, names) -> np.ndarray:
+def _chain_table(tables: dict, names, arr: np.ndarray) -> np.ndarray:
     # tables maps each primitive name to its table; names[-1] applies first
-    arr = tables[names[-1]]
-    for name in reversed(names[:-1]):
+    for name in reversed(names):
         arr = tables[name][arr]
     return arr
 
 
-_RELATIONS = [
-    ("gamma.gamma = id", ("gamma", "gamma"), ("id",)),
-    ("Delta.delta = delta", ("Delta", "delta"), ("delta",)),
-    ("delta.Delta = Delta", ("delta", "Delta"), ("Delta",)),
-    ("Delta.Delta = Delta", ("Delta", "Delta"), ("Delta",)),
-    ("delta.delta = delta", ("delta", "delta"), ("delta",)),
-    (
-        "(Delta.gamma)^4 = (Delta.gamma)^2",
-        ("Delta", "gamma") * 4,
-        ("Delta", "gamma") * 2,
-    ),
-    (
-        "(delta.gamma)^4 = (delta.gamma)^2",
-        ("delta", "gamma") * 4,
-        ("delta", "gamma") * 2,
-    ),
-]
-
-
 def suite_identities(amb: AmbientComplex, rng=None) -> SuiteResult:
-    """The seven composition relations, every sub-hypergraph of the ambient."""
+    """The normalizer's rewrite rules, every sub-hypergraph of the ambient."""
     size = 1 << amb.num_faces
+    idx = np.arange(size, dtype=np.uint32)
     # each primitive is built once per call and dropped with it
-    names = {name for _, lhs, rhs in _RELATIONS for name in lhs + rhs}
+    names = {name for lhs, rhs in REWRITE_RULES for name in lhs + rhs}
     tables = {name: primitive_table(amb, name) for name in names}
     passed = 0
     failures = []
-    for label, lhs, rhs in _RELATIONS:
-        eq = int(np.count_nonzero(_chain_table(tables, lhs) == _chain_table(tables, rhs)))
+    for lhs, rhs in REWRITE_RULES:
+        eq = int(np.count_nonzero(_chain_table(tables, lhs, idx) == _chain_table(tables, rhs, idx)))
         passed += eq
         if eq != size:
+            label = f"{word_from_names(list(lhs))} = {word_from_names(list(rhs))}"
             failures.append(f"{label}: {size - eq} of {size} masks disagree")
-    return SuiteResult("identities", passed, len(_RELATIONS) * size, failures)
+    return SuiteResult("identities", passed, len(REWRITE_RULES) * size, failures)
 
 
 def suite_laws(amb: AmbientComplex, rng=None) -> SuiteResult:

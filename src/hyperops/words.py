@@ -21,7 +21,7 @@ from .operators import PRIMITIVE_MASK_OPS, primitive_table
 
 import numpy as np
 
-PRIMITIVES = ("id", "Delta", "delta", "gamma", "Ext", "Int", "Nbd", "NbdInv", "zero")
+PRIMITIVES = tuple(PRIMITIVE_MASK_OPS)
 
 # Ext and Int are abbreviations inside the monoid generated by Delta,
 # delta, gamma; alpha/beta generate the submonoid of words with an even

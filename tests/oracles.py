@@ -332,6 +332,48 @@ def o_diameter(amb):
     return best
 
 
+def o_extension_power_by_paths(amb, h, k):
+    """Ext^k via reachability: faces joined to h by a broad path of length <= k+1.
+
+    A broad path consists of maximal faces only.  S_1 holds the maximal faces
+    containing an edge of h; each further step adds maximal faces meeting the
+    previous layer; the result is the closure of S_k.  Agrees with iterating
+    the operator, and serves as an independent route in tests.
+    """
+    from hyperops.complexes import iter_bits
+    from hyperops.operators import closure_mask
+
+    if k <= 0:
+        return h
+    layer = 0
+    for i in iter_bits(amb.maximal_mask):
+        if amb.sub_masks[i] & h:
+            layer |= 1 << i
+    for _ in range(k - 1):
+        grown = layer
+        for i in iter_bits(amb.maximal_mask):
+            if amb.meet_masks[i] & layer:
+                grown |= 1 << i
+        layer = grown
+    return closure_mask(amb, layer)
+
+
+def o_interior_power_by_paths(amb, h, k):
+    """Int^k via distance: drop every face within distance k+1 of the complement."""
+    from hyperops.operators import complement_mask
+
+    if k <= 0:
+        return h
+    ball = complement_mask(amb, h)
+    for _ in range(k):
+        grown = ball
+        for i in range(amb.num_faces):
+            if amb.meet_masks[i] & ball:
+                grown |= 1 << i
+        ball = grown
+    return complement_mask(amb, ball)
+
+
 def o_bernoulli_faces(n, base, r, rng):
     """Stream every candidate face in lexicographic order, one uniform each,
     drawn in blocks of 2^14 per dimension."""

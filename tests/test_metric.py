@@ -8,19 +8,30 @@ from hyperops.metric import (
     diameter,
     distance,
     eccentricity,
-    extension_power_by_paths,
-    extension_power_mask,
     figure_hypergraphs,
     hop_diameter_maximal,
-    interior_power_by_paths,
-    interior_power_mask,
     minimal_powers,
     triangle_vertex_coords,
     triangle_vertex_id,
     triangulated_triangle,
 )
+from hyperops.words import Power, Prim, eval_word_mask
 
-from oracles import ambient_faces, o_distance, o_hop_diameter_maximal
+from oracles import (
+    ambient_faces,
+    o_distance,
+    o_extension_power_by_paths,
+    o_hop_diameter_maximal,
+    o_interior_power_by_paths,
+)
+
+
+def extension_power_mask(amb, h, k):
+    return eval_word_mask(Power(Prim("Ext"), k), amb, [h])
+
+
+def interior_power_mask(amb, h, k):
+    return eval_word_mask(Power(Prim("Int"), k), amb, [h])
 
 
 def test_distance_counts_simplices(delta1, p3):
@@ -110,10 +121,10 @@ def test_power_masks_match_path_characterizations(fixtures):
     for amb in fixtures.values():
         for h in range(1 << amb.num_faces):
             for k in (1, 2, 3):
-                assert extension_power_mask(amb, h, k) == extension_power_by_paths(
+                assert extension_power_mask(amb, h, k) == o_extension_power_by_paths(
                     amb, h, k
                 )
-                assert interior_power_mask(amb, h, k) == interior_power_by_paths(
+                assert interior_power_mask(amb, h, k) == o_interior_power_by_paths(
                     amb, h, k
                 )
 

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperops.complexes import AmbientComplex, Hypergraph, full_complex, iter_bits
+from hyperops.metric import figure_hypergraphs, triangulated_triangle
 from hyperops.operators import (
     PRIMITIVE_MASK_OPS,
     clique_faces_mask,
@@ -275,6 +278,36 @@ def test_ops_match_oracle_random(case):
     h = mask_to_faces(amb, m)
     for name, (op, oracle) in MASK_OPS.items():
         assert op(amb, m) == faces_to_mask(amb, oracle(faces, h)), name
+
+
+# Past the table limit the mask ops are checked only against the oracles:
+# the 127-face figure at mask 0, the full mask and 20 random masks, the
+# 1261-face side-20 triangle at 2 random masks (o_nbd_inv takes about a
+# second per mask there), and every mask of a disconnected ambient.
+@pytest.fixture(scope="module")
+def large_cases():
+    rng = random.Random(2026)
+    fig = figure_hypergraphs()[0]
+    tri = triangulated_triangle(20)
+    apart = AmbientComplex([(1, 2, 3), (4, 5), (6,)])
+    return [
+        (fig, [0, fig.full_mask] + [rng.getrandbits(fig.num_faces) for _ in range(20)]),
+        (tri, [rng.getrandbits(tri.num_faces) for _ in range(2)]),
+        (apart, range(1 << apart.num_faces)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", ["closure", "interior_complex", "extension", "interior", "neighborhood",
+             "neighborhood_inverse"]
+)
+def test_ops_match_oracle_beyond_tables(name, large_cases):
+    op, oracle = MASK_OPS[name]
+    for amb, masks in large_cases:
+        faces = ambient_faces(amb)
+        for m in masks:
+            want = faces_to_mask(amb, oracle(faces, mask_to_faces(amb, m)))
+            assert op(amb, m) == want, f"{name} disagrees at mask {m:#x} on {amb!r}"
 
 
 @given(ambient_and_mask())

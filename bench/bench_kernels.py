@@ -7,7 +7,10 @@ blocks of the same size, from one stream.  Graph sampling is timed next to
 the census it feeds, on the same graphs.  The distribution laws are
 checked by their atoms, one doubling per law.  The six primitive mask
 operators are timed on fixed random masks of a triangulated triangle too
-large for tables.  Each time is the best of 3.
+large for tables.  The truncated generators' two draws are timed on the
+base vector of the benchmark's sparse jobs: the raw-word Bernoulli draw
+and the staged draw under its closure marginals.  Each time is the best
+of 3.
 """
 
 import argparse
@@ -26,10 +29,18 @@ from hyperops.operators import (
     complement_table,
     interior_complex_table,
 )
-from hyperops.sparse import _BLOCK_UNIFORMS
+from hyperops.sparse import (
+    _BLOCK_UNIFORMS,
+    _base_tuple,
+    _bernoulli_faces,
+    _derived_cached,
+    _staged_complex_faces,
+)
 
 P = 0.15
 SIDE, MASKS = 20, 10  # triangle and random masks for the mask ops
+SPARSE_BASE, SPARSE_R = (1.0, 0.045, 0.0025), 2  # the sparse jobs' base vector
+BERNOULLI_N, STAGED_N = 200, 100
 
 
 def timed(fn, repeats=3):
@@ -96,6 +107,24 @@ def bench_mask_ops(amb, masks):
     return run
 
 
+def bench_bernoulli(n):
+    base = _base_tuple(n, SPARSE_BASE)
+
+    def run():
+        return sum(len(layer) for layer in _bernoulli_faces(n, base, SPARSE_R, rng_from(1)))
+
+    return run
+
+
+def bench_staged(n):
+    closure = _derived_cached(n, _base_tuple(n, SPARSE_BASE)).closure_marginals
+
+    def run():
+        return len(_staged_complex_faces(n, closure, SPARSE_R, rng_from(1)))
+
+    return run
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=300, help="graphs per census")
@@ -111,6 +140,9 @@ def main():
         ("pair laws by atoms (10-face fixture, 1024 masks)", bench_pair_laws()),
         (f"six primitive mask ops (side-{SIDE} triangle, {tri.num_faces} faces, {MASKS} masks)",
          bench_mask_ops(tri, MASKS)),
+        (f"Bernoulli faces by raw words (n={BERNOULLI_N}, r={SPARSE_R}, sparse base)",
+         bench_bernoulli(BERNOULLI_N)),
+        (f"staged draw (n={STAGED_N}, r={SPARSE_R}, closure marginals)", bench_staged(STAGED_N)),
     ]
 
     print(f"{'workload':<72} {'numpy':>12}")

@@ -51,6 +51,7 @@ from .models import (
     sample_complex_batch,
     sample_hypergraph,
     sample_hypergraph_batch,
+    sample_hypergraph_masks,
 )
 from .operators import (
     closed_star,

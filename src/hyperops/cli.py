@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import io as hio
 from .expr import ParseError, parse_expression
 from .metric import figure_hypergraphs, minimal_powers
@@ -19,8 +21,9 @@ from .models import (
     resolve_probabilities,
     rng_from,
     sample_complex,
-    sample_hypergraph,
+    sample_hypergraph_masks,
 )
+from .operators import TABLE_LIMIT
 from .pushforward import (
     complex_product,
     closure_transform,
@@ -38,7 +41,7 @@ from .sparse import (
     dimension_stats,
     threshold_schedule,
 )
-from .verify import SUITES, run_standard, run_suite
+from .verify import SUITES, iter_standard, run_suite
 from .words import Prim, eval_word_mask, normalize
 
 
@@ -57,31 +60,34 @@ def _load_probability(path: str) -> ProbabilityAssignment:
     return hio.read_probability(path)
 
 
+def _draw_masks(amb, probs, rng, samples: int, as_complex: bool) -> list[int]:
+    # Staged draws read a data-dependent stream, one call per draw; product
+    # draws come from one whole-run draw.
+    if as_complex:
+        return [sample_complex(amb, probs, rng).mask for _ in range(samples)]
+    return sample_hypergraph_masks(amb, probs, rng, samples)
+
+
 def cmd_gen(args, as_complex: bool) -> int:
     bad = _require_seed(args)
     if bad is not None:
         return bad
     amb = hio.read_complex(args.ambient)
-    pa = _load_probability(args.prob)
-    rng = rng_from(args.seed, args.stream)
-    sampler = sample_complex if as_complex else sample_hypergraph
-    lines = []
-    for _ in range(args.samples):
-        h = sampler(amb, pa, rng)
-        lines.append(h.faces())
+    probs = resolve_probabilities(amb, _load_probability(args.prob))
+    masks = _draw_masks(amb, probs, rng_from(args.seed, args.stream), args.samples, as_complex)
+    text = "".join(hio.format_mask(amb, mask) + "\n" for mask in masks)
     if args.out:
-        hio.write_samples(args.out, lines)
+        hio.atomic_write(args.out, text)
     else:
-        for faces in lines:
-            print(hio.format_faces(faces))
+        print(text, end="")
     return 0
 
 
 def _print_distribution(dist) -> None:
     amb = dist.ambient
-    for mask in dist.support():
-        faces = amb.faces_of_mask(mask)
-        print(f"{dist.prob(mask):.12e}  {hio.format_faces(faces)}")
+    support = np.flatnonzero(dist.vec)
+    sys.stdout.writelines(f"{p:.12e}  {hio.format_mask(amb, mask)}\n"
+                          for mask, p in zip(support.tolist(), dist.vec[support].tolist()))
 
 
 def cmd_push(args) -> int:
@@ -92,33 +98,34 @@ def cmd_push(args) -> int:
         return _fail(str(e))
     if word.arity() != 1:
         return _fail("push needs a unary expression")
+    if amb.num_faces > TABLE_LIMIT:
+        return _fail("ambient too large for exact distributions")
 
     if args.hyper:
         if args.model or args.prob:
             return _fail("give either --hyper or --model/--prob, not both")
-        base = point_mass(amb, hio.read_hypergraph(args.hyper, amb).mask)
+        start = hio.read_hypergraph(args.hyper, amb).mask
         vec = None
     else:
         if not args.model or not args.prob:
             return _fail("need --model and --prob (or --hyper)")
         pa = _load_probability(args.prob)
         vec = resolve_probabilities(amb, pa)
-        base = complex_product(amb, vec) if args.model == "pcomplex" else hypergraph_product(amb, vec)
 
     if args.samples:
         bad = _require_seed(args)
         if bad is not None:
             return bad
-        rng = rng_from(args.seed, args.stream)
-        sampler = sample_complex if args.model == "pcomplex" else sample_hypergraph
         if args.hyper:
             return _fail("Monte Carlo mode needs --model/--prob")
-        masks = []
-        for _ in range(args.samples):
-            h = sampler(amb, vec, rng)
-            masks.append(eval_word_mask(word, amb, [h.mask]))
-        dist = empirical_distribution(amb, masks)
+        rng = rng_from(args.seed, args.stream)
+        drawn = _draw_masks(amb, vec, rng, args.samples, args.model == "pcomplex")
+        image = {mask: eval_word_mask(word, amb, [mask]) for mask in set(drawn)}
+        dist = empirical_distribution(amb, [image[mask] for mask in drawn])
+    elif args.hyper:
+        dist = push_word(word, point_mass(amb, start))
     else:
+        base = complex_product(amb, vec) if args.model == "pcomplex" else hypergraph_product(amb, vec)
         dist = push_word(word, base)
 
     _print_distribution(dist)
@@ -145,16 +152,18 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             return _fail(f"unknown suite {name!r}; choose from {sorted(SUITES)} or all")
     seed = args.seed if args.seed is not None else 2026
-    results = []
     if args.ambient:
         amb = hio.read_complex(args.ambient)
-        for name in names:
-            results.append(run_suite(name, amb, rng_from(seed)))
+        results = (run_suite(name, amb, rng_from(seed)) for name in names)
     else:
-        results = run_standard(names, seed=seed)
+        results = iter_standard(names, seed=seed)
+    ok = True
     for res in results:
+        # each line as soon as its suite returns, so a later suite's error
+        # does not swallow it
         print(res.summary_line())
-    return 0 if all(r.ok for r in results) else 1
+        ok &= res.ok
+    return 0 if ok else 1
 
 
 def cmd_sparse(args) -> int:

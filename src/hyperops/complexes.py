@@ -10,6 +10,7 @@ including the sub-hypergraph index used by the exact distribution code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -161,6 +162,11 @@ class AmbientComplex:
         for f in faces:
             out |= 1 << self.face_index(f)
         return out
+
+    @cached_property
+    def face_text(self) -> tuple[str, ...]:
+        """Each face's vertex ids joined by spaces, canonical order."""
+        return tuple(" ".join(map(str, self.face_vertices(i))) for i in range(self.num_faces))
 
     def faces_of_mask(self, mask: int) -> list[tuple[int, ...]]:
         """Vertex tuples of the faces in ``mask``, canonical order."""

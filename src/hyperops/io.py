@@ -16,7 +16,7 @@ import io as _io
 import os
 import tempfile
 
-from .complexes import AmbientComplex, Complex, Hypergraph
+from .complexes import AmbientComplex, Complex, Hypergraph, iter_bits
 from .models import ProbabilityAssignment
 from .sparse import STATS_COLUMNS
 
@@ -30,6 +30,7 @@ __all__ = [
     "read_probability",
     "write_probability",
     "format_faces",
+    "format_mask",
     "write_samples",
     "write_stats_csv",
 ]
@@ -116,6 +117,13 @@ def format_faces(faces) -> str:
     if not ordered:
         return "-"
     return ", ".join(" ".join(str(v) for v in face) for face in ordered)
+
+
+def format_mask(amb: AmbientComplex, mask: int) -> str:
+    """format_faces(amb.faces_of_mask(mask)) from the ambient's cached face
+    text: the canonical face order is the (size, vertices) order."""
+    text = amb.face_text
+    return ", ".join([text[i] for i in iter_bits(mask)]) or "-"
 
 
 def write_samples(path: str, samples) -> None:

@@ -11,11 +11,17 @@ per face:
   subset.  External faces are the missing faces whose boundary is present.
 
 Sampling is reproducible: a (seed, stream) pair pins the generator, and
-draws consume uniforms in canonical face order.
+draws consume uniforms in canonical face order.  Hypergraph draws of a
+whole run come from one draw of (draws, faces) uniforms, in blocks of
+about _BLOCK_UNIFORMS; a staged draw takes one call per dimension over the
+faces whose boundary it kept.  Either reads the stream exactly as one
+uniform at a time would, so a run and its one-at-a-time loop agree draw
+for draw and leave the same next draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -149,15 +155,37 @@ def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
 # ----- hypergraph model --------------------------------------------------------
 
 
+# Uniforms per block of a whole-run draw (256 KiB of doubles).
+_BLOCK_UNIFORMS = 1 << 15
+
+
+def _hit_blocks(probs: np.ndarray, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
+    # rows hypergraph draws as bool (block, faces) arrays.  rng.random((b, m))
+    # fills row-major, so the stream is read exactly as by rows successive
+    # rng.random(m) calls, whatever the block size.
+    per_block = max(1, _BLOCK_UNIFORMS // max(probs.size, 1))
+    for start in range(0, rows, per_block):
+        yield rng.random((min(per_block, rows - start), probs.size)) < probs
+
+
+def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n: int) -> list[int]:
+    """n independent hypergraph draws as Python-int masks, any face count.
+
+    One uniform per face and draw, in canonical face order: the same stream,
+    and the same masks, as n calls to sample_hypergraph.
+    """
+    probs = resolve_probabilities(amb, p)
+    width = (amb.num_faces + 7) // 8
+    masks = []
+    for hits in _hit_blocks(probs, rng, n):
+        raw = np.packbits(hits, axis=1, bitorder="little").tobytes()
+        masks.extend(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+    return masks
+
+
 def sample_hypergraph(amb: AmbientComplex, p, rng: np.random.Generator) -> Hypergraph:
     """One draw: each face kept independently with its own probability."""
-    probs = resolve_probabilities(amb, p)
-    us = rng.random(amb.num_faces)
-    mask = 0
-    for i in range(amb.num_faces):
-        if us[i] < probs[i]:
-            mask |= 1 << i
-    return Hypergraph(amb, mask)
+    return Hypergraph(amb, sample_hypergraph_masks(amb, p, rng, 1)[0])
 
 
 def pmf_hypergraph(amb: AmbientComplex, p, mask: int) -> float:
@@ -176,17 +204,16 @@ def sample_complex(amb: AmbientComplex, p, rng: np.random.Generator) -> Complex:
 
     Vertices are drawn first; at each later stage the candidates are the
     ambient faces whose boundary was already kept, visited in canonical
-    order.  Exactly one uniform is consumed per eligible candidate.
+    order.  Exactly one uniform is consumed per eligible candidate, all of
+    a dimension's in one call: eligibility in dimension d depends only on
+    the faces of dimension d - 1.
     """
     probs = resolve_probabilities(amb, p)
     mask = 0
     for d in range(amb.dim + 1):
-        layer = amb.faces_by_dim(d)
-        for i in iter_bits(layer):
-            if amb.boundary_masks[i] & ~mask:
-                continue
-            if rng.random() < probs[i]:
-                mask |= 1 << i
+        eligible = [i for i in iter_bits(amb.faces_by_dim(d)) if not amb.boundary_masks[i] & ~mask]
+        for i in itertools.compress(eligible, rng.random(len(eligible)) < probs[eligible]):
+            mask |= 1 << i
     return Complex(amb, mask)
 
 
@@ -207,15 +234,15 @@ def pmf_complex(amb: AmbientComplex, p, mask: int) -> float:
 def sample_hypergraph_batch(
     amb: AmbientComplex, p, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n independent hypergraph draws as a uint32 mask array."""
+    """n independent hypergraph draws as a uint32 mask array: the masks and
+    the stream of sample_hypergraph_masks."""
     if amb.num_faces > 32:
         raise ValueError("batched sampling supports at most 32 faces")
     probs = resolve_probabilities(amb, p)
-    us = rng.random((n, amb.num_faces))
-    bits = (us < probs).astype(np.uint32)
-    return (bits << np.arange(amb.num_faces, dtype=np.uint32)).sum(
-        axis=1, dtype=np.uint32
-    )
+    shifts = np.arange(amb.num_faces, dtype=np.uint32)
+    blocks = [(hits.astype(np.uint32) << shifts).sum(axis=1, dtype=np.uint32)
+              for hits in _hit_blocks(probs, rng, n)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint32)
 
 
 def sample_complex_batch(

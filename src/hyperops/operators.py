@@ -248,11 +248,15 @@ def closure_table(amb: AmbientComplex) -> np.ndarray:
     return _join_table(amb, closure_mask)
 
 
+def fixed_points(table: np.ndarray) -> np.ndarray:
+    """Bool per mask: True where the table maps the mask to itself."""
+    return table == np.arange(table.size, dtype=table.dtype)
+
+
 def complex_indicator(amb: AmbientComplex) -> np.ndarray:
     """Bool per mask: True on the downward-closed masks, the fixed points
     of the closure."""
-    table = closure_table(amb)
-    return table == np.arange(table.size, dtype=table.dtype)
+    return fixed_points(closure_table(amb))
 
 
 def interior_complex_table(amb: AmbientComplex) -> np.ndarray:

@@ -39,6 +39,7 @@ from .operators import (
     interior_mask,
     complement_table,
     extension_table,
+    fixed_points,
     interior_table,
 )
 from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
@@ -114,9 +115,14 @@ def complex_product(amb: AmbientComplex, p) -> Distribution:
     multiplies pmf_complex makes, in its order, so each entry is
     bit-identical to it.
     """
-    probs = resolve_probabilities(amb, p)
+    return _staged_product(amb, resolve_probabilities(amb, p), complex_indicator(amb))
+
+
+def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarray) -> Distribution:
+    # complex_product from the bool subcomplex indicator, so a caller that
+    # holds the closure table need not build it again.
     m = amb.num_faces
-    vec = complex_indicator(amb).astype(np.float64)
+    vec = indicator.astype(np.float64)
     for i in range(m):
         vec.reshape(-1, 2, 1 << i)[:, 1] *= probs[i]
     cube = vec.reshape((2,) * m)  # axis m - 1 - i is face bit i
@@ -302,18 +308,20 @@ def verify_transforms(amb: AmbientComplex, p, p2=None) -> dict[str, float]:
     vec2 = resolve_probabilities(amb, p2)
     base1 = hypergraph_product(amb, vec1)
     base2 = hypergraph_product(amb, vec2)
+    ct = closure_table(amb)
+    indicator = fixed_points(ct)
     out = {}
     out["complement"] = total_variation(
         push_table(base1, complement_table(amb)),
         hypergraph_product(amb, 1.0 - vec1),
     )
     out["closure"] = total_variation(
-        push_table(base1, closure_table(amb)),
-        complex_product(amb, closure_transform(amb, vec1)),
+        push_table(base1, ct),
+        _staged_product(amb, closure_transform(amb, vec1), indicator),
     )
     out["interior"] = total_variation(
         push_table(base1, interior_complex_table(amb)),
-        complex_product(amb, interior_transform(amb, vec1)),
+        _staged_product(amb, interior_transform(amb, vec1), indicator),
     )
     out["intersection"] = total_variation(
         push_intersection(base1, base2),

@@ -1,10 +1,22 @@
 """Sparse random structures on many vertices.
 
 Derived per-dimension inclusion parameters, clique (flag) complexes, and
-truncated generation that cuts every draw at a dimension bound r.  Every
-candidate face gets one uniform, drawn in fixed-size blocks, and only the
-hits are turned into faces (by unranking), so nothing here ever enumerates
-the full simplex on n vertices; memory stays proportional to the output.
+truncated generation that cuts every draw at a dimension bound r.
+
+The truncated generators work in whole-array steps and read the stream
+exactly as one uniform per candidate, in lexicographic order, would:
+
+* the Bernoulli draw gives every candidate face one raw 64-bit word,
+  drawn in fixed-size blocks and compared with the exact integer cut of
+  its probability, and turns only the hits into faces, by unranking;
+* the staged draw builds each stage's candidates as sibling pairs of the
+  kept layer and draws all their uniforms in one call;
+* algorithm 2 and the staged draw test facets by colex rank.
+
+Nothing here ever enumerates the full simplex on n vertices, so memory
+stays proportional to the output.  The raw-word cut needs a bit generator
+whose doubles come from one 64-bit word: every numpy bit generator but
+MT19937.
 """
 
 from __future__ import annotations
@@ -17,9 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import AmbientComplex, Complex, Hypergraph, iter_bits
+from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import rng_from
+from .models import _BLOCK_UNIFORMS, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -211,9 +223,6 @@ class TruncatedSample:
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Pair uniforms per graph block in dimension_stats (256 KiB of doubles).
-_BLOCK_UNIFORMS = 1 << 15
-
 
 @lru_cache(maxsize=8)
 def _binomial_tables(n, r) -> dict[int, np.ndarray]:
@@ -229,31 +238,50 @@ def _binomial_tables(n, r) -> dict[int, np.ndarray]:
     return binom
 
 
+def _raw_words(rng) -> np.random.BitGenerator:
+    # These bit generators make each double (w >> 11) * 2^-53 of one raw
+    # word w; MT19937 builds it from two 32-bit draws instead.  (Named here,
+    # not at import: numpy.random loads lazily.)
+    bitgen = rng.bit_generator
+    one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+    if not isinstance(bitgen, one_word):
+        raise ValueError(
+            f"the sparse generators need a bit generator whose doubles come from one "
+            f"64-bit word (Philox, PCG64, PCG64DXSM or SFC64), not {type(bitgen).__name__}"
+        )
+    return bitgen
+
+
 def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
-    # One uniform per candidate face, in lexicographic order per dimension,
-    # drawn in fixed-size blocks; consumption depends only on (n, r), never
-    # on the outcomes.  Only the hits become faces: a hit's lexicographic
-    # rank is unranked through the combinatorial number system.  With
-    # x = C(n, k) - 1 - rank, for j = k..1 the largest c with C(c, j) <= x
-    # gives the next vertex n - c, and x drops by C(c, j).  Returns one
-    # int64 (hits, d + 1) vertex array per dimension d, rows in lex order.
+    # One draw per candidate face, in lexicographic order per dimension; the
+    # count depends only on (n, r), never on the outcomes.  rng.random()
+    # would return u = (w >> 11) * 2^-53 for the raw word w, and u < q holds
+    # exactly when w < ceil(q * 2^53) * 2^11, so the raw words are compared
+    # with that integer cut: the same hits, the same stream.  Only the hits
+    # become faces: a hit's lexicographic rank is unranked through the
+    # combinatorial number system.  With x = C(n, k) - 1 - rank, for
+    # j = k..1 the largest c with C(c, j) <= x gives the next vertex n - c,
+    # and x drops by C(c, j).  Returns one int64 (hits, d + 1) vertex array
+    # per dimension d, rows in lex order.
+    bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
     layers = []
     for d in range(r + 1):
-        q = base[d]
+        cut = math.ceil(base[d] * 2.0**53) << 11
         k = d + 1
         total = math.comb(n, k)
-        blocks = [np.empty((0, k), dtype=np.int64)]
-        for start in range(0, total, 1 << 14):
-            us = rng.random(min(total - start, 1 << 14))
-            x = total - 1 - (np.flatnonzero(us < q) + start)
-            verts = np.empty((x.size, k), dtype=np.int64)
-            for pos, j in enumerate(range(k, 0, -1)):
-                c = np.searchsorted(binom[j], x, "right") - 1
-                verts[:, pos] = n - c
-                x -= binom[j][c]
-            blocks.append(verts)
-        layers.append(np.concatenate(blocks))
+        ranks = [np.empty(0, dtype=np.int64)]
+        for start in range(0, total, _BLOCK_UNIFORMS):
+            words = bitgen.random_raw(min(total - start, _BLOCK_UNIFORMS))
+            if cut:
+                ranks.append(np.flatnonzero(words <= np.uint64(cut - 1)) + start)
+        x = total - 1 - np.concatenate(ranks)
+        verts = np.empty((x.size, k), dtype=np.int64)
+        for pos, j in enumerate(range(k, 0, -1)):
+            c = np.searchsorted(binom[j], x, "right") - 1
+            verts[:, pos] = n - c
+            x -= binom[j][c]
+        layers.append(verts)
     return layers
 
 
@@ -261,31 +289,67 @@ def _face_tuples(layers) -> list[tuple[int, ...]]:
     return [face for verts in layers for face in map(tuple, verts.tolist())]
 
 
+def _facets_kept(prev: np.ndarray, faces: np.ndarray, binom, tested=None) -> np.ndarray:
+    # Bool per row of faces (d + 1 vertices): the facets without v_0, v_1,
+    # .., v_{tested - 1} (1 <= tested <= d + 1, all by default) are rows
+    # of prev (d vertices).  Faces are compared by colex rank:
+    # v_0 < .. < v_d has rank sum_j C(v_j - 1, j + 1).  The facet without
+    # v_0 shifts every other vertex down one position, so its rank is
+    # sum_{j>0} C(v_j - 1, j); the facet without v_i differs from the one
+    # without v_{i-1} only at position i - 1, which holds v_{i-1} in place
+    # of v_i, so its rank adds C(v_{i-1} - 1, i) - C(v_i - 1, i).
+    d = prev.shape[1]
+    tested = d + 1 if tested is None else tested
+    if prev.shape[0] == 0:
+        return np.zeros(faces.shape[0], dtype=bool)
+    keys = np.sort(sum(binom[j + 1][prev[:, j] - 1] for j in range(d)))
+    c = [faces[:, j] - 1 for j in range(d + 1)]
+    facet_key = sum(binom[j][c[j]] for j in range(1, d + 1))
+    keep = _in_sorted(keys, facet_key)
+    for i in range(1, tested):
+        facet_key = facet_key + binom[i][c[i - 1]] - binom[i][c[i]]
+        keep &= _in_sorted(keys, facet_key)
+    return keep
+
+
+def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    pos = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return keys[pos] == x
+
+
+def _sibling_extensions(layer: np.ndarray) -> np.ndarray:
+    # Rows a < b of the lex-sorted layer that agree on all but their last
+    # vertex give the face row a + (last vertex of b); in (a, b) order these
+    # come out in lex order.  Every (d + 1)-face whose facets all lie in the
+    # layer arises once this way, from its facets without v_d and v_{d-1}.
+    rows = layer.shape[0]
+    head = np.ones(rows, dtype=bool)
+    head[1:] = (layer[1:, :-1] != layer[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(head)
+    sizes = np.diff(np.append(starts, rows))
+    later = np.repeat(starts + sizes, sizes) - np.arange(rows) - 1
+    left = np.repeat(np.arange(rows), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    return np.concatenate([layer[left], layer[right, -1:]], axis=1)
+
+
 def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
     # Stage-by-dimension draw: a (d+1)-subset is a candidate once all of its
-    # d-subsets were kept, and gets one coin at closure_p[d].  Candidates are
-    # visited in lexicographic order, so the stream layout is reproducible.
-    # up[g] is the vertex bitset of the kept faces g + (v,); the candidates
-    # extending f are the bits above f[-1] common to up[f minus f_i], i < d.
-    candidates = [(v,) for v in range(1, n + 1)]
-    us = rng.random(n)
-    layer = list(itertools.compress(candidates, us < closure_p[0]))
-    faces = list(layer)
+    # d-subsets were kept, and gets one uniform at closure_p[d], all of a
+    # stage's uniforms in one call.  Candidates come in lexicographic
+    # order, so the stream layout is reproducible: the sibling extensions
+    # of the kept layer (which hold the facets without v_d and v_{d-1})
+    # whose other d - 1 facets were kept too.
+    binom = _binomial_tables(n, r)
+    layer = np.arange(1, n + 1, dtype=np.int64)[rng.random(n) < closure_p[0], None]
+    layers = [layer]
     for d in range(1, r + 1):
-        up: dict[tuple[int, ...], int] = {}
-        for g in layer:
-            up[g[:-1]] = up.get(g[:-1], 0) | 1 << g[-1]
-        cands = []
-        for face in layer:
-            above = face[-1] + 1
-            common = up[face[:-1]] >> above
-            for i in range(d - 1):
-                common &= up.get(face[:i] + face[i + 1 :], 0) >> above
-            cands.extend(face + (above + v,) for v in iter_bits(common))
-        us = rng.random(len(cands))
-        layer = list(itertools.compress(cands, us < closure_p[d]))
-        faces.extend(layer)
-    return faces
+        cands = _sibling_extensions(layer)
+        if d > 1:
+            cands = cands[_facets_kept(layer, cands, binom, tested=d - 1)]
+        layer = cands[rng.random(cands.shape[0]) < closure_p[d]]
+        layers.append(layer)
+    return _face_tuples(layers)
 
 
 def algorithm1_truncated(n: int, p, r: int, rng) -> TruncatedSample:
@@ -316,12 +380,7 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     nonempty subsets are hyperedges, and those subsets also have dimension
     <= r, so drawing the hypergraph only up to r is exact.  Membership is
     decided by facet recursion: keep a face iff it was drawn and all of its
-    facets were kept.  Faces are compared by colex rank: v_0 < .. < v_d
-    has rank sum_j C(v_j - 1, j + 1).  The facet without v_0 shifts every
-    other vertex down one position, so its rank is sum_{j>0} C(v_j - 1, j);
-    the facet without v_i differs from the one without v_{i-1} only at
-    position i - 1, which holds v_{i-1} in place of v_i, so its rank adds
-    C(v_{i-1} - 1, i) - C(v_i - 1, i).
+    facets were kept (tested by colex rank, see _facets_kept).
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
@@ -330,23 +389,8 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     binom = _binomial_tables(n, r)
     kept = [drawn[0]]
     for d in range(1, r + 1):
-        prev, faces = kept[-1], drawn[d]
-        if prev.shape[0] == 0:
-            break
-        keys = np.sort(sum(binom[j + 1][prev[:, j] - 1] for j in range(d)))
-        c = [faces[:, j] - 1 for j in range(d + 1)]
-        facet_key = sum(binom[j][c[j]] for j in range(1, d + 1))
-        keep = _in_sorted(keys, facet_key)
-        for i in range(1, d + 1):
-            facet_key = facet_key + binom[i][c[i - 1]] - binom[i][c[i]]
-            keep &= _in_sorted(keys, facet_key)
-        kept.append(faces[keep])
+        kept.append(drawn[d][_facets_kept(kept[-1], drawn[d], binom)])
     return tuple(_face_tuples(kept))
-
-
-def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    pos = np.minimum(np.searchsorted(keys, x), keys.size - 1)
-    return keys[pos] == x
 
 
 def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):

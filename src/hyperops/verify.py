@@ -17,6 +17,7 @@ not the joint laws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -331,13 +332,17 @@ def run_suite(name: str, amb: AmbientComplex, rng=None) -> SuiteResult:
     return fn(amb, rng)
 
 
-def run_standard(names=None, seed: int = 2026) -> list[SuiteResult]:
-    """Run suites over their default fixtures, tagging names suite:fixture."""
+def iter_standard(names=None, seed: int = 2026) -> Iterator[SuiteResult]:
+    """Run suites over their default fixtures, tagging names suite:fixture;
+    each result is yielded as soon as its suite returns."""
     fixtures = standard_fixtures()
-    results = []
     for name in names or sorted(SUITES):
         for fix in default_fixtures(name):
             res = run_suite(name, fixtures[fix], rng_from(seed))
             res.name = f"{name}:{fix}"
-            results.append(res)
-    return results
+            yield res
+
+
+def run_standard(names=None, seed: int = 2026) -> list[SuiteResult]:
+    """Every result of iter_standard, in order."""
+    return list(iter_standard(names, seed))

@@ -7,10 +7,11 @@ like the definitions.  The one numpy oracle, o_push_pairwise, sums over
 every pair of masks, the O(4^m) definition of a binary pushforward.
 
 The last two sections keep the former loops of the mask and sampling
-layer (per pair and per candidate) and of the exact layer (the staged
-subcomplex enumeration and the pair sweep of the distribution laws).  The
-package computes the same outputs without them, and the differential tests
-require exact equality, consumed uniforms included.
+layer (per pair, per candidate and per face, one uniform at a time) and of
+the exact layer (the staged subcomplex enumeration and the pair sweep of
+the distribution laws).  The package computes the same outputs without
+them, and the differential tests require exact equality, consumed uniforms
+included.
 """
 
 from itertools import chain, combinations, compress, islice
@@ -426,6 +427,31 @@ def o_algorithm2_truncated(n, p, r, rng):
         kept.extend(layer)
         prev = set(layer)
     return tuple(kept)
+
+
+def o_sample_hypergraph(amb, probs, rng):
+    """One hypergraph draw: one uniform per face, tested face by face."""
+    us = rng.random(amb.num_faces)
+    mask = 0
+    for i in range(amb.num_faces):
+        if us[i] < probs[i]:
+            mask |= 1 << i
+    return mask
+
+
+def o_sample_complex(amb, probs, rng):
+    """One staged draw: one scalar uniform per eligible candidate, in
+    canonical order, dimension by dimension."""
+    from hyperops.complexes import iter_bits
+
+    mask = 0
+    for d in range(amb.dim + 1):
+        for i in iter_bits(amb.faces_by_dim(d)):
+            if amb.boundary_masks[i] & ~mask:
+                continue
+            if rng.random() < probs[i]:
+                mask |= 1 << i
+    return mask
 
 
 # ----- loop references for the exact layer --------------------------------------

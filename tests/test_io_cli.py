@@ -1,15 +1,17 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from hyperops.cli import main
-from hyperops.complexes import Hypergraph
+from hyperops.complexes import Hypergraph, standard_fixtures
 from hyperops.io import (
     FileFormatError,
     atomic_write,
     format_faces,
+    format_mask,
     read_complex,
     read_hypergraph,
     read_probability,
@@ -19,7 +21,11 @@ from hyperops.io import (
     write_samples,
     write_stats_csv,
 )
-from hyperops.models import ProbabilityAssignment
+from hyperops.metric import figure_hypergraphs
+from hyperops.models import ProbabilityAssignment, resolve_probabilities, rng_from
+from hyperops.operators import TABLE_LIMIT
+
+from oracles import o_sample_complex, o_sample_hypergraph
 
 TRIANGLE = "1\n2\n3\n1 2\n1 3\n2 3\n1 2 3\n"
 
@@ -105,6 +111,20 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
 def test_format_faces():
     assert format_faces([]) == "-"
     assert format_faces([(2, 3), (1,), (1, 2, 3)]) == "1, 2 3, 1 2 3"
+
+
+def test_format_mask_matches_format_faces():
+    # the cached face text, read in canonical face order, is the
+    # (size, vertices) order format_faces sorts into
+    for amb in standard_fixtures().values():
+        for mask in range(1 << amb.num_faces):
+            assert format_mask(amb, mask) == format_faces(amb.faces_of_mask(mask))
+    fig = figure_hypergraphs()[0]
+    rnd = random.Random(3)
+    masks = [0, fig.full_mask] + [rnd.getrandbits(fig.num_faces) for _ in range(50)]
+    for mask in masks:
+        assert format_mask(fig, mask) == format_faces(fig.faces_of_mask(mask))
+    assert format_mask(fig, 0) == "-"
 
 
 def test_write_samples(tmp_path):
@@ -198,6 +218,48 @@ def test_cli_gen_writes_file(tmp_path, capsys, triangle_cx, half_prob):
     assert len(open(out_path).read().splitlines()) == 2
 
 
+@pytest.mark.parametrize("cmd", ["gen-hyper", "gen-complex"])
+def test_cli_gen_zero_samples_prints_nothing(capsys, triangle_cx, half_prob, cmd):
+    code, out, err = run_cli(
+        capsys, cmd, "--ambient", triangle_cx, "--prob", half_prob,
+        "--seed", "5", "--samples", "0",
+    )
+    assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("cmd", ["gen-hyper", "gen-complex"])
+@pytest.mark.parametrize("text", ["{nope", '{"mode": "per-dim", "p": [0.5]}',
+                                  '{"mode": "per-dim", "p": [1.5, 0.5, 0.5]}'])
+def test_cli_gen_bad_probability_file(tmp_path, capsys, triangle_cx, cmd, text):
+    prob = write(tmp_path / "bad.json", text)
+    code, out, err = run_cli(
+        capsys, cmd, "--ambient", triangle_cx, "--prob", prob, "--seed", "5", "--samples", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip()) > len("error:")
+
+
+@pytest.mark.parametrize("cmd, oracle", [("gen-hyper", o_sample_hypergraph),
+                                         ("gen-complex", o_sample_complex)])
+def test_cli_gen_matches_draw_loop(tmp_path, capsys, cmd, oracle):
+    # stdout of the whole-run draw and the cached face text equals one
+    # oracle draw at a time printed through format_faces
+    amb = figure_hypergraphs()[0]
+    cx = str(tmp_path / "fig.cx")
+    write_complex(cx, amb)
+    prob = str(tmp_path / "p.json")
+    pa = ProbabilityAssignment.from_dims([0.75, 0.7, 0.65])
+    write_probability(prob, pa)
+    amb = read_complex(cx)
+    probs = resolve_probabilities(amb, pa)
+    rng = rng_from(7, 2)
+    want = "".join(format_faces(amb.faces_of_mask(oracle(amb, probs, rng))) + "\n" for _ in range(300))
+    code, out, _ = run_cli(capsys, cmd, "--ambient", cx, "--prob", prob,
+                           "--seed", "7", "--stream", "2", "--samples", "300")
+    assert code == 0
+    assert out == want
+
+
 def test_cli_push_point_mass(tmp_path, capsys, triangle_cx):
     hg = write(tmp_path / "h.hg", "1 2\n")
     code, out, _ = run_cli(
@@ -267,6 +329,17 @@ def test_cli_push_usage_errors(tmp_path, capsys, triangle_cx, half_prob):
     assert code == 2 and "unary" in err
 
 
+def test_cli_push_rejects_ambients_beyond_tables(tmp_path, capsys, half_prob):
+    big = write(tmp_path / "big.cx", "1 2 3 4 5\n")  # 31 faces
+    assert read_complex(big).num_faces > TABLE_LIMIT
+    for extra in ([], ["--samples", "10", "--seed", "1"]):
+        code, out, err = run_cli(
+            capsys, "push", "--ambient", big, "--expr", "Delta",
+            "--model", "phyper", "--prob", half_prob, *extra,
+        )
+        assert code == 2 and out == "" and "too large" in err
+
+
 def test_cli_verify_identities_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
     assert code == 0
@@ -283,6 +356,20 @@ def test_cli_verify_ambient_override(capsys, triangle_cx):
     )
     assert code == 1  # joint-law transform comparisons fail by design
     assert "FAIL" in out
+
+
+def test_cli_verify_prints_suites_before_an_error(tmp_path, capsys):
+    # a disconnected ambient stalls the powers suite; the lines of the
+    # suites that ran before it are already out
+    disc = write(tmp_path / "disc.cx", "1 2 3\n4 5\n6\n")
+    code, out, err = run_cli(capsys, "verify", "--ambient", disc)
+    assert code == 2
+    assert [line.split()[:3] for line in out.splitlines()] == [
+        ["SUITE", "identities", "PASS"], ["SUITE", "laws", "PASS"]]
+    assert "stalled" in err
+    for suite in ("identities", "laws"):
+        code, alone, _ = run_cli(capsys, "verify", "--ambient", disc, "--suite", suite)
+        assert code == 0 and alone in out
 
 
 def test_cli_verify_unknown_suite(capsys):

@@ -152,7 +152,7 @@ def test_diameter_special_cases(ambients):
 
 # ----- sparse generators --------------------------------------------------------
 
-SPARSE_CASES = [
+_SPARSE = [
     (1, 0, [1.0]),
     (4, 3, [1.0, 0.5, 0.5, 0.5]),
     (6, 2, [1.0, 0.0, 1.0]),
@@ -160,17 +160,38 @@ SPARSE_CASES = [
     (9, 4, [1.0, 0.8, 0.0, 0.6, 0.9]),
     (12, 3, [1.0, 0.6, 0.4, 0.3]),
     (30, 2, [1.0, 0.2, 0.05]),
-    (60, 2, [1.0, 0.1, 0.002]),  # C(60, 3) spans three uniform blocks
+    (60, 2, [1.0, 0.1, 0.002]),  # C(60, 3) spans two blocks of draws
     (8, 3, [1.0, 0.0]),  # every layer above the vertices is empty
     (10, 4, [1.0, 1.0, 0.9, 1.0, 0.7]),
     (25, 4, [1.0, 0.6, 0.5, 0.5, 0.5]),
+    (60, 2, [1.0, 0.05, 1.0]),  # q = 1: the cut is 2^64, every word hits
+    (40, 3, [1.0, 0.5, 1e-300, 0.5]),  # hits only the raw word 0
+    (30, 3, [1.0, 0.3, 0.2, 0.1], np.random.PCG64),
+    (12, 2, [1.0, 0.5, 0.5], np.random.MT19937),  # rejected: two words a double
+]
+
+# (n, r, p, bit generator), with the ids the plain (n, r, p) cases had
+SPARSE_CASES = [
+    pytest.param(n, r, p, bitgen[0] if bitgen else np.random.Philox,
+                 id="-".join([f"{n}-{r}-p{i}", *(b.__name__ for b in bitgen)]))
+    for i, (n, r, p, *bitgen) in enumerate(_SPARSE)
 ]
 
 
-@pytest.mark.parametrize("n, r, p", SPARSE_CASES)
-def test_bernoulli_faces_match_stream(n, r, p):
+def _case_rng(bitgen, seed, stream):
+    if bitgen is np.random.Philox:
+        return rng_from(seed, stream)
+    return np.random.Generator(bitgen([seed, stream]))
+
+
+@pytest.mark.parametrize("n, r, p, bitgen", SPARSE_CASES)
+def test_bernoulli_faces_match_stream(n, r, p, bitgen):
     base = sparse._base_tuple(n, p)
-    got_rng, want_rng = rng_from(n, 2), rng_from(n, 2)
+    got_rng, want_rng = _case_rng(bitgen, n, 2), _case_rng(bitgen, n, 2)
+    if bitgen is np.random.MT19937:
+        with pytest.raises(ValueError, match="one 64-bit word"):
+            sparse._bernoulli_faces(n, base, r, got_rng)
+        return
     layers = sparse._bernoulli_faces(n, base, r, got_rng)
     assert [(v.dtype, v.shape[1]) for v in layers] == [(np.int64, d + 1) for d in range(r + 1)]
     got = sparse._face_tuples(layers)
@@ -179,29 +200,36 @@ def test_bernoulli_faces_match_stream(n, r, p):
     assert _same_stream_state(got_rng, want_rng)
 
 
-@pytest.mark.parametrize("n, r, p", SPARSE_CASES)
-def test_staged_faces_match_candidate_loop(n, r, p):
+@pytest.mark.parametrize("n, r, p, bitgen", SPARSE_CASES)
+def test_staged_faces_match_candidate_loop(n, r, p, bitgen):
+    # the staged draw reads doubles, so it takes any bit generator
     base = sparse._base_tuple(n, p)
     closure = sparse._derived_cached(n, base).closure_marginals
     for stage_p in (closure, base, (1.0,) * n, (0.7,) * n):
-        got_rng, want_rng = rng_from(n, 3), rng_from(n, 3)
+        got_rng, want_rng = _case_rng(bitgen, n, 3), _case_rng(bitgen, n, 3)
         got = sparse._staged_complex_faces(n, stage_p, r, got_rng)
         assert got == oracles.o_staged_complex_faces(n, stage_p, r, want_rng)
+        assert all(type(v) is int for face in got for v in face)
         assert _same_stream_state(got_rng, want_rng)
 
 
-@pytest.mark.parametrize("n, r, p", SPARSE_CASES)
-def test_generators_match_loops(n, r, p):
+@pytest.mark.parametrize("n, r, p, bitgen", SPARSE_CASES)
+def test_generators_match_loops(n, r, p, bitgen):
+    if bitgen is np.random.MT19937:
+        for algorithm in (sparse.algorithm1_truncated, sparse.algorithm2_truncated):
+            with pytest.raises(ValueError, match="MT19937"):
+                algorithm(n, p, r, _case_rng(bitgen, 5, n))
+        return
     base = sparse._base_tuple(n, p)
     closure = sparse._derived_cached(n, base).closure_marginals
-    got_rng, want_rng = rng_from(5, n), rng_from(5, n)
+    got_rng, want_rng = _case_rng(bitgen, 5, n), _case_rng(bitgen, 5, n)
     got1 = sparse.algorithm1_truncated(n, p, r, got_rng)
     hyper = oracles.o_bernoulli_faces(n, base, r, want_rng)
     cx = oracles.o_staged_complex_faces(n, closure, r, want_rng)
     assert got1 == sparse.TruncatedSample(n=n, r=r, hyper_faces=tuple(hyper), complex_faces=tuple(cx))
     assert _same_stream_state(got_rng, want_rng)
     for seed in range(6, 10):
-        got_rng, want_rng = rng_from(seed, n), rng_from(seed, n)
+        got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
         got2 = sparse.algorithm2_truncated(n, p, r, got_rng)
         assert got2 == oracles.o_algorithm2_truncated(n, p, r, want_rng)
         assert all(type(v) is int for face in got2 for v in face)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hyperops.complexes import full_complex
+from hyperops import models
+from hyperops.complexes import full_complex, standard_fixtures
+from hyperops.metric import figure_hypergraphs, triangulated_triangle
 from hyperops.models import (
     ProbabilityAssignment,
     enumerate_subcomplexes,
@@ -14,9 +16,10 @@ from hyperops.models import (
     sample_complex_batch,
     sample_hypergraph,
     sample_hypergraph_batch,
+    sample_hypergraph_masks,
 )
 
-from oracles import ambient_faces, mask_to_faces, o_staged_pmf
+from oracles import ambient_faces, mask_to_faces, o_sample_complex, o_sample_hypergraph, o_staged_pmf
 
 
 def test_probability_assignment_modes(delta2):
@@ -174,3 +177,70 @@ def test_sample_hypergraph_deterministic(delta2):
     batch = sample_hypergraph_batch(delta2, pa, rng_from(1, 0), 1)
     assert int(batch[0]) == m1
     assert m3 != m1 or rng_from(1, 1).random() != rng_from(1, 0).random()
+
+
+# ----- streams: the samplers against their one-uniform-at-a-time loops ---------
+
+STREAM_AMBIENTS = {
+    **standard_fixtures(),
+    "figure": figure_hypergraphs()[0],  # 127 faces
+    "tri20": triangulated_triangle(20),  # 1261 faces
+}
+
+
+def _stream_probs(amb):
+    # per-face values, all 0, all 1, and a mix holding exact 0s and 1s
+    mixed = np.random.default_rng(amb.num_faces).random(amb.num_faces)
+    mixed[::3] = 0.0
+    mixed[1::5] = 1.0
+    return {"random": np.random.default_rng(7).random(amb.num_faces),
+            "zero": np.zeros(amb.num_faces), "one": np.ones(amb.num_faces), "mixed": mixed}
+
+
+def _same_next_draw(a, b):
+    return a.random() == b.random()
+
+
+@pytest.mark.parametrize("name", list(STREAM_AMBIENTS))
+def test_hypergraph_draws_match_face_loop(name):
+    amb = STREAM_AMBIENTS[name]
+    # 0 draws, 1 draw, and one draw past a block of uniforms
+    runs = (0, 1, models._BLOCK_UNIFORMS // amb.num_faces + 1)
+    for label, probs in _stream_probs(amb).items():
+        for rows in runs:
+            got_rng, want_rng = rng_from(rows, 3), rng_from(rows, 3)
+            got = sample_hypergraph_masks(amb, probs, got_rng, rows)
+            want = [o_sample_hypergraph(amb, probs, want_rng) for _ in range(rows)]
+            assert got == want, (label, rows)
+            assert all(type(m) is int for m in got)
+            assert _same_next_draw(got_rng, want_rng), (label, rows)
+        got_rng, want_rng = rng_from(4), rng_from(4)
+        for _ in range(3):
+            assert sample_hypergraph(amb, probs, got_rng).mask == o_sample_hypergraph(amb, probs, want_rng)
+        assert _same_next_draw(got_rng, want_rng)
+        if amb.num_faces <= 32:
+            got_rng, want_rng = rng_from(5), rng_from(5)
+            batch = sample_hypergraph_batch(amb, probs, got_rng, runs[-1])
+            assert batch.dtype == np.uint32
+            assert batch.tolist() == [o_sample_hypergraph(amb, probs, want_rng) for _ in range(runs[-1])]
+            assert _same_next_draw(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("name", list(STREAM_AMBIENTS))
+def test_complex_draws_match_candidate_loop(name):
+    amb = STREAM_AMBIENTS[name]
+    for label, probs in _stream_probs(amb).items():
+        got_rng, want_rng = rng_from(6, 1), rng_from(6, 1)
+        for _ in range(4):
+            got = sample_complex(amb, probs, got_rng).mask
+            assert got == o_sample_complex(amb, probs, want_rng), label
+        assert _same_next_draw(got_rng, want_rng), label
+
+
+def test_batch_sizes_and_empty_runs(delta2):
+    pa = ProbabilityAssignment.constant(0.5)
+    rng = rng_from(8)
+    assert sample_hypergraph_masks(delta2, pa, rng, 0) == []
+    empty = sample_hypergraph_batch(delta2, pa, rng, 0)
+    assert empty.dtype == np.uint32 and empty.shape == (0,)
+    assert _same_next_draw(rng, rng_from(8))

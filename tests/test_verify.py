@@ -1,6 +1,6 @@
 import pytest
 
-from hyperops import pushforward, verify
+from hyperops import operators, pushforward, verify
 from hyperops.models import rng_from
 from hyperops.verify import (
     SUITES,
@@ -55,6 +55,19 @@ def test_theorem1_builds_ext_and_int_once(sk1d3, monkeypatch):
     res = suite_theorem1(sk1d3, rng_from(2026))
     assert sorted(built) == ["extension_table", "interior_table"]
     assert res.total - res.passed == EXT_INT_VIOLATIONS["sk1d3"]
+
+
+def test_theorem2_builds_closure_once_per_setting(delta2, monkeypatch):
+    # verify_transforms pushes through the closure table it holds and reads
+    # the staged laws' subcomplex indicator off the same table
+    built = []
+    for module in (operators, pushforward, verify):
+        if hasattr(module, "closure_table"):
+            build = getattr(module, "closure_table")
+            monkeypatch.setattr(module, "closure_table", lambda amb, b=build: built.append(1) or b(amb))
+    res = suite_theorem2(delta2)
+    assert len(built) == 4
+    assert (res.passed, res.total) == (16, 20)
 
 
 def test_theorem2_known_gaps(delta1, delta2):

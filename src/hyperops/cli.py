@@ -17,13 +17,12 @@ from . import io as hio
 from .expr import ParseError, parse_expression
 from .metric import figure_hypergraphs, minimal_powers
 from .models import (
-    ProbabilityAssignment,
     resolve_probabilities,
     rng_from,
     sample_complex,
     sample_hypergraph_masks,
 )
-from .operators import TABLE_LIMIT
+from .operators import TABLE_LIMIT, TableSet
 from .pushforward import (
     complex_product,
     closure_transform,
@@ -56,8 +55,20 @@ def _require_seed(args) -> int | None:
     return None
 
 
-def _load_probability(path: str) -> ProbabilityAssignment:
-    return hio.read_probability(path)
+def _emit(text: str, out: str | None) -> None:
+    # the file at --out, written atomically, or stdout
+    if out:
+        hio.atomic_write(out, text)
+    else:
+        print(text, end="")
+
+
+def _count(text: str) -> int:
+    # argparse type of every --samples flag
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a count >= 0, got {n}")
+    return n
 
 
 def _draw_masks(amb, probs, rng, samples: int, as_complex: bool) -> list[int]:
@@ -73,13 +84,9 @@ def cmd_gen(args, as_complex: bool) -> int:
     if bad is not None:
         return bad
     amb = hio.read_complex(args.ambient)
-    probs = resolve_probabilities(amb, _load_probability(args.prob))
+    probs = resolve_probabilities(amb, hio.read_probability(args.prob))
     masks = _draw_masks(amb, probs, rng_from(args.seed, args.stream), args.samples, as_complex)
-    text = "".join(hio.format_mask(amb, mask) + "\n" for mask in masks)
-    if args.out:
-        hio.atomic_write(args.out, text)
-    else:
-        print(text, end="")
+    _emit("".join(hio.format_mask(amb, mask) + "\n" for mask in masks), args.out)
     return 0
 
 
@@ -109,8 +116,7 @@ def cmd_push(args) -> int:
     else:
         if not args.model or not args.prob:
             return _fail("need --model and --prob (or --hyper)")
-        pa = _load_probability(args.prob)
-        vec = resolve_probabilities(amb, pa)
+        vec = resolve_probabilities(amb, hio.read_probability(args.prob))
 
     if args.samples:
         bad = _require_seed(args)
@@ -154,7 +160,10 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 2026
     if args.ambient:
         amb = hio.read_complex(args.ambient)
-        results = (run_suite(name, amb, rng_from(seed)) for name in names)
+        if amb.num_faces > TABLE_LIMIT:
+            return _fail("ambient too large for exact distributions")
+        tables = TableSet(amb)  # every suite of this run reads the same tables
+        results = (run_suite(name, amb, rng_from(seed), tables) for name in names)
     else:
         results = iter_standard(names, seed=seed)
     ok = True
@@ -170,7 +179,7 @@ def cmd_sparse(args) -> int:
     bad = _require_seed(args)
     if bad is not None:
         return bad
-    pa = _load_probability(args.prob)
+    pa = hio.read_probability(args.prob)
     if pa.per_dim is None:
         return _fail("sparse generation needs a per-dim probability file")
     base = list(pa.per_dim[: args.n])
@@ -187,11 +196,7 @@ def cmd_sparse(args) -> int:
         else:
             faces = algorithm2_truncated(args.n, base, args.r, rng)
             lines.append(hio.format_faces(faces))
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        hio.atomic_write(args.out, text)
-    else:
-        print(text, end="")
+    _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
 
@@ -200,8 +205,10 @@ def cmd_stats(args) -> int:
     if bad is not None:
         return bad
     n_values = [int(tok) for tok in args.n.split(",") if tok]
-    if not n_values:
-        return _fail("give --n as a comma-separated list, e.g. 20,40,80")
+    if not n_values or min(n_values) < 1:
+        return _fail("give --n as a comma-separated list of positive counts, e.g. 20,40,80")
+    if args.samples < 1:
+        return _fail("stats needs --samples of at least 1")
     if args.model == "clique":
         denom = args.denom if args.denom is not None else args.r + 1
         schedule = threshold_schedule(args.coeff, denom)
@@ -209,28 +216,15 @@ def cmd_stats(args) -> int:
     else:
         if not args.prob:
             return _fail("closure stats need --prob with a per-dim base vector")
-        pa = _load_probability(args.prob)
+        pa = hio.read_probability(args.prob)
         if pa.per_dim is None:
             return _fail("closure stats need a per-dim probability file")
         rows = closure_dimension_stats(n_values, list(pa.per_dim), args.r, args.samples, args.seed)
-    if args.out:
-        hio.write_stats_csv(args.out, rows)
-    else:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        print(buf.getvalue(), end="")
+    _emit(hio.format_stats_csv(rows), args.out)
     return 0
 
 
 def cmd_figure1(args) -> int:
-    import os
-
     amb, h1, h2, h3 = figure_hypergraphs()
     os.makedirs(args.out_dir, exist_ok=True)
     cx_path = os.path.join(args.out_dir, "figure1.cx")
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=f"sample {'complexes' if as_complex else 'hypergraphs'} to a file")
         p.add_argument("--ambient", required=True, help="ambient .cx file")
         _add_sampling_flags(p)
-        p.add_argument("--samples", type=int, default=1)
+        p.add_argument("--samples", type=_count, default=1)
         p.add_argument("--out", help="output file (default: stdout)")
         p.set_defaults(fn=lambda a, c=as_complex: cmd_gen(a, c))
 
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help="operator expression, e.g. 'Delta' or 'Ext^2'")
     p.add_argument("--model", choices=("phyper", "pcomplex"))
     p.add_argument("--hyper", help=".hg file for a point-mass start")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo sample count")
+    p.add_argument("--samples", type=_count, default=0, help="Monte Carlo sample count (0: exact)")
     _add_sampling_flags(p)
     p.set_defaults(fn=cmd_push)
 
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--r", type=int, required=True, help="dimension cutoff")
     _add_sampling_flags(p)
-    p.add_argument("--samples", type=int, default=1)
+    p.add_argument("--samples", type=_count, default=1)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(fn=cmd_sparse)
 
@@ -317,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", type=float, default=0.5, help="schedule coefficient")
     p.add_argument("--denom", type=float, default=None, help="schedule denominator (default r+1)")
     _add_sampling_flags(p)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000, help="graphs per n (at least 1)")
     p.add_argument("--out", help="CSV output file (default: stdout)")
     p.set_defaults(fn=cmd_stats)
 

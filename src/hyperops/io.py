@@ -32,6 +32,7 @@ __all__ = [
     "format_faces",
     "format_mask",
     "write_samples",
+    "format_stats_csv",
     "write_stats_csv",
 ]
 
@@ -130,10 +131,15 @@ def write_samples(path: str, samples) -> None:
     atomic_write(path, "".join(format_faces(faces) + "\n" for faces in samples))
 
 
-def write_stats_csv(path: str, rows) -> None:
+def format_stats_csv(rows) -> str:
+    """The stats rows as CSV text, header first, floats at full precision
+    (str of a float is its repr)."""
     buf = _io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(STATS_COLUMNS), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in STATS_COLUMNS})
-    atomic_write(path, buf.getvalue())
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_stats_csv(path: str, rows) -> None:
+    atomic_write(path, format_stats_csv(rows))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .operators import doubling
+
 
 def active_backend() -> str:
     """The census implementation in use; numpy is the only one."""
@@ -158,13 +160,8 @@ def _atoms_hold(table: np.ndarray, op) -> bool:
     over table[0] and the table[{i}] of the faces i of a, so a doubling
     over the face bits rebuilds the table from those atoms.
     """
-    want = np.empty_like(table)
-    want[0] = table[0]
-    half = 1
-    while half < want.size:
-        op(want[:half], table[half], out=want[half : 2 * half])
-        half <<= 1
-    return bool(np.array_equal(want, table))
+    atoms = table[1 << np.arange(table.size.bit_length() - 1)]
+    return bool(np.array_equal(doubling(table[0], atoms, op), table))
 
 
 def _bad_pairs(table: np.ndarray, op) -> int:

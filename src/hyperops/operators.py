@@ -225,14 +225,22 @@ def complement_table(amb: AmbientComplex) -> np.ndarray:
     return np.uint32(amb.full_mask) ^ np.arange(1 << m, dtype=np.uint32)
 
 
-def _join_table(amb: AmbientComplex, join) -> np.ndarray:
-    """Table of a join: doubling over face bits ORs in each single face's image."""
-    m = _check_table_size(amb)
-    out = np.zeros(1 << m, dtype=np.uint32)
-    for b in range(m):
+def doubling(first, atoms, op) -> np.ndarray:
+    """Entry X is op over first and atoms[b] for the set bits b of X, in
+    first's dtype: pass b fills the masks with top bit b from those below."""
+    out = np.empty(1 << len(atoms), dtype=np.asarray(first).dtype)
+    out[0] = first
+    atoms = np.asarray(atoms, dtype=out.dtype)
+    for b in range(len(atoms)):
         half = 1 << b
-        np.bitwise_or(out[:half], np.uint32(join(amb, 1 << b)), out=out[half : 2 * half])
+        op(out[:half], atoms[b], out=out[half : 2 * half])
     return out
+
+
+def _join_table(amb: AmbientComplex, join) -> np.ndarray:
+    """Table of a join: one doubling over its single-face images."""
+    m = _check_table_size(amb)
+    return doubling(np.uint32(0), [join(amb, 1 << b) for b in range(m)], np.bitwise_or)
 
 
 def _dual_table(amb: AmbientComplex, join) -> np.ndarray:
@@ -312,3 +320,18 @@ def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown operator {name!r}") from None
     return builder(amb)
+
+
+class TableSet(dict):
+    """The primitive tables of one ambient by name, each built on first use
+    by primitive_table.  Its maker owns it: a `verify` run makes one per
+    ambient for all its suites; eval_word_tables makes one per call when
+    given none, so a push drops its tables when it returns."""
+
+    def __init__(self, ambient: AmbientComplex):
+        super().__init__()
+        self.ambient = ambient
+
+    def __missing__(self, name: str) -> np.ndarray:
+        table = self[name] = primitive_table(self.ambient, name)
+        return table

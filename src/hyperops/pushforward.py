@@ -28,21 +28,22 @@ from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
 from .models import resolve_probabilities
 from .operators import (
     TABLE_LIMIT,
-    closure_mask,
-    closure_table,
-    complement_mask,
+    TableSet,
     complex_indicator,
-    extension_mask,
-    external_faces_mask,
-    interior_complex_mask,
-    interior_complex_table,
-    interior_mask,
-    complement_table,
+    doubling,
     extension_table,
+    external_faces_mask,
     fixed_points,
     interior_table,
 )
 from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
+
+
+def _lattice_size(amb: AmbientComplex) -> int:
+    """2^m on m faces, checked against TABLE_LIMIT before any allocation."""
+    if amb.num_faces > TABLE_LIMIT:
+        raise ValueError("ambient too large for exact distributions")
+    return 1 << amb.num_faces
 
 
 @dataclass
@@ -53,9 +54,7 @@ class Distribution:
     vec: np.ndarray
 
     def __post_init__(self):
-        if self.ambient.num_faces > TABLE_LIMIT:
-            raise ValueError("ambient too large for exact distributions")
-        size = 1 << self.ambient.num_faces
+        size = _lattice_size(self.ambient)
         self.vec = np.asarray(self.vec, dtype=np.float64)
         if self.vec.shape != (size,):
             raise ValueError(f"expected vector of length {size}")
@@ -78,18 +77,18 @@ class Distribution:
 
 
 def point_mass(amb: AmbientComplex, mask: int) -> Distribution:
-    vec = np.zeros(1 << amb.num_faces)
+    vec = np.zeros(_lattice_size(amb))
     vec[mask] = 1.0
     return Distribution(amb, vec)
 
 
 def uniform_distribution(amb: AmbientComplex) -> Distribution:
-    size = 1 << amb.num_faces
+    size = _lattice_size(amb)
     return Distribution(amb, np.full(size, 1.0 / size))
 
 
 def random_exact(amb: AmbientComplex, rng: np.random.Generator) -> Distribution:
-    vec = rng.random(1 << amb.num_faces)
+    vec = rng.random(_lattice_size(amb))
     return Distribution(amb, vec / vec.sum())
 
 
@@ -98,6 +97,7 @@ def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
 
     Bit i of the mask index is face i, so the vector doubles once per face.
     """
+    _lattice_size(amb)  # checked before the vector doubles to that length
     probs = resolve_probabilities(amb, p)
     vec = np.ones(1)
     for q in probs:
@@ -137,7 +137,7 @@ def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarra
 
 def empirical_distribution(amb: AmbientComplex, masks: np.ndarray) -> Distribution:
     vec = np.bincount(
-        np.asarray(masks, dtype=np.int64), minlength=1 << amb.num_faces
+        np.asarray(masks, dtype=np.int64), minlength=_lattice_size(amb)
     ).astype(np.float64)
     return Distribution(amb, vec / len(masks))
 
@@ -289,7 +289,7 @@ def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
     return not np.any((dist.vec > tol) & ~complex_indicator(dist.ambient))
 
 
-def verify_transforms(amb: AmbientComplex, p, p2=None) -> dict[str, float]:
+def verify_transforms(amb: AmbientComplex, p, p2=None, tables: TableSet | None = None) -> dict[str, float]:
     """TV between each of the five pushforwards and its closed-form family.
 
     complement: complement of a product draw against the flipped product.
@@ -300,19 +300,20 @@ def verify_transforms(amb: AmbientComplex, p, p2=None) -> dict[str, float]:
     not a staged law in general, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
     the product law with pointwise-multiplied / complement-multiplied
-    probabilities.
+    probabilities.  The tables come from `tables`, made here when None.
     """
     if p2 is None:
         p2 = p
+    tables = TableSet(amb) if tables is None else tables
     vec1 = resolve_probabilities(amb, p)
     vec2 = resolve_probabilities(amb, p2)
     base1 = hypergraph_product(amb, vec1)
     base2 = hypergraph_product(amb, vec2)
-    ct = closure_table(amb)
+    ct = tables["Delta"]
     indicator = fixed_points(ct)
     out = {}
     out["complement"] = total_variation(
-        push_table(base1, complement_table(amb)),
+        push_table(base1, tables["gamma"]),
         hypergraph_product(amb, 1.0 - vec1),
     )
     out["closure"] = total_variation(
@@ -320,7 +321,7 @@ def verify_transforms(amb: AmbientComplex, p, p2=None) -> dict[str, float]:
         _staged_product(amb, closure_transform(amb, vec1), indicator),
     )
     out["interior"] = total_variation(
-        push_table(base1, interior_complex_table(amb)),
+        push_table(base1, tables["delta"]),
         _staged_product(amb, interior_transform(amb, vec1), indicator),
     )
     out["intersection"] = total_variation(
@@ -340,10 +341,11 @@ def marginal_gaps(amb: AmbientComplex, p) -> dict[str, float]:
     P[t in closure] = p'(t) and P[t in interior-complex] = p''(t) hold
     exactly, so both entries vanish to rounding for every assignment.
     """
+    tables = TableSet(amb)
     vec = resolve_probabilities(amb, p)
     base = hypergraph_product(amb, vec)
-    closed = push_table(base, closure_table(amb))
-    inner = push_table(base, interior_complex_table(amb))
+    closed = push_table(base, tables["Delta"])
+    inner = push_table(base, tables["delta"])
     return {
         "closure": float(
             np.abs(marginals(closed) - closure_transform(amb, vec)).max()
@@ -398,12 +400,9 @@ def interior_limit(dist: Distribution) -> Distribution:
 def vertex_supported(amb: AmbientComplex) -> np.ndarray:
     """Bool per mask: True when every vertex of the mask's faces is a 0-face
     of the mask."""
+    size = _lattice_size(amb)
     dim0 = amb.skeleton_mask(0)
-    size = 1 << amb.num_faces
-    spans = np.zeros(size, dtype=np.uint32)
-    for b in range(amb.num_faces):
-        half = 1 << b
-        spans[half : 2 * half] = spans[:half] | np.uint32(amb.sub_masks[b] & dim0)
+    spans = doubling(np.uint32(0), [sub & dim0 for sub in amb.sub_masks], np.bitwise_or)
     return (spans & ~np.arange(size, dtype=np.uint32)) == 0
 
 
@@ -416,55 +415,51 @@ def vertex_support_mass(dist: Distribution) -> float:
     return float(dist.vec[vertex_supported(dist.ambient)].sum())
 
 
+def contained(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bool per entry: mask a is a subset of mask b."""
+    return (a & ~b) == 0
+
+
+def containment_cases(tables: TableSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Theorem 1 at power k, one bool per mask H: (the power sandwich
+    Ext^(k-1)(gamma H) <= gamma Int^k(H) <= Ext^(k+1)(gamma H), which holds
+    for every H, and Ext(Int(H)) <= delta H, which holds on complexes but
+    not in general: on the full 1-simplex, H = {{1},{12}} has
+    Ext(Int(H)) = L and simplicial part {{1}})."""
+    ext, intr, gamma = tables["Ext"], tables["Int"], tables["gamma"]
+    low = gamma
+    for _ in range(k - 1):
+        low = ext[low]
+    int_k = tables["id"]
+    for _ in range(k):
+        int_k = intr[int_k]
+    mid = gamma[int_k]
+    sandwich = contained(low, mid) & contained(mid, ext[ext[low]])
+    return sandwich, contained(ext[intr], tables["delta"])
+
+
+def recovery_cases(tables: TableSet) -> np.ndarray:
+    """Bool per mask H: the closure of H is recovered by interior-after-
+    extension, Delta H <= Int(Ext(H))."""
+    return contained(tables["Delta"], tables["Int"][tables["Ext"]])
+
+
 def containment_probabilities(dist: Distribution, k: int) -> dict:
-    """Containment report over a distribution's support.
-
-    Checks, for every H with positive mass:
-
-        Ext^(k-1)(gamma H)  is contained in  gamma Int^k(H)
-        gamma Int^k(H)      is contained in  Ext^(k+1)(gamma H)
-        Ext(Int(H))         is contained in  delta H
-
-    The middle one carries the complement on the interior side; dropping it
-    fails at H = L.  The first two hold for every H; the third holds only
-    when H is a complex, so containments_hold is False for any distribution
-    with mass on a non-closed mask (witness on the full 1-simplex:
-    H = {{1},{12}} has Ext(Int(H)) = L but simplicial part {{1}}).
-    Alongside them, the mass of H with closure(H) recovered by
-    interior-after-extension, and its lower bound: the mass of H whose
-    vertices are all 0-dimensional hyperedges.
-    """
+    """Containment report over a distribution's support: the number of H
+    with nonzero mass that break either containment_cases at power k, the
+    mass of the recovery_cases, and its lower bound, the mass of H whose
+    vertices are all 0-dimensional hyperedges."""
     if k < 1:
         raise ValueError("containment report needs k >= 1")
-    amb = dist.ambient
-    violations = 0
-    checked = 0
-    for h in dist.support():
-        gh = complement_mask(amb, h)
-        int_k = h
-        for _ in range(k):
-            int_k = interior_mask(amb, int_k)
-        g_int_k = complement_mask(amb, int_k)
-        ext_low = gh
-        for _ in range(k - 1):
-            ext_low = extension_mask(amb, ext_low)
-        ext_high = extension_mask(amb, extension_mask(amb, ext_low))
-        ext_int = extension_mask(amb, interior_mask(amb, h))
-        ok = (
-            ext_low & ~g_int_k == 0
-            and g_int_k & ~ext_high == 0
-            and ext_int & ~interior_complex_mask(amb, h) == 0
-        )
-        checked += 1
-        if not ok:
-            violations += 1
-    recovered = dist.probability_that(
-        lambda m: closure_mask(amb, m) & ~interior_mask(amb, extension_mask(amb, m)) == 0
-    )
+    tables = TableSet(dist.ambient)
+    sandwich, ext_int = containment_cases(tables, k)
+    support = dist.vec != 0
+    violations = int(np.count_nonzero(support & ~(sandwich & ext_int)))
+    recovered = float(dist.vec[recovery_cases(tables)].sum())
     bound = vertex_support_mass(dist)
     return {
         "k": k,
-        "support_size": checked,
+        "support_size": int(np.count_nonzero(support)),
         "containment_violations": violations,
         "containments_hold": violations == 0,
         "prob_closure_recovered": recovered,

@@ -442,8 +442,12 @@ def closure_dimension_stats(n_values, base_template, r, samples, seed, *, stream
     on the coupled indicator pair (dim <= r-1 nests inside dim <= r).  The
     template supplies the leading base entries for every n (truncated or
     zero-padded as needed), and mean_r_faces reports the exact expectation
-    C(n, r+1) * closure_marginal[r] rather than a sampled count.
+    C(n, r+1) * closure_marginal[r] rather than a sampled count.  For
+    r >= n there are no r-faces: the row reads 1, 0, 0, as the clique
+    model's does.
     """
+    if r < 0:
+        raise ValueError("closure census needs r >= 0")
     rows = []
     for offset, n in enumerate(n_values):
         rng = rng_from(seed, stream=streams_from + offset)
@@ -456,14 +460,14 @@ def closure_dimension_stats(n_values, base_template, r, samples, seed, *, stream
             if base[k] > 0.0:
                 log_le += math.comb(n, k + 1) * math.log1p(-base[k])
         p_le = math.exp(log_le)
-        if base[r] == 1.0:
-            p_le_below = 0.0
+        if r >= n:
+            p_le_below, mean_r_faces = p_le, 0.0
         else:
-            p_le_below = p_le * math.exp(math.comb(n, r + 1) * math.log1p(-base[r]))
+            p_le_below = 0.0 if base[r] == 1.0 else p_le * math.exp(math.comb(n, r + 1) * math.log1p(-base[r]))
+            mean_r_faces = math.comb(n, r + 1) * _derived_cached(n, base).closure_marginals[r]
         us = rng.random(samples)
         le = int(np.count_nonzero(us < p_le))
         eq = int(np.count_nonzero((us >= p_le_below) & (us < p_le)))
-        dd = _derived_cached(n, base)
         rows.append(
             {
                 "n": n,
@@ -471,7 +475,7 @@ def closure_dimension_stats(n_values, base_template, r, samples, seed, *, stream
                 "samples": samples,
                 "prob_dim_le_r": le / samples,
                 "prob_dim_eq_r": eq / samples,
-                "mean_r_faces": math.comb(n, r + 1) * dd.closure_marginals[r],
+                "mean_r_faces": mean_r_faces,
             }
         )
     return rows

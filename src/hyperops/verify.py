@@ -12,6 +12,10 @@ pushforwards against the staged product family at face value, so its
 closure/interior cases fail at non-degenerate probabilities: only the
 per-face marginals of those two pushforwards match the derived vectors,
 not the joint laws.
+
+Suites read their tables from a TableSet owned by the run: iter_standard
+makes one per fixture and `verify --ambient` one per run, so each table is
+built at most once per ambient; a suite called without a set makes its own.
 """
 
 from __future__ import annotations
@@ -25,26 +29,20 @@ from .complexes import AmbientComplex, Hypergraph, standard_fixtures
 from .kernels import pair_laws
 from .metric import diameter, minimal_powers
 from .models import ProbabilityAssignment, rng_from
-from .operators import (
-    closure_table,
-    complement_table,
-    extension_table,
-    interior_complex_table,
-    interior_table,
-    neighborhood_inverse_table,
-    neighborhood_table,
-    primitive_table,
-)
+from .operators import TableSet, fixed_points
 from .pushforward import (
+    contained,
+    containment_cases,
     extension_limit,
     interior_limit,
     push_table,
     random_exact,
+    recovery_cases,
     total_variation,
     verify_transforms,
     vertex_supported,
 )
-from .words import REWRITE_RULES, word_from_names
+from .words import REWRITE_RULES, eval_word_tables, word_from_names
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_standard", "default_fixtures"]
 
@@ -67,37 +65,27 @@ class SuiteResult:
         return f"SUITE {self.name} {status} {self.passed}/{self.total}"
 
 
-def _chain_table(tables: dict, names, arr: np.ndarray) -> np.ndarray:
-    # tables maps each primitive name to its table; names[-1] applies first
-    for name in reversed(names):
-        arr = tables[name][arr]
-    return arr
-
-
-def suite_identities(amb: AmbientComplex, rng=None) -> SuiteResult:
+def suite_identities(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """The normalizer's rewrite rules, every sub-hypergraph of the ambient."""
-    size = 1 << amb.num_faces
-    idx = np.arange(size, dtype=np.uint32)
-    # each primitive is built once per call and dropped with it
-    names = {name for lhs, rhs in REWRITE_RULES for name in lhs + rhs}
-    tables = {name: primitive_table(amb, name) for name in names}
+    tables = TableSet(amb) if tables is None else tables
+    idx = tables["id"]
+    size = idx.size
     passed = 0
     failures = []
     for lhs, rhs in REWRITE_RULES:
-        eq = int(np.count_nonzero(_chain_table(tables, lhs, idx) == _chain_table(tables, rhs, idx)))
+        left, right = word_from_names(list(lhs)), word_from_names(list(rhs))
+        eq = int(np.count_nonzero(eval_word_tables(left, amb, [idx], tables)
+                                  == eval_word_tables(right, amb, [idx], tables)))
         passed += eq
         if eq != size:
-            label = f"{word_from_names(list(lhs))} = {word_from_names(list(rhs))}"
-            failures.append(f"{label}: {size - eq} of {size} masks disagree")
+            failures.append(f"{left} = {right}: {size - eq} of {size} masks disagree")
     return SuiteResult("identities", passed, len(REWRITE_RULES) * size, failures)
 
 
-def suite_laws(amb: AmbientComplex, rng=None) -> SuiteResult:
+def suite_laws(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """The three distribution laws over all unordered mask pairs."""
-    ct = closure_table(amb)
-    dt = interior_complex_table(amb)
-    gt = complement_table(amb)
-    bad, pairs = pair_laws(ct, dt, gt)
+    tables = TableSet(amb) if tables is None else tables
+    bad, pairs = pair_laws(tables["Delta"], tables["delta"], tables["gamma"])
     labels = (
         "gamma(a + b) = gamma(a) /\\ gamma(b)",
         "Delta(a + b) = Delta(a) + Delta(b)",
@@ -112,30 +100,20 @@ def suite_laws(amb: AmbientComplex, rng=None) -> SuiteResult:
     return SuiteResult("laws", passed, 3 * pairs, failures)
 
 
-def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a & ~b) == 0
-
-
-def suite_theorem1(amb: AmbientComplex, rng=None) -> SuiteResult:
+def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """Saturation, the containment battery, and the recovery inequality.
 
-    One containment is recorded as printed and as restricted to complexes:
-    Ext(Int(H)) inside the simplicial part of H fails for non-closed H
-    (witness on the full 1-simplex: H = {{1},{12}} gives Ext(Int(H)) = L
-    but a simplicial part of just {{1}}), so expect the all-masks record
-    to FAIL on every fixture while the complex-restricted record passes.
+    Ext(Int(H)) inside the simplicial part of H is recorded as printed and
+    as restricted to complexes; it fails for non-closed H (see
+    containment_cases), so expect the all-masks record to FAIL on every
+    fixture while the complex-restricted record passes.
     """
     rng = rng if rng is not None else rng_from(2026)
+    tables = TableSet(amb) if tables is None else tables
     d = diameter(amb)
-    size = 1 << amb.num_faces
-    idx = np.arange(size, dtype=np.uint32)
-    et = extension_table(amb)
-    it = interior_table(amb)
-    gt = complement_table(amb)
-    ct = closure_table(amb)
-    dt = interior_complex_table(amb)
-    nt = neighborhood_table(amb)
-    nit = neighborhood_inverse_table(amb)
+    size = tables["id"].size
+    et, it, ct, dt = tables["Ext"], tables["Int"], tables["Delta"], tables["delta"]
+    nt, nit = tables["Nbd"], tables["NbdInv"]
 
     passed = 0
     total = 0
@@ -149,7 +127,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None) -> SuiteResult:
             failures.append(f"{label}: {cases - good} of {cases} cases fail")
 
     # saturation at the diameter, 20 random exact distributions each way,
-    # pushed d times through the tables already built above
+    # pushed d times through the set's tables
     ext_good = int_good = 0
     for _ in range(20):
         f = random_exact(amb, rng)
@@ -164,41 +142,28 @@ def suite_theorem1(amb: AmbientComplex, rng=None) -> SuiteResult:
     record("interior chain empties at the diameter", int_good, 20)
 
     # power sandwich: Ext^(k-1)(gH) <= g Int^k(H) <= Ext^(k+1)(gH), k <= diam+1
-    int_pow = idx.copy()
-    ext_gpow = [gt.copy()]
-    for _ in range(d + 2):
-        ext_gpow.append(et[ext_gpow[-1]])
-    sandwich = np.ones(size, dtype=bool)
-    for k in range(1, d + 2):
-        int_pow = it[int_pow]
-        mid = gt[int_pow]
-        sandwich &= _subset(ext_gpow[k - 1], mid) & _subset(mid, ext_gpow[k + 1])
+    sandwich = np.logical_and.reduce([containment_cases(tables, k)[0] for k in range(1, d + 2)])
     record("power sandwich between extension chains", int(sandwich.sum()), size)
 
     vcond = vertex_supported(amb)
     record(
         "neighborhood of co-neighborhood inside the simplicial part",
-        int(_subset(nt[nit], dt).sum()),
+        int(contained(nt[nit], dt).sum()),
         size,
     )
-    record("closure inside co-neighborhood of neighborhood", int(_subset(ct, nit[nt]).sum()), size)
-    ext_in_nbd = _subset(et, nt)
+    record("closure inside co-neighborhood of neighborhood", int(contained(ct, nit[nt]).sum()), size)
+    ext_in_nbd = contained(et, nt)
     eq_where_vertex = ~vcond | (et == nt)
     record("extension inside neighborhood, equal on vertex-supported masks",
            int((ext_in_nbd & eq_where_vertex).sum()), size)
 
-    # The printed claim quantifies over every sub-hypergraph; it holds only
-    # on complexes (the interior of a non-closed mask can contain a vertex
-    # whose extension escapes the simplicial part), so the first record
-    # below fails on every fixture with a non-closed mask.
-    ext_int = et[it]
-    ext_int_inside = _subset(ext_int, dt)
+    ext_int_inside = containment_cases(tables, 1)[1]
     record("extension of interior inside the simplicial part (all masks)",
            int(ext_int_inside.sum()), size)
-    is_complex = ct == idx
+    is_complex = fixed_points(ct)
     record("extension of interior inside the simplicial part (complexes)",
            int(ext_int_inside[is_complex].sum()), int(is_complex.sum()))
-    recovered_mask = _subset(ct, it[et])
+    recovered_mask = recovery_cases(tables)
     record("closure recovered on vertex-supported masks",
            int(recovered_mask[vcond].sum()), int(vcond.sum()))
 
@@ -224,13 +189,14 @@ def _asymmetric_assignment(amb: AmbientComplex) -> ProbabilityAssignment:
     return ProbabilityAssignment.from_entries(entries)
 
 
-def suite_theorem2(amb: AmbientComplex, rng=None) -> SuiteResult:
+def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """Pushforwards of product draws against the closed-form families.
 
     Complement, intersection, and union match exactly.  The closure and
     interior rows match only at degenerate probabilities; expect this suite
     to FAIL its four non-degenerate closure/interior cases.
     """
+    tables = TableSet(amb) if tables is None else tables
     settings = [
         ("p=0", ProbabilityAssignment.constant(0.0)),
         ("p=0.5", ProbabilityAssignment.constant(0.5)),
@@ -241,7 +207,7 @@ def suite_theorem2(amb: AmbientComplex, rng=None) -> SuiteResult:
     total = 0
     failures = []
     for label, pa in settings:
-        tvs = verify_transforms(amb, pa)
+        tvs = verify_transforms(amb, pa, tables=tables)
         for op in ("complement", "closure", "interior", "intersection", "union"):
             total += 1
             if tvs[op] < EXACT_TOL:
@@ -251,7 +217,7 @@ def suite_theorem2(amb: AmbientComplex, rng=None) -> SuiteResult:
     return SuiteResult("theorem2", passed, total, failures)
 
 
-def suite_powers(amb: AmbientComplex, rng=None) -> SuiteResult:
+def suite_powers(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """Minimal vanishing/filling powers stay within one of each other.
 
     t is the least k with Int^k(H) empty, r the least k with Ext^k(gamma H)
@@ -259,22 +225,21 @@ def suite_powers(amb: AmbientComplex, rng=None) -> SuiteResult:
     sample is cross-checked against the operator-level implementation.
     """
     rng = rng if rng is not None else rng_from(2026)
-    size = 1 << amb.num_faces
-    idx = np.arange(size, dtype=np.uint32)
-    it = interior_table(amb)
-    et = extension_table(amb)
-    gt = complement_table(amb)
+    tables = TableSet(amb) if tables is None else tables
+    idx = tables["id"]
+    size = idx.size
+    it, et, gt = tables["Int"], tables["Ext"], tables["gamma"]
     full = np.uint32(amb.full_mask)
     limit = diameter(amb) + 2
 
     t = np.full(size, -1, dtype=np.int64)
-    cur = idx.copy()
+    cur = idx
     t[cur == 0] = 0
     for k in range(1, limit + 1):
         cur = it[cur]
         t[(t < 0) & (cur == 0)] = k
     r = np.full(size, -1, dtype=np.int64)
-    cur = gt.copy()
+    cur = gt
     r[cur == full] = 0
     for k in range(1, limit + 1):
         cur = et[cur]
@@ -324,21 +289,23 @@ def default_fixtures(suite: str) -> tuple[str, ...]:
     return _DEFAULT_SCOPE[suite]
 
 
-def run_suite(name: str, amb: AmbientComplex, rng=None) -> SuiteResult:
+def run_suite(name: str, amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return fn(amb, rng)
+    return fn(amb, rng, tables)
 
 
 def iter_standard(names=None, seed: int = 2026) -> Iterator[SuiteResult]:
     """Run suites over their default fixtures, tagging names suite:fixture;
-    each result is yielded as soon as its suite returns."""
+    each result is yielded as soon as its suite returns.  Each fixture has
+    one TableSet, shared by every suite that runs on it."""
     fixtures = standard_fixtures()
+    sets = {fix: TableSet(amb) for fix, amb in fixtures.items()}
     for name in names or sorted(SUITES):
         for fix in default_fixtures(name):
-            res = run_suite(name, fixtures[fix], rng_from(seed))
+            res = run_suite(name, fixtures[fix], rng_from(seed), sets[fix])
             res.name = f"{name}:{fix}"
             yield res
 

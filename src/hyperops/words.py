@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import AmbientComplex, Hypergraph, same_ambient
-from .operators import PRIMITIVE_MASK_OPS, primitive_table
+from .operators import PRIMITIVE_MASK_OPS, TableSet
 
 import numpy as np
 
@@ -177,21 +177,22 @@ def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
     return Hypergraph(amb, mask)
 
 
-def eval_word_tables(word: Word, amb: AmbientComplex, args: list[np.ndarray]) -> np.ndarray:
+def eval_word_tables(
+    word: Word, amb: AmbientComplex, args: list[np.ndarray], tables: TableSet | None = None
+) -> np.ndarray:
     """Vectorized evaluation over arrays of masks (broadcast together).
 
-    Each primitive's table is built once per call, however often the word
-    uses it.
+    Primitives are read from `tables`, a TableSet of amb that the caller
+    owns and may share between calls; without one, a set is made for this
+    call and dropped with it.  Either way each primitive's table is built at
+    most once, however often the word uses it.
     """
     _check_arity(word, args)
-    tables: dict[str, np.ndarray] = {}
-
-    def apply(name: str, x: np.ndarray) -> np.ndarray:
-        if name not in tables:
-            tables[name] = primitive_table(amb, name)
-        return tables[name][x]
-
-    return _walk(word, list(args), apply)
+    if tables is None:
+        tables = TableSet(amb)
+    elif tables.ambient is not amb:
+        raise ValueError("table set belongs to a different ambient")
+    return _walk(word, list(args), lambda name, x: tables[name][x])
 
 
 # ----- normalization ----------------------------------------------------------

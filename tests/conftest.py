@@ -1,4 +1,6 @@
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,28 @@ def p3(fixtures):
 @pytest.fixture(scope="session")
 def sk1d3(fixtures):
     return fixtures["sk1d3"]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counter of primitive table builds by name, for one test.
+
+    Every reference to a builder of operators.PRIMITIVE_TABLES is wrapped,
+    in that dict and in the namespace of every loaded hyperops module, so a
+    table built outside a TableSet is counted too.
+    """
+    from hyperops import operators
+
+    counts = Counter()
+    for name, build in list(operators.PRIMITIVE_TABLES.items()):
+        def counted(amb, build=build, name=name):
+            counts[name] += 1
+            return build(amb)
+
+        monkeypatch.setitem(operators.PRIMITIVE_TABLES, name, counted)
+        for modname, mod in list(sys.modules.items()):
+            if modname == "hyperops" or modname.startswith("hyperops."):
+                for key, value in list(vars(mod).items()):
+                    if value is build:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts

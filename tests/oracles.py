@@ -493,3 +493,45 @@ def o_pair_laws(ct, dt, gt):
         bad[1] += int(np.count_nonzero(ct[u] != (ct[a] | ct[b])))
         bad[2] += int(np.count_nonzero(dt[np.uint32(a) & b] != (dt[a] & dt[b])))
     return bad, n * (n + 1) // 2
+
+
+def o_containment_probabilities(dist, k):
+    """containment_probabilities as a loop: the mask ops per support point,
+    and both masses summed over every mask one at a time."""
+    from hyperops.operators import (closure_mask, complement_mask, extension_mask,
+                                    interior_complex_mask, interior_mask)
+
+    amb = dist.ambient
+    violations = checked = 0
+    for h in dist.support():
+        gh = complement_mask(amb, h)
+        int_k = h
+        for _ in range(k):
+            int_k = interior_mask(amb, int_k)
+        g_int_k = complement_mask(amb, int_k)
+        ext_low = gh
+        for _ in range(k - 1):
+            ext_low = extension_mask(amb, ext_low)
+        ext_high = extension_mask(amb, extension_mask(amb, ext_low))
+        ext_int = extension_mask(amb, interior_mask(amb, h))
+        ok = (ext_low & ~g_int_k == 0
+              and g_int_k & ~ext_high == 0
+              and ext_int & ~interior_complex_mask(amb, h) == 0)
+        checked += 1
+        violations += not ok
+    dim0 = amb.skeleton_mask(0)
+    recovered = bound = 0.0
+    for m in range(dist.vec.size):
+        if closure_mask(amb, m) & ~interior_mask(amb, extension_mask(amb, m)) == 0:
+            recovered += dist.vec[m]
+        if closure_mask(amb, m) & dim0 & ~m == 0:
+            bound += dist.vec[m]
+    return {
+        "k": k,
+        "support_size": checked,
+        "containment_violations": violations,
+        "containments_hold": violations == 0,
+        "prob_closure_recovered": float(recovered),
+        "lower_bound": float(bound),
+        "inequality_holds": recovered >= bound - 1e-12,
+    }

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from hyperops.cli import main
-from hyperops.complexes import Hypergraph, standard_fixtures
+from hyperops.complexes import AmbientComplex, Hypergraph, standard_fixtures
 from hyperops.io import (
     FileFormatError,
     atomic_write,
@@ -24,6 +24,13 @@ from hyperops.io import (
 from hyperops.metric import figure_hypergraphs
 from hyperops.models import ProbabilityAssignment, resolve_probabilities, rng_from
 from hyperops.operators import TABLE_LIMIT
+from hyperops.pushforward import (
+    empirical_distribution,
+    hypergraph_product,
+    point_mass,
+    random_exact,
+    uniform_distribution,
+)
 
 from oracles import o_sample_complex, o_sample_hypergraph
 
@@ -370,6 +377,82 @@ def test_cli_verify_prints_suites_before_an_error(tmp_path, capsys):
     for suite in ("identities", "laws"):
         code, alone, _ = run_cli(capsys, "verify", "--ambient", disc, "--suite", suite)
         assert code == 0 and alone in out
+
+
+def _one_error(err):
+    lines = [line for line in err.splitlines() if "error:" in line]
+    return len(lines) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["all", "powers", "theorem2", "identities"])
+def test_cli_verify_rejects_ambients_beyond_tables(tmp_path, capsys, suite):
+    # the 31-face simplex and the 127-face figure: exit 2 before any
+    # suite allocates a 2^m table or vector
+    big = write(tmp_path / "s5.cx", "1 2 3 4 5\n")
+    amb, *_ = figure_hypergraphs()
+    fig = str(tmp_path / "figure1.cx")
+    write_complex(fig, amb)
+    for path in (big, fig):
+        assert read_complex(path).num_faces > TABLE_LIMIT
+        code, out, err = run_cli(capsys, "verify", "--ambient", path, "--suite", suite)
+        assert code == 2 and out == ""
+        assert _one_error(err) and "too large" in err
+
+
+def test_exact_distributions_check_size_before_allocating():
+    amb = AmbientComplex([(1, 2, 3, 4, 5)])  # 31 faces
+    for build in (lambda: hypergraph_product(amb, 0.5), lambda: point_mass(amb, 0),
+                  lambda: uniform_distribution(amb), lambda: random_exact(amb, rng_from(1)),
+                  lambda: empirical_distribution(amb, [0, 1])):
+        with pytest.raises(ValueError, match="too large"):
+            build()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--model", "clique", "--n", "6", "--r", "2", "--seed", "1", "--samples", "-2"],
+    ["stats", "--model", "clique", "--n", "6", "--r", "2", "--seed", "1", "--samples", "x"],
+    ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--seed", "1", "--samples", "-1"],
+    ["gen-hyper", "--ambient", "t.cx", "--seed", "1", "--samples", "-1"],
+    ["gen-complex", "--ambient", "t.cx", "--seed", "1", "--samples", "-5"],
+    ["push", "--ambient", "t.cx", "--expr", "Delta", "--seed", "1", "--samples", "-3"],
+])
+def test_cli_negative_sample_counts_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert _one_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("model", ["clique", "closure"])
+@pytest.mark.parametrize("n,samples,flag", [("6", "0", "--samples"), ("0", "5", "--n"), ("8,-3", "5", "--n")])
+def test_cli_stats_rejects_empty_runs(capsys, half_prob, model, n, samples, flag):
+    code, out, err = run_cli(capsys, "stats", "--model", model, "--n", n, "--r", "1",
+                             "--prob", half_prob, "--seed", "1", "--samples", samples)
+    assert code == 2 and out == ""
+    assert _one_error(err) and flag in err
+
+
+def test_cli_stats_closure_beyond_n_matches_clique(capsys, half_prob):
+    # r >= n: no r-faces, so dimension <= r surely and == r never
+    rows = {}
+    for model in ("clique", "closure"):
+        code, out, err = run_cli(capsys, "stats", "--model", model, "--n", "3,5", "--r", "5",
+                                 "--prob", half_prob, "--seed", "1", "--samples", "20")
+        assert code == 0, err
+        rows[model] = [line.split(",")[3:] for line in out.splitlines()[1:]]
+    assert rows["closure"] == rows["clique"] == [["1.0", "0.0", "0.0"]] * 2
+
+
+def test_cli_stats_stdout_equals_out_file(tmp_path, capsys, half_prob):
+    for model in ("clique", "closure"):
+        argv = ["stats", "--model", model, "--n", "5,7", "--r", "1", "--prob", half_prob,
+                "--seed", "3", "--samples", "40"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"{model}.csv"
+        code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and printed == ""
+        assert path.read_text(encoding="utf-8") == out
 
 
 def test_cli_verify_unknown_suite(capsys):

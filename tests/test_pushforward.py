@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from hyperops.complexes import Complex, Hypergraph, skeleton_complex
+from hyperops.complexes import AmbientComplex, Complex, Hypergraph, skeleton_complex, standard_fixtures
 from hyperops.models import (
     ProbabilityAssignment,
     pmf_complex,
@@ -17,6 +19,7 @@ from hyperops.operators import (
     extension_table,
     interior_complex_table,
     interior_table,
+    TableSet,
 )
 from hyperops.pushforward import (
     Distribution,
@@ -24,6 +27,7 @@ from hyperops.pushforward import (
     complement_transform,
     complex_product,
     complex_union_resample,
+    containment_cases,
     containment_probabilities,
     empirical_distribution,
     extension_limit,
@@ -49,6 +53,8 @@ from hyperops.pushforward import (
     verify_transforms,
 )
 from hyperops.words import Compose, Join, Meet, Prim
+
+import oracles
 
 
 def test_distribution_basics(delta1):
@@ -236,6 +242,57 @@ def test_containment_report_clean_on_complexes(delta1, delta2):
             assert rep["inequality_holds"]
     with pytest.raises(ValueError):
         containment_probabilities(uniform_distribution(delta1), 0)
+
+
+def _containment_ambients():
+    rnd = random.Random(11)
+    out = list(standard_fixtures().values())
+    while len(out) < 16:
+        verts = rnd.randint(1, 5)
+        amb = AmbientComplex(rnd.sample(range(verts), rnd.randint(1, min(3, verts)))
+                             for _ in range(rnd.randint(1, 4)))
+        if amb.num_faces <= 8:
+            out.append(amb)
+    return out
+
+
+CONTAINMENT_AMBIENTS = _containment_ambients()
+
+
+def _containment_distributions(amb, rng):
+    yield random_exact(amb, rng)  # every mask in the support
+    yield complex_product(amb, rng.random(amb.num_faces))  # complexes only
+    yield point_mass(amb, int(rng.integers(1 << amb.num_faces)))
+    sparse = random_exact(amb, rng)
+    sparse.vec[rng.random(sparse.vec.size) < 0.6] = 0.0
+    yield sparse
+
+
+@pytest.mark.parametrize("index", range(len(CONTAINMENT_AMBIENTS)))
+def test_containment_report_matches_loop_oracle(index):
+    amb = CONTAINMENT_AMBIENTS[index]
+    rng = np.random.default_rng(index)
+    for dist in _containment_distributions(amb, rng):
+        for k in (1, 2, 3):
+            got = containment_probabilities(dist, k)
+            want = oracles.o_containment_probabilities(dist, k)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert abs(got[key] - value) <= 1e-12, key
+                else:
+                    assert got[key] == value, key
+
+
+def test_theorem1_cases_at_each_power(sk1d3):
+    # the sandwich holds for every mask at every power; Ext.Int <= delta
+    # exactly on the masks the oracle accepts
+    tables = TableSet(sk1d3)
+    for k in range(1, 5):
+        sandwich, ext_int = containment_cases(tables, k)
+        assert sandwich.all()
+    full = uniform_distribution(sk1d3)
+    assert int((~ext_int).sum()) == oracles.o_containment_probabilities(full, 1)["containment_violations"]
 
 
 def test_total_variation_extremes(delta1):

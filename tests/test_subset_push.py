@@ -9,12 +9,11 @@ test_operators.py.
 import numpy as np
 import pytest
 
-import hyperops.words as words_module
 from hyperops.complexes import AmbientComplex
 from hyperops.expr import parse_expression
 from hyperops.metric import triangulated_triangle
 from hyperops.models import pmf_complex
-from hyperops.operators import primitive_table
+from hyperops.operators import TableSet
 from hyperops.pushforward import (
     complex_product,
     hypergraph_product,
@@ -126,15 +125,16 @@ def test_complex_product_is_bit_identical_to_all_masks_loop(fixtures):
             assert np.array_equal(complex_product(amb, probs).vec, want)
 
 
-def test_each_primitive_table_built_once_per_evaluation(delta2, monkeypatch):
-    built = []
-
-    def counting(amb, name):
-        built.append(name)
-        return primitive_table(amb, name)
-
-    monkeypatch.setattr(words_module, "primitive_table", counting)
+def test_each_primitive_table_built_once_per_evaluation(delta2, table_builds):
     word = parse_expression("Ext^3").word  # (Delta.gamma.delta.gamma)^3
     idx = np.arange(1 << delta2.num_faces, dtype=np.uint32)
     eval_word_tables(word, delta2, [idx])
-    assert sorted(built) == ["Delta", "delta", "gamma"]
+    assert table_builds == {"Delta": 1, "delta": 1, "gamma": 1}
+    # a set handed in by the caller is filled once and reused
+    tables = TableSet(delta2)
+    first = eval_word_tables(word, delta2, [idx], tables)
+    again = eval_word_tables(word, delta2, [idx], tables)
+    assert table_builds == {"Delta": 2, "delta": 2, "gamma": 2}
+    assert np.array_equal(first, again)
+    with pytest.raises(ValueError, match="different ambient"):
+        eval_word_tables(word, AmbientComplex([(1, 2)]), [idx], tables)

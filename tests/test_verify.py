@@ -1,7 +1,9 @@
 import pytest
 
-from hyperops import operators, pushforward, verify
+from hyperops.cli import main
+from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.models import rng_from
+from hyperops.operators import TableSet
 from hyperops.verify import (
     SUITES,
     SuiteResult,
@@ -45,29 +47,56 @@ def test_theorem1_fails_only_the_printed_ext_int_row(fixtures):
         assert res.total - res.passed == EXT_INT_VIOLATIONS[name], name
 
 
-def test_theorem1_builds_ext_and_int_once(sk1d3, monkeypatch):
-    # the saturation pushes go through the suite's own tables
-    built = []
-    for module in (verify, pushforward):
-        for name in ("extension_table", "interior_table"):
-            build = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda amb, b=build, n=name: built.append(n) or b(amb))
+def test_theorem1_builds_ext_and_int_once(sk1d3, table_builds):
+    # the saturation pushes and every case read the suite's one table set
     res = suite_theorem1(sk1d3, rng_from(2026))
-    assert sorted(built) == ["extension_table", "interior_table"]
+    assert table_builds["Ext"] == table_builds["Int"] == 1
+    assert set(table_builds.values()) == {1}
     assert res.total - res.passed == EXT_INT_VIOLATIONS["sk1d3"]
 
 
-def test_theorem2_builds_closure_once_per_setting(delta2, monkeypatch):
-    # verify_transforms pushes through the closure table it holds and reads
-    # the staged laws' subcomplex indicator off the same table
-    built = []
-    for module in (operators, pushforward, verify):
-        if hasattr(module, "closure_table"):
-            build = getattr(module, "closure_table")
-            monkeypatch.setattr(module, "closure_table", lambda amb, b=build: built.append(1) or b(amb))
+def test_theorem2_builds_closure_once_per_ambient(delta2, table_builds):
+    # verify_transforms reads Delta, delta and gamma from the suite's set,
+    # so the closure table serves all four settings
     res = suite_theorem2(delta2)
-    assert len(built) == 4
+    assert table_builds["Delta"] == 1
+    assert set(table_builds.values()) == {1}
     assert (res.passed, res.total) == (16, 20)
+
+
+def test_verify_ambient_builds_each_table_at_most_once(tmp_path, capsys, table_builds):
+    path = tmp_path / "sk1d3.cx"
+    path.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n", encoding="utf-8")
+    assert main(["verify", "--ambient", str(path)]) == 1  # theorem1 and theorem2 fail by design
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines()] == sorted(SUITES)
+    assert set(table_builds) >= {"id", "Delta", "delta", "gamma", "Ext", "Int", "Nbd", "NbdInv"}
+    assert set(table_builds.values()) == {1}
+
+
+def test_standard_run_builds_each_table_once_per_fixture(table_builds):
+    results = run_standard(seed=2026)
+    assert len(results) == sum(len(default_fixtures(name)) for name in SUITES)
+    assert max(table_builds.values()) <= len(standard_fixtures())
+
+
+def test_suites_share_a_table_set(sk1d3, table_builds):
+    tables = TableSet(sk1d3)
+    for name in sorted(SUITES):
+        alone = run_suite(name, sk1d3, rng_from(3))
+        shared = run_suite(name, sk1d3, rng_from(3), tables)
+        assert (alone.passed, alone.total, alone.failures) == (shared.passed, shared.total, shared.failures)
+    built = dict(table_builds)
+    for name in sorted(SUITES):
+        run_suite(name, sk1d3, rng_from(3), tables)
+    assert table_builds == built  # a filled set builds nothing more
+
+
+def test_suites_reject_ambients_beyond_tables():
+    big = AmbientComplex([(1, 2, 3, 4, 5)])  # 31 faces
+    for name in SUITES:
+        with pytest.raises(ValueError, match="at most|too large"):
+            run_suite(name, big, rng_from(1))
 
 
 def test_theorem2_known_gaps(delta1, delta2):

@@ -90,17 +90,6 @@ def diameter(amb: AmbientComplex) -> int:
     return 2 + radius
 
 
-def hop_diameter_maximal(amb: AmbientComplex) -> int:
-    """Edge-count diameter of the meets-graph restricted to maximal faces."""
-    best = 0
-    for i in iter_bits(amb.maximal_mask):
-        hops = _radius(amb, i, amb.maximal_mask)
-        if hops < 0:
-            return -1
-        best = max(best, hops)
-    return best
-
-
 # ----- iterated extension and interior ----------------------------------------
 
 

@@ -9,6 +9,10 @@ per face:
   eligible only once its whole boundary is present, giving mass
   prod_{faces} p * prod_{external faces} (1 - p) to each downward-closed
   subset.  External faces are the missing faces whose boundary is present.
+  With one p per dimension this is the multi-parameter model of Costa and
+  Farber ("Large random simplicial complexes I", 2016).  Its candidate
+  rule is operators.clique_faces_mask, which the draw, the external faces
+  and the union resampler all read.
 
 Sampling is reproducible: a (seed, stream) pair pins the generator, and
 draws consume uniforms in canonical face order.  Hypergraph draws of a
@@ -16,7 +20,9 @@ whole run come from one draw of (draws, faces) uniforms, in blocks of
 about _BLOCK_UNIFORMS; a staged draw takes one call per dimension over the
 faces whose boundary it kept.  Either reads the stream exactly as one
 uniform at a time would, so a run and its one-at-a-time loop agree draw
-for draw and leave the same next draw.
+for draw and leave the same next draw.  The uint32 batch samplers are
+views of these: sample_hypergraph_batch is sample_hypergraph_masks and
+sample_complex_batch is n sample_complex draws, stream included.
 """
 
 from __future__ import annotations
@@ -29,12 +35,20 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .operators import TABLE_LIMIT, complex_indicator, external_faces_mask
+from .operators import TABLE_LIMIT, clique_faces_mask, complex_indicator, external_faces_mask
 
 
 def rng_from(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator so independent streams never overlap."""
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """Counter-based generator so independent streams never overlap.
+
+    seed and stream are the two 64-bit words of the Philox key, so each
+    must lie in [0, 2^64); the key is built as uint64, never as float64,
+    so distinct pairs never share a stream.
+    """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -159,25 +173,21 @@ def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
 _BLOCK_UNIFORMS = 1 << 15
 
 
-def _hit_blocks(probs: np.ndarray, rng: np.random.Generator, rows: int) -> Iterator[np.ndarray]:
-    # rows hypergraph draws as bool (block, faces) arrays.  rng.random((b, m))
-    # fills row-major, so the stream is read exactly as by rows successive
-    # rng.random(m) calls, whatever the block size.
-    per_block = max(1, _BLOCK_UNIFORMS // max(probs.size, 1))
-    for start in range(0, rows, per_block):
-        yield rng.random((min(per_block, rows - start), probs.size)) < probs
-
-
 def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n: int) -> list[int]:
     """n independent hypergraph draws as Python-int masks, any face count.
 
     One uniform per face and draw, in canonical face order: the same stream,
-    and the same masks, as n calls to sample_hypergraph.
+    and the same masks, as n calls to sample_hypergraph.  The draws come in
+    (block, faces) arrays of about _BLOCK_UNIFORMS uniforms; rng.random
+    fills them row-major, so the stream is read exactly as by n successive
+    rng.random(m) calls, whatever the block size.
     """
     probs = resolve_probabilities(amb, p)
     width = (amb.num_faces + 7) // 8
+    per_block = max(1, _BLOCK_UNIFORMS // max(probs.size, 1))
     masks = []
-    for hits in _hit_blocks(probs, rng, n):
+    for start in range(0, n, per_block):
+        hits = rng.random((min(per_block, n - start), probs.size)) < probs
         raw = np.packbits(hits, axis=1, bitorder="little").tobytes()
         masks.extend(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
     return masks
@@ -203,15 +213,15 @@ def sample_complex(amb: AmbientComplex, p, rng: np.random.Generator) -> Complex:
     """One draw of the staged model.
 
     Vertices are drawn first; at each later stage the candidates are the
-    ambient faces whose boundary was already kept, visited in canonical
-    order.  Exactly one uniform is consumed per eligible candidate, all of
-    a dimension's in one call: eligibility in dimension d depends only on
-    the faces of dimension d - 1.
+    ambient faces whose boundary was already kept (clique_faces_mask),
+    visited in canonical order.  Exactly one uniform is consumed per
+    eligible candidate, all of a dimension's in one call: eligibility in
+    dimension d depends only on the faces of lower dimension.
     """
     probs = resolve_probabilities(amb, p)
     mask = 0
     for d in range(amb.dim + 1):
-        eligible = [i for i in iter_bits(amb.faces_by_dim(d)) if not amb.boundary_masks[i] & ~mask]
+        eligible = list(iter_bits(clique_faces_mask(amb, mask, d)))
         for i in itertools.compress(eligible, rng.random(len(eligible)) < probs[eligible]):
             mask |= 1 << i
     return Complex(amb, mask)
@@ -234,37 +244,20 @@ def pmf_complex(amb: AmbientComplex, p, mask: int) -> float:
 def sample_hypergraph_batch(
     amb: AmbientComplex, p, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n independent hypergraph draws as a uint32 mask array: the masks and
-    the stream of sample_hypergraph_masks."""
+    """sample_hypergraph_masks as a uint32 array: the same masks and stream."""
     if amb.num_faces > 32:
         raise ValueError("batched sampling supports at most 32 faces")
-    probs = resolve_probabilities(amb, p)
-    shifts = np.arange(amb.num_faces, dtype=np.uint32)
-    blocks = [(hits.astype(np.uint32) << shifts).sum(axis=1, dtype=np.uint32)
-              for hits in _hit_blocks(probs, rng, n)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint32)
+    return np.array(sample_hypergraph_masks(amb, p, rng, n), dtype=np.uint32)
 
 
 def sample_complex_batch(
     amb: AmbientComplex, p, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """n independent staged draws as a uint32 mask array.
-
-    Consumes n uniforms per face whether or not the face is eligible in a
-    given sample, so the stream layout differs from n calls to
-    sample_complex; the law is the same.
-    """
+    """n sample_complex draws as a uint32 array: the same masks and stream."""
     if amb.num_faces > 32:
         raise ValueError("batched sampling supports at most 32 faces")
     probs = resolve_probabilities(amb, p)
-    masks = np.zeros(n, dtype=np.uint32)
-    for d in range(amb.dim + 1):
-        for i in iter_bits(amb.faces_by_dim(d)):
-            bnd = np.uint32(amb.boundary_masks[i])
-            eligible = (masks & bnd) == bnd
-            keep = eligible & (rng.random(n) < probs[i])
-            masks |= keep.astype(np.uint32) << np.uint32(i)
-    return masks
+    return np.array([sample_complex(amb, probs, rng).mask for _ in range(n)], dtype=np.uint32)
 
 
 # ----- enumeration -------------------------------------------------------------

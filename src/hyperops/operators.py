@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, same_ambient
+from .complexes import AmbientComplex, Hypergraph, Complex, same_ambient
 
 # Above this many faces a 2**m table no longer fits; callers must use the
 # single-mask functions instead.  Up to it, every mask fits a uint32 entry.
@@ -131,27 +131,27 @@ def closed_star_mask(amb: AmbientComplex, vertex: int) -> int:
 def external_faces_mask(amb: AmbientComplex, y: int) -> int:
     """Faces of the ambient not in y whose boundary lies in y.
 
-    y must be downward closed.  Missing vertices have empty boundary and are
-    always external.
+    y must be downward closed, so a face's boundary lies in y exactly when
+    all its proper faces do: these are the faces of clique_faces_mask, over
+    every dimension, outside y.  Missing vertices have empty boundary and
+    are always external.
     """
     if not amb.is_complex_mask(y):
         raise ValueError("external faces are defined for complexes only")
     out = 0
-    for i in range(amb.num_faces):
-        if y >> i & 1:
-            continue
-        if amb.boundary_masks[i] & ~y == 0:
-            out |= 1 << i
-    return out
+    for d in range(amb.dim + 1):
+        out |= clique_faces_mask(amb, y, d)
+    return out & ~y
 
 
 def clique_faces_mask(amb: AmbientComplex, y: int, d: int) -> int:
-    """d-faces of the ambient all of whose proper nonempty subsets are in y."""
-    out = 0
-    for i in iter_bits(amb.faces_by_dim(d)):
-        if (amb.sub_masks[i] & ~(1 << i)) & ~y == 0:
-            out |= 1 << i
-    return out
+    """d-faces of the ambient all of whose proper nonempty subsets are in y:
+    the d-faces containing no face of lower dimension outside y.
+
+    This is the candidate rule of the staged model; its draw, its external
+    faces and the union resampler all read it.
+    """
+    return amb.faces_by_dim(d) & ~_sups(amb, amb.skeleton_mask(d - 1) & ~y)
 
 
 # ----- Hypergraph-level wrappers ---------------------------------------------

@@ -20,6 +20,7 @@ probabilities and unions combine them as 1 - (1-a)(1-b).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .models import resolve_probabilities
 from .operators import (
     TABLE_LIMIT,
     TableSet,
+    clique_faces_mask,
     complex_indicator,
     doubling,
     extension_table,
@@ -68,12 +70,6 @@ class Distribution:
 
     def support(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.vec)]
-
-    def probability_that(self, predicate) -> float:
-        """Total mass of masks satisfying a python predicate."""
-        return float(
-            sum(self.vec[m] for m in range(self.vec.size) if predicate(int(m)))
-        )
 
 
 def point_mass(amb: AmbientComplex, mask: int) -> Distribution:
@@ -494,38 +490,33 @@ def complex_union_resample(
 
     k1 and k2 must come from the staged model with closure-marginal vectors
     p1 and p2.  Starting from their union, each stage-d candidate (an
-    external face s of the evolving complex) is settled by the coins that
-    are already determined: if s was external to both inputs, both coins
-    came up tails and s stays out; if s was external to exactly one, the
-    other coin is undetermined and a fresh draw with that side's probability
-    decides; if s was external to neither, a fresh draw with the combined
-    probability 1 - (1-p1)(1-p2) decides.  The result has the law of the
-    staged model with the combined probabilities.
+    external face s of the evolving complex, from clique_faces_mask) is
+    settled by the coins that are already determined: if s was external to
+    both inputs, both coins came up tails and s stays out; if s was external
+    to exactly one, the other coin is undetermined and a fresh draw with
+    that side's probability decides; if s was external to neither, a fresh
+    draw with the combined probability 1 - (1-p1)(1-p2) decides.  A stage's
+    fresh draws are one call, in canonical order.  The result has the law
+    of the staged model with the combined probabilities.
     """
     amb = k1.ambient
     if k2.ambient is not amb:
         raise ValueError("inputs live on different ambients")
     q1 = resolve_probabilities(amb, p1)
     q2 = resolve_probabilities(amb, p2)
-    mask = k1.mask | k2.mask
     ext1 = external_faces_mask(amb, k1.mask)
     ext2 = external_faces_mask(amb, k2.mask)
+    thresholds = np.where(_face_flags(amb, ext1), q2,
+                          np.where(_face_flags(amb, ext2), q1, 1.0 - (1.0 - q1) * (1.0 - q2)))
+    mask = k1.mask | k2.mask
     for d in range(1, amb.dim + 1):
-        for i in iter_bits(amb.faces_by_dim(d)):
-            if mask >> i & 1:
-                continue
-            if amb.boundary_masks[i] & ~mask:
-                continue
-            in1 = ext1 >> i & 1
-            in2 = ext2 >> i & 1
-            if in1 and in2:
-                continue
-            if in1:
-                accept = rng.random() < q2[i]
-            elif in2:
-                accept = rng.random() < q1[i]
-            else:
-                accept = rng.random() < 1.0 - (1.0 - q1[i]) * (1.0 - q2[i])
-            if accept:
-                mask |= 1 << i
+        fresh = list(iter_bits(clique_faces_mask(amb, mask, d) & ~mask & ~(ext1 & ext2)))
+        for i in itertools.compress(fresh, rng.random(len(fresh)) < thresholds[fresh]):
+            mask |= 1 << i
     return Complex(amb, mask)
+
+
+def _face_flags(amb: AmbientComplex, mask: int) -> np.ndarray:
+    # bool per face: bit i of mask
+    raw = np.frombuffer(mask.to_bytes(amb.num_faces // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=amb.num_faces, bitorder="little").view(bool)

@@ -124,20 +124,6 @@ def o_distance(ambient, a, b):
     return None
 
 
-def o_hop_diameter_maximal(ambient):
-    """Edge-count diameter of the meets-graph on the maximal faces, by
-    Floyd-Warshall over every triple; -1 if that graph is disconnected."""
-    top = list(o_maximal(ambient))
-    inf = len(top)
-    d = [[0 if a == b else 1 if a & b else inf for b in top] for a in top]
-    for k in range(len(top)):
-        for i in range(len(top)):
-            for j in range(len(top)):
-                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
-    far = max(max(row) for row in d)
-    return -1 if far >= inf else far
-
-
 def o_staged_pmf(ambient, per_dim, k):
     """Probability of the complex k under the stagewise clique-filling law.
 
@@ -450,6 +436,37 @@ def o_sample_complex(amb, probs, rng):
             if amb.boundary_masks[i] & ~mask:
                 continue
             if rng.random() < probs[i]:
+                mask |= 1 << i
+    return mask
+
+
+def o_complex_union_resample(amb, k1, k2, q1, q2, rng):
+    """The union resampler face by face: one scalar uniform per candidate
+    external to at most one input, in canonical order, dimension by
+    dimension; candidates external to both draw nothing."""
+    from hyperops.complexes import iter_bits
+    from hyperops.operators import external_faces_mask
+
+    mask = k1 | k2
+    ext1 = external_faces_mask(amb, k1)
+    ext2 = external_faces_mask(amb, k2)
+    for d in range(1, amb.dim + 1):
+        for i in iter_bits(amb.faces_by_dim(d)):
+            if mask >> i & 1:
+                continue
+            if amb.boundary_masks[i] & ~mask:
+                continue
+            in1 = ext1 >> i & 1
+            in2 = ext2 >> i & 1
+            if in1 and in2:
+                continue
+            if in1:
+                accept = rng.random() < q2[i]
+            elif in2:
+                accept = rng.random() < q1[i]
+            else:
+                accept = rng.random() < 1.0 - (1.0 - q1[i]) * (1.0 - q2[i])
+            if accept:
                 mask |= 1 << i
     return mask
 

@@ -366,17 +366,29 @@ def test_cli_verify_ambient_override(capsys, triangle_cx):
 
 
 def test_cli_verify_prints_suites_before_an_error(tmp_path, capsys):
-    # a disconnected ambient stalls the powers suite; the lines of the
-    # suites that ran before it are already out
-    disc = write(tmp_path / "disc.cx", "1 2 3\n4 5\n6\n")
-    code, out, err = run_cli(capsys, "verify", "--ambient", disc)
-    assert code == 2
-    assert [line.split()[:3] for line in out.splitlines()] == [
-        ["SUITE", "identities", "PASS"], ["SUITE", "laws", "PASS"]]
-    assert "stalled" in err
-    for suite in ("identities", "laws"):
-        code, alone, _ = run_cli(capsys, "verify", "--ambient", disc, "--suite", suite)
-        assert code == 0 and alone in out
+    # a disconnected ambient has no finite diameter, so the powers suite
+    # rejects it; the lines of the suites that ran before it are already out
+    for text in ("1 2\n1 3\n4 5\n", "1 2 3\n4 5\n6\n"):
+        disc = write(tmp_path / "disc.cx", text)
+        code, out, err = run_cli(capsys, "verify", "--ambient", disc)
+        assert code == 2
+        assert [line.split()[:3] for line in out.splitlines()] == [
+            ["SUITE", "identities", "PASS"], ["SUITE", "laws", "PASS"]]
+        assert _one_error(err) and "disconnected" in err and "powers" in err
+        for suite in ("identities", "laws"):
+            code, alone, _ = run_cli(capsys, "verify", "--ambient", disc, "--suite", suite)
+            assert code == 0 and alone in out
+        for suite in ("powers", "theorem1"):
+            code, out, err = run_cli(capsys, "verify", "--ambient", disc, "--suite", suite)
+            assert code == 2 and out == ""
+            assert _one_error(err) and "finite diameter" in err and suite in err
+
+
+def test_cli_verify_one_vertex_ambient(tmp_path, capsys):
+    # two masks, both degenerate: no live mask to sample
+    one = write(tmp_path / "one.cx", "1\n")
+    code, out, err = run_cli(capsys, "verify", "--ambient", one, "--suite", "powers")
+    assert (code, out, err) == (0, "SUITE powers PASS 0/0\n", "")
 
 
 def _one_error(err):
@@ -421,6 +433,16 @@ def test_cli_negative_sample_counts_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert _one_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", str(1 << 64)), ("--seed", "-1"),
+                                         ("--stream", str(1 << 64)), ("--stream", "-1")])
+@pytest.mark.parametrize("cmd", ["gen-hyper", "gen-complex"])
+def test_cli_keys_outside_64_bits_are_rejected(capsys, triangle_cx, half_prob, cmd, flag, value):
+    argv = [cmd, "--ambient", triangle_cx, "--prob", half_prob, "--seed", "1", flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_error(err) and flag[2:] in err and "2^64" in err
 
 
 @pytest.mark.parametrize("model", ["clique", "closure"])

@@ -9,7 +9,6 @@ from hyperops.metric import (
     distance,
     eccentricity,
     figure_hypergraphs,
-    hop_diameter_maximal,
     minimal_powers,
     triangle_vertex_coords,
     triangle_vertex_id,
@@ -21,7 +20,6 @@ from oracles import (
     ambient_faces,
     o_distance,
     o_extension_power_by_paths,
-    o_hop_diameter_maximal,
     o_interior_power_by_paths,
 )
 
@@ -59,7 +57,6 @@ def test_distance_matches_oracle(fixtures):
                 -1 if d is None else d for d in want
             ]
             assert eccentricity(amb, i) == (-1 if None in want else max(want))
-        assert hop_diameter_maximal(amb) == o_hop_diameter_maximal(universe)
 
 
 def test_diameter_examples(delta1, delta2, p3, sk1d3):
@@ -75,12 +72,6 @@ def test_eccentricity_consistent(p3):
     assert max(eccentricity(p3, i) for i in range(p3.num_faces)) == diameter(p3)
     mid = p3.face_index((2,))
     assert eccentricity(p3, mid) == 3
-
-
-def test_hop_diameter_is_one_less(fixtures):
-    # counting simplices adds the starting face to every walk
-    for amb in fixtures.values():
-        assert hop_diameter_maximal(amb) <= diameter(amb) - 1
 
 
 def geodesic(amb, i, j):

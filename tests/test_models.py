@@ -19,7 +19,16 @@ from hyperops.models import (
     sample_hypergraph_masks,
 )
 
-from oracles import ambient_faces, mask_to_faces, o_sample_complex, o_sample_hypergraph, o_staged_pmf
+from hyperops.pushforward import complex_union_resample
+
+from oracles import (
+    ambient_faces,
+    mask_to_faces,
+    o_complex_union_resample,
+    o_sample_complex,
+    o_sample_hypergraph,
+    o_staged_pmf,
+)
 
 
 def test_probability_assignment_modes(delta2):
@@ -115,6 +124,21 @@ def test_rng_reproducible_and_streamed():
     c = rng_from(42, 1).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rng_keys_are_64_bit_words():
+    # as float64, seeds and streams past 2^63 collided
+    firsts = {rng_from(1, (1 << 63) + k).random() for k in range(3)}
+    assert len(firsts) == 3
+    assert rng_from((1 << 63) + 1).random() != rng_from((1 << 63) + 2).random()
+    assert rng_from((1 << 64) - 1, (1 << 64) - 1).random() != rng_from(0).random()
+    # below 2^63 the key is the one a list of ints gave
+    for seed in (0, 2026, 1 << 62, (1 << 63) - 1):
+        old = np.random.Generator(np.random.Philox(key=[seed, 5]))
+        assert rng_from(seed, 5).random(4).tolist() == old.random(4).tolist()
+    for seed, stream in ((-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)):
+        with pytest.raises(ValueError, match="2\\^64"):
+            rng_from(seed, stream)
 
 
 def test_sample_hypergraph_marginals(delta2):
@@ -235,6 +259,49 @@ def test_complex_draws_match_candidate_loop(name):
             got = sample_complex(amb, probs, got_rng).mask
             assert got == o_sample_complex(amb, probs, want_rng), label
         assert _same_next_draw(got_rng, want_rng), label
+
+
+@pytest.mark.parametrize("name", [n for n, amb in STREAM_AMBIENTS.items() if amb.num_faces <= 32])
+def test_batch_samplers_are_the_single_draws(name):
+    amb = STREAM_AMBIENTS[name]
+    for label, probs in _stream_probs(amb).items():
+        got_rng, want_rng = rng_from(7, 2), rng_from(7, 2)
+        batch = sample_complex_batch(amb, probs, got_rng, 50)
+        assert batch.dtype == np.uint32
+        assert batch.tolist() == [sample_complex(amb, probs, want_rng).mask for _ in range(50)], label
+        assert _same_next_draw(got_rng, want_rng), label
+        got_rng, want_rng = rng_from(7, 3), rng_from(7, 3)
+        batch = sample_hypergraph_batch(amb, probs, got_rng, 50)
+        assert batch.tolist() == sample_hypergraph_masks(amb, probs, want_rng, 50), label
+        assert _same_next_draw(got_rng, want_rng), label
+
+
+RESAMPLE_AMBIENTS = {
+    **standard_fixtures(),
+    "tri2": triangulated_triangle(2),
+    "figure": STREAM_AMBIENTS["figure"],
+}
+
+
+@pytest.mark.parametrize("name", list(RESAMPLE_AMBIENTS))
+def test_union_resampler_matches_face_loop(name):
+    # one rng.random(k) per dimension reads the doubles the face loop reads
+    amb = RESAMPLE_AMBIENTS[name]
+    m = amb.num_faces
+    gen = np.random.default_rng(m)
+    pairs = {"random": (gen.random(m), gen.random(m)), "zero": (np.zeros(m), np.zeros(m)),
+             "one": (np.ones(m), np.ones(m)),
+             "binary": (gen.integers(0, 2, m).astype(float), gen.integers(0, 2, m).astype(float))}
+    for label, (p1, p2) in pairs.items():
+        # inputs drawn at 1/2 leave candidates of every kind; the loop
+        # settles them under p1 and p2
+        half = np.full(m, 0.5)
+        draw_rng, got_rng, want_rng = rng_from(m, 1), rng_from(m, 2), rng_from(m, 2)
+        for _ in range(40):
+            k1, k2 = sample_complex(amb, half, draw_rng), sample_complex(amb, half, draw_rng)
+            got = complex_union_resample(k1, k2, p1, p2, got_rng).mask
+            assert got == o_complex_union_resample(amb, k1.mask, k2.mask, p1, p2, want_rng), label
+            assert _same_next_draw(got_rng, want_rng), label
 
 
 def test_batch_sizes_and_empty_runs(delta2):

@@ -255,6 +255,25 @@ def test_external_and_cliques_match_oracle(fixtures):
                 )
 
 
+def test_external_and_cliques_match_oracle_on_figure():
+    # random complexes (closures of random masks) and random masks on the
+    # 127-face figure; the clique rule holds for any mask
+    amb = figure_hypergraphs()[0]
+    faces = ambient_faces(amb)
+    gen = random.Random(127)
+    for density in (0.02, 0.1, 0.5, 0.9):
+        for _ in range(5):
+            m = sum(1 << i for i in range(amb.num_faces) if gen.random() < density)
+            for y_mask in (m, closure_mask(amb, m)):
+                y = mask_to_faces(amb, y_mask)
+                for dim in range(amb.dim + 1):
+                    assert clique_faces_mask(amb, y_mask, dim) == faces_to_mask(
+                        amb, o_cliques(faces, y, dim))
+            cx = closure_mask(amb, m)
+            assert external_faces_mask(amb, cx) == faces_to_mask(
+                amb, o_external(faces, mask_to_faces(amb, cx)))
+
+
 @st.composite
 def ambient_and_mask(draw):
     n = draw(st.integers(min_value=2, max_value=5))

@@ -120,6 +120,20 @@ def test_powers_suite(fixtures):
         assert res.total == (1 << amb.num_faces) - 2 + 32
 
 
+def test_diameter_suites_reject_disconnected_ambients():
+    # diameter -1: no saturation power to iterate to
+    for faces in ([(1, 2), (1, 3), (4, 5)], [(1, 2, 3), (4, 5), (6,)]):
+        amb = AmbientComplex(faces)
+        for suite in (suite_powers, suite_theorem1):
+            with pytest.raises(ValueError, match="finite diameter"):
+                suite(amb, rng_from(2026))
+
+
+def test_powers_suite_on_one_vertex():
+    res = suite_powers(AmbientComplex([(1,)]), rng_from(2026))
+    assert (res.ok, res.passed, res.total) == (True, 0, 0)
+
+
 def test_run_suite_dispatch(delta1):
     res = run_suite("identities", delta1)
     assert isinstance(res, SuiteResult)

@@ -24,11 +24,10 @@ from .models import (
 )
 from .operators import TABLE_LIMIT, TableSet
 from .pushforward import (
+    closed_form_family,
     complex_product,
-    closure_transform,
     empirical_distribution,
     hypergraph_product,
-    interior_transform,
     point_mass,
     push_word,
     total_variation,
@@ -141,12 +140,7 @@ def cmd_push(args) -> int:
     if not args.samples and not args.hyper and args.model == "phyper":
         reduced = normalize(word)
         if isinstance(reduced, Prim) and reduced.name in ("Delta", "delta", "gamma"):
-            if reduced.name == "Delta":
-                family = complex_product(amb, closure_transform(amb, vec))
-            elif reduced.name == "delta":
-                family = complex_product(amb, interior_transform(amb, vec))
-            else:
-                family = hypergraph_product(amb, 1.0 - vec)
+            family = closed_form_family(reduced.name, amb, vec, TableSet(amb))
             tv = total_variation(dist, family)
             print(f"TV to closed-form family ({reduced.name}): {tv:.12g}")
     return 0
@@ -212,14 +206,16 @@ def cmd_stats(args) -> int:
     if args.model == "clique":
         denom = args.denom if args.denom is not None else args.r + 1
         schedule = threshold_schedule(args.coeff, denom)
-        rows = dimension_stats(n_values, schedule, args.r, args.samples, args.seed)
+        rows = dimension_stats(n_values, schedule, args.r, args.samples, args.seed,
+                               streams_from=args.stream)
     else:
         if not args.prob:
             return _fail("closure stats need --prob with a per-dim base vector")
         pa = hio.read_probability(args.prob)
         if pa.per_dim is None:
             return _fail("closure stats need a per-dim probability file")
-        rows = closure_dimension_stats(n_values, list(pa.per_dim), args.r, args.samples, args.seed)
+        rows = closure_dimension_stats(n_values, list(pa.per_dim), args.r, args.samples, args.seed,
+                                       streams_from=args.stream)
     _emit(hio.format_stats_csv(rows), args.out)
     return 0
 

@@ -7,8 +7,9 @@ Grammar, loosest to tightest binding:
     power := atom ('^' INT)*                iterated composition
     atom  := NAME | '(' expr ')'
 
-Names: Delta, delta, gamma, Nbd, NbdInv, id, and the abbreviations Ext, Int,
-alpha, beta, which expand to their defining chains at parse time.  Powers
+Names: the operators Delta, delta, gamma, Ext, Int, Nbd, NbdInv and id, each
+parsed to its own primitive, and the abbreviations alpha and beta, which name
+no operator and expand to their chains (words.ALIASES) at parse time.  Powers
 must be positive integers; larger relations are the normalizer's job, so the
 parser does not bound the exponent.
 """
@@ -33,12 +34,8 @@ from .words import (
 
 __all__ = ["OperatorExpression", "ParseError", "parse_expression"]
 
-# Abbreviations that the grammar expands before evaluation.  NbdInv stays a
-# primitive: it is an operator in its own right, not notation for a chain.
-_EXPAND = tuple(ALIASES)
-
 # zero is a primitive of the evaluator with no surface syntax.
-_PLAIN = tuple(name for name in PRIMITIVES if name not in ALIASES and name != "zero")
+_PLAIN = tuple(name for name in PRIMITIVES if name != "zero")
 
 _TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>/\\|[.^+()])")
 
@@ -132,10 +129,10 @@ class _Parser:
     def atom(self) -> Word:
         kind, value, pos = self.take()
         if kind == "name":
-            if value in _EXPAND:
-                return word_from_names(list(ALIASES[value]))
             if value in _PLAIN:
                 return Prim(value)
+            if value in ALIASES:
+                return word_from_names(list(ALIASES[value]))
             raise ParseError(f"unknown name {value!r}", pos)
         if value == "(":
             w = self.expr()
@@ -148,7 +145,7 @@ class _Parser:
 
 
 def parse_expression(text: str) -> OperatorExpression:
-    """Parse an operator expression, expanding abbreviations."""
+    """Parse an operator expression, expanding alpha and beta."""
     parser = _Parser(text)
     if parser.peek() is None:
         raise ParseError("empty expression", 0)

@@ -11,8 +11,8 @@ per face:
   subset.  External faces are the missing faces whose boundary is present.
   With one p per dimension this is the multi-parameter model of Costa and
   Farber ("Large random simplicial complexes I", 2016).  Its candidate
-  rule is operators.clique_faces_mask, which the draw, the external faces
-  and the union resampler all read.
+  rule is operators.clique_faces_mask, which the external faces and the
+  one draw loop staged_draw read; every staged draw runs that loop.
 
 Sampling is reproducible: a (seed, stream) pair pins the generator, and
 draws consume uniforms in canonical face order.  Hypergraph draws of a
@@ -143,16 +143,32 @@ class ProbabilityAssignment:
     @classmethod
     def from_json(cls, text: str) -> "ProbabilityAssignment":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("probability JSON must be an object with a \"mode\"")
         mode = doc.get("mode")
-        if mode == "per-dim":
-            return cls(per_dim=tuple(float(x) for x in doc["p"]))
-        if mode == "per-simplex":
-            entries = tuple(
-                (tuple(sorted(set(e["simplex"]))), float(e["p"]))
-                for e in doc["entries"]
-            )
-            return cls(entries=entries, default=float(doc.get("default", 0.0)))
+        try:
+            if mode == "per-dim":
+                return cls(per_dim=tuple(float(x) for x in _json_list(doc, "p")))
+            if mode == "per-simplex":
+                entries = tuple(
+                    (tuple(sorted(set(_json_list(e, "simplex")))), float(e["p"]))
+                    for e in _json_list(doc, "entries")
+                )
+                return cls(entries=entries, default=float(doc.get("default", 0.0)))
+        except KeyError as e:
+            raise ValueError(f"{mode} probability JSON lacks the key {e}") from None
+        except TypeError as e:
+            raise ValueError(f"malformed {mode} probability JSON: {e}") from None
         raise ValueError(f"unknown probability mode {mode!r}")
+
+
+def _json_list(doc, key: str) -> list:
+    # doc[key], which must be a JSON list: a string or an object would
+    # iterate as characters or keys
+    value = doc[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
+    return value
 
 
 def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
@@ -209,22 +225,26 @@ def pmf_hypergraph(amb: AmbientComplex, p, mask: int) -> float:
 # ----- complex model -----------------------------------------------------------
 
 
-def sample_complex(amb: AmbientComplex, p, rng: np.random.Generator) -> Complex:
-    """One draw of the staged model.
+def staged_draw(amb: AmbientComplex, mask: int, thresholds, settled: int, rng) -> int:
+    """The staged draw from the start mask `mask`, dimension by dimension.
 
-    Vertices are drawn first; at each later stage the candidates are the
-    ambient faces whose boundary was already kept (clique_faces_mask),
-    visited in canonical order.  Exactly one uniform is consumed per
-    eligible candidate, all of a dimension's in one call: eligibility in
-    dimension d depends only on the faces of lower dimension.
+    A stage's candidates are the faces of that dimension whose boundary was
+    already kept (clique_faces_mask), less those in mask or in `settled`,
+    visited in canonical order.  Each takes one uniform, all of a stage's in
+    one call, and is kept when it falls below the face's threshold:
+    eligibility in dimension d depends only on the faces of lower dimension.
     """
-    probs = resolve_probabilities(amb, p)
-    mask = 0
     for d in range(amb.dim + 1):
-        eligible = list(iter_bits(clique_faces_mask(amb, mask, d)))
-        for i in itertools.compress(eligible, rng.random(len(eligible)) < probs[eligible]):
+        eligible = list(iter_bits(clique_faces_mask(amb, mask, d) & ~mask & ~settled))
+        for i in itertools.compress(eligible, rng.random(len(eligible)) < thresholds[eligible]):
             mask |= 1 << i
-    return Complex(amb, mask)
+    return mask
+
+
+def sample_complex(amb: AmbientComplex, p, rng: np.random.Generator) -> Complex:
+    """One draw of the staged model: staged_draw from the empty mask, each
+    face kept with its own probability."""
+    return Complex(amb, staged_draw(amb, 0, resolve_probabilities(amb, p), 0, rng))
 
 
 def pmf_complex(amb: AmbientComplex, p, mask: int) -> float:
@@ -257,7 +277,7 @@ def sample_complex_batch(
     if amb.num_faces > 32:
         raise ValueError("batched sampling supports at most 32 faces")
     probs = resolve_probabilities(amb, p)
-    return np.array([sample_complex(amb, probs, rng).mask for _ in range(n)], dtype=np.uint32)
+    return np.array([staged_draw(amb, 0, probs, 0, rng) for _ in range(n)], dtype=np.uint32)
 
 
 # ----- enumeration -------------------------------------------------------------

@@ -20,17 +20,15 @@ probabilities and unions combine them as 1 - (1-a)(1-b).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .models import resolve_probabilities
+from .models import resolve_probabilities, staged_draw
 from .operators import (
     TABLE_LIMIT,
     TableSet,
-    clique_faces_mask,
     complex_indicator,
     doubling,
     extension_table,
@@ -285,13 +283,24 @@ def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
     return not np.any((dist.vec > tol) & ~complex_indicator(dist.ambient))
 
 
+def closed_form_family(name: str, amb: AmbientComplex, p, tables: TableSet) -> Distribution:
+    """Closed-form law of the image of the product law at p under the unary
+    primitive `name` (Theorem 2): the product law at complement_transform for
+    gamma, the staged law at closure_transform or interior_transform for
+    Delta or delta, on the fixed points of tables["Delta"].  The staged two
+    match the image's marginals, its joint law only in degenerate cases."""
+    if name == "gamma":
+        return hypergraph_product(amb, complement_transform(amb, p))
+    transform = {"Delta": closure_transform, "delta": interior_transform}[name]
+    return _staged_product(amb, transform(amb, p), fixed_points(tables["Delta"]))
+
+
 def verify_transforms(amb: AmbientComplex, p, p2=None, tables: TableSet | None = None) -> dict[str, float]:
     """TV between each of the five pushforwards and its closed-form family.
 
-    complement: complement of a product draw against the flipped product.
-    closure / interior: brute-force pushforward against the staged complex
-    law under the transformed probabilities.  These two comparisons hold
-    only for degenerate assignments; the per-face marginals always agree
+    complement / closure / interior: the gamma, Delta and delta pushes of a
+    product draw against closed_form_family.  The last two hold only for
+    degenerate assignments; the per-face marginals always agree
     (see marginal_gaps), but the joint law of a closed-up product draw is
     not a staged law in general, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
@@ -305,21 +314,11 @@ def verify_transforms(amb: AmbientComplex, p, p2=None, tables: TableSet | None =
     vec2 = resolve_probabilities(amb, p2)
     base1 = hypergraph_product(amb, vec1)
     base2 = hypergraph_product(amb, vec2)
-    ct = tables["Delta"]
-    indicator = fixed_points(ct)
-    out = {}
-    out["complement"] = total_variation(
-        push_table(base1, tables["gamma"]),
-        hypergraph_product(amb, 1.0 - vec1),
-    )
-    out["closure"] = total_variation(
-        push_table(base1, ct),
-        _staged_product(amb, closure_transform(amb, vec1), indicator),
-    )
-    out["interior"] = total_variation(
-        push_table(base1, tables["delta"]),
-        _staged_product(amb, interior_transform(amb, vec1), indicator),
-    )
+    out = {
+        row: total_variation(push_table(base1, tables[name]),
+                             closed_form_family(name, amb, vec1, tables))
+        for row, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
+    }
     out["intersection"] = total_variation(
         push_intersection(base1, base2),
         hypergraph_product(amb, vec1 * vec2),
@@ -495,9 +494,9 @@ def complex_union_resample(
     both inputs, both coins came up tails and s stays out; if s was external
     to exactly one, the other coin is undetermined and a fresh draw with
     that side's probability decides; if s was external to neither, a fresh
-    draw with the combined probability 1 - (1-p1)(1-p2) decides.  A stage's
-    fresh draws are one call, in canonical order.  The result has the law
-    of the staged model with the combined probabilities.
+    draw with the combined probability 1 - (1-p1)(1-p2) decides.  That is
+    models.staged_draw from k1 | k2 with ext1 & ext2 settled.  The result
+    has the law of the staged model with the combined probabilities.
     """
     amb = k1.ambient
     if k2.ambient is not amb:
@@ -508,12 +507,7 @@ def complex_union_resample(
     ext2 = external_faces_mask(amb, k2.mask)
     thresholds = np.where(_face_flags(amb, ext1), q2,
                           np.where(_face_flags(amb, ext2), q1, 1.0 - (1.0 - q1) * (1.0 - q2)))
-    mask = k1.mask | k2.mask
-    for d in range(1, amb.dim + 1):
-        fresh = list(iter_bits(clique_faces_mask(amb, mask, d) & ~mask & ~(ext1 & ext2)))
-        for i in itertools.compress(fresh, rng.random(len(fresh)) < thresholds[fresh]):
-            mask |= 1 << i
-    return Complex(amb, mask)
+    return Complex(amb, staged_draw(amb, k1.mask | k2.mask, thresholds, ext1 & ext2, rng))
 
 
 def _face_flags(amb: AmbientComplex, mask: int) -> np.ndarray:

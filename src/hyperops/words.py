@@ -23,10 +23,12 @@ import numpy as np
 
 PRIMITIVES = tuple(PRIMITIVE_MASK_OPS)
 
-# Ext and Int are abbreviations inside the monoid generated by Delta,
-# delta, gamma; alpha/beta generate the submonoid of words with an even
-# number of complements.  NbdInv is NOT an alias: it agrees with Int only
-# on complexes, so it evaluates through its own operator.
+# The defining chains over Delta, delta, gamma, stated once; normalize
+# rewrites through them.  Ext and Int are operators with their own tables
+# and equal their chains on every mask; a word evaluates them through their
+# own operators.  alpha and beta name no operator: they generate the
+# submonoid of words with an even number of complements, and the parser
+# expands them.  NbdInv has no chain: it agrees with Int only on complexes.
 ALIASES = {
     "Ext": ("Delta", "gamma", "delta", "gamma"),
     "Int": ("delta", "gamma", "Delta", "gamma"),

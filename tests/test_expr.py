@@ -25,10 +25,16 @@ def test_parse_power_and_normalize():
 
 
 def test_parse_expands_aliases():
-    assert str(parse("Ext")) == "Delta.gamma.delta.gamma"
-    assert str(parse("Int")) == "delta.gamma.Delta.gamma"
+    # Ext and Int are operators of their own; alpha and beta name none
+    assert parse("Ext") == Prim("Ext")
+    assert parse("Int") == Prim("Int")
     assert str(parse("alpha")) == "Delta.gamma"
     assert str(parse("beta")) == "delta.gamma"
+    # normalize still rewrites Ext and Int to their defining chains
+    assert str(normalize(parse("Ext"))) == "Delta.gamma.delta.gamma"
+    assert str(normalize(parse("Int"))) == "delta.gamma.Delta.gamma"
+    assert str(normalize(parse("Ext^2.Int"))) == str(
+        normalize(parse("(Delta.gamma.delta.gamma)^2.delta.gamma.Delta.gamma")))
 
 
 def test_parse_composition_order():

@@ -12,6 +12,7 @@ from hyperops.io import (
     atomic_write,
     format_faces,
     format_mask,
+    format_stats_csv,
     read_complex,
     read_hypergraph,
     read_probability,
@@ -30,7 +31,9 @@ from hyperops.pushforward import (
     point_mass,
     random_exact,
     uniform_distribution,
+    verify_transforms,
 )
+from hyperops.sparse import closure_dimension_stats, dimension_stats, threshold_schedule
 
 from oracles import o_sample_complex, o_sample_hypergraph
 
@@ -246,6 +249,29 @@ def test_cli_gen_bad_probability_file(tmp_path, capsys, triangle_cx, cmd, text):
     assert err.startswith("error: ") and len(err.strip()) > len("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-hyper", "--ambient", "{cx}", "--seed", "5"],
+    ["gen-complex", "--ambient", "{cx}", "--seed", "5"],
+    ["push", "--ambient", "{cx}", "--expr", "Delta", "--model", "phyper"],
+    ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--seed", "5"],
+    ["stats", "--model", "closure", "--n", "6", "--r", "1", "--seed", "5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text", [
+    '{"mode": "per-dim"}',
+    '{"mode": "per-dim", "p": 0.5}',
+    '{"mode": "per-simplex", "entries": [{"p": 0.5}]}',
+    '[{"mode": "per-dim", "p": [0.5]}]',
+    '{"mode": "per-dim", "p": [null]}',
+    '{"mode": "per-dim", "p": "1"}',
+], ids=["no-p", "scalar-p", "no-simplex", "list", "null-p", "string-p"])
+def test_cli_malformed_probability_json(tmp_path, capsys, triangle_cx, argv, text):
+    prob = write(tmp_path / "bad.json", text)
+    argv = [a.format(cx=triangle_cx) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--prob", prob)
+    assert code == 2 and out == ""
+    assert _one_error(err) and "probability JSON" in err
+
+
 @pytest.mark.parametrize("cmd, oracle", [("gen-hyper", o_sample_hypergraph),
                                          ("gen-complex", o_sample_complex)])
 def test_cli_gen_matches_draw_loop(tmp_path, capsys, cmd, oracle):
@@ -300,6 +326,44 @@ def test_cli_push_closure_tv_reported(capsys, triangle_cx, half_prob):
     tv_lines = [l for l in out.splitlines() if l.startswith("TV")]
     assert "(Delta)" in tv_lines[0]
     assert float(tv_lines[0].rsplit(":", 1)[1]) > 0.0
+
+
+@pytest.fixture
+def mixed_prob(tmp_path):
+    path = str(tmp_path / "mixed.json")
+    write_probability(path, ProbabilityAssignment.from_dims([0.7, 0.4, 0.3]))
+    return path
+
+
+@pytest.mark.parametrize("mode", [["--model", "phyper"], ["--model", "pcomplex"],
+                                  ["--model", "pcomplex", "--samples", "200", "--seed", "3"]])
+@pytest.mark.parametrize("text, chain", [
+    ("Ext^3", "(Delta.gamma.delta.gamma)^3"),
+    ("Int.gamma", "delta.gamma.Delta.gamma.gamma"),
+    ("Ext.Int", "Delta.gamma.delta.gamma.delta.gamma.Delta.gamma"),
+    ("Int^2.Delta", "(delta.gamma.Delta.gamma)^2.Delta"),
+])
+def test_cli_push_ext_int_print_as_their_chains(capsys, triangle_cx, mixed_prob, mode, text, chain):
+    # Ext and Int evaluate through their own tables and mask operators;
+    # those equal the chains on every mask, so every printed line does too
+    outs = []
+    for expr in (text, chain):
+        code, out, err = run_cli(capsys, "push", "--ambient", triangle_cx, "--expr", expr,
+                                 "--prob", mixed_prob, *mode)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0]
+
+
+@pytest.mark.parametrize("name, row", [("gamma", "complement"), ("Delta", "closure"),
+                                       ("delta", "interior")])
+def test_cli_push_tv_line_equals_verify_transforms(capsys, triangle_cx, mixed_prob, name, row):
+    code, out, _ = run_cli(capsys, "push", "--ambient", triangle_cx, "--expr", name,
+                           "--model", "phyper", "--prob", mixed_prob)
+    assert code == 0
+    amb = read_complex(triangle_cx)
+    tv = verify_transforms(amb, resolve_probabilities(amb, read_probability(mixed_prob)))[row]
+    assert out.splitlines()[-1] == f"TV to closed-form family ({name}): {tv:.12g}"
 
 
 def test_cli_push_monte_carlo(capsys, triangle_cx, half_prob):
@@ -437,9 +501,10 @@ def test_cli_negative_sample_counts_are_rejected(capsys, argv):
 
 @pytest.mark.parametrize("flag, value", [("--seed", str(1 << 64)), ("--seed", "-1"),
                                          ("--stream", str(1 << 64)), ("--stream", "-1")])
-@pytest.mark.parametrize("cmd", ["gen-hyper", "gen-complex"])
+@pytest.mark.parametrize("cmd", ["gen-hyper", "gen-complex", "stats"])
 def test_cli_keys_outside_64_bits_are_rejected(capsys, triangle_cx, half_prob, cmd, flag, value):
-    argv = [cmd, "--ambient", triangle_cx, "--prob", half_prob, "--seed", "1", flag, value]
+    head = [cmd, "--n", "6", "--r", "1"] if cmd == "stats" else [cmd, "--ambient", triangle_cx]
+    argv = [*head, "--prob", half_prob, "--seed", "1", flag, value]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert _one_error(err) and flag[2:] in err and "2^64" in err
@@ -452,6 +517,27 @@ def test_cli_stats_rejects_empty_runs(capsys, half_prob, model, n, samples, flag
                              "--prob", half_prob, "--seed", "1", "--samples", samples)
     assert code == 2 and out == ""
     assert _one_error(err) and flag in err
+
+
+@pytest.mark.parametrize("model", ["clique", "closure"])
+def test_cli_stats_reads_its_stream(tmp_path, capsys, model):
+    # row k of `stats --stream s` reads stream s + k, as the library's
+    # streams_from does
+    prob = str(tmp_path / "low.json")
+    base = [1.0, 0.5, 0.1, 0.05]
+    write_probability(prob, ProbabilityAssignment.from_dims(base))
+    argv = ["stats", "--model", model, "--n", "6,8", "--r", "2", "--prob", prob,
+            "--seed", "3", "--samples", "50"]
+    outs = {}
+    for stream in (0, 5):
+        code, outs[stream], err = run_cli(capsys, *argv, "--stream", str(stream))
+        assert code == 0, err
+    if model == "clique":
+        rows = dimension_stats([6, 8], threshold_schedule(0.5, 3), 2, 50, 3, streams_from=5)
+    else:
+        rows = closure_dimension_stats([6, 8], base, 2, 50, 3, streams_from=5)
+    assert outs[5] == format_stats_csv(rows)
+    assert outs[5] != outs[0]
 
 
 def test_cli_stats_closure_beyond_n_matches_clique(capsys, half_prob):

@@ -2,7 +2,9 @@
 
 Subcommands: gen-hyper, gen-complex, push, verify, sparse, stats, figure1,
 powers, normalize.  Sampling commands require --seed; fixed flags give
-byte-identical outputs.  File writes are atomic.
+byte-identical outputs.  File writes are atomic.  Bad input exits 2 with
+one `error:` line: a command returns _fail for a misused flag, and main
+alone turns a raised error into that line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io as hio
-from .expr import ParseError, parse_expression
+from .expr import parse_expression
 from .metric import figure_hypergraphs, minimal_powers
 from .models import (
     resolve_probabilities,
@@ -22,7 +24,7 @@ from .models import (
     sample_complex,
     sample_hypergraph_masks,
 )
-from .operators import TABLE_LIMIT, TableSet
+from .operators import TableSet, lattice_size
 from .pushforward import (
     closed_form_family,
     complex_product,
@@ -98,14 +100,10 @@ def _print_distribution(dist) -> None:
 
 def cmd_push(args) -> int:
     amb = hio.read_complex(args.ambient)
-    try:
-        word = parse_expression(args.expr).word
-    except ParseError as e:
-        return _fail(str(e))
+    word = parse_expression(args.expr).word
     if word.arity() != 1:
         return _fail("push needs a unary expression")
-    if amb.num_faces > TABLE_LIMIT:
-        return _fail("ambient too large for exact distributions")
+    lattice_size(amb)  # before any draw or allocation
 
     if args.hyper:
         if args.model or args.prob:
@@ -140,7 +138,7 @@ def cmd_push(args) -> int:
     if not args.samples and not args.hyper and args.model == "phyper":
         reduced = normalize(word)
         if isinstance(reduced, Prim) and reduced.name in ("Delta", "delta", "gamma"):
-            family = closed_form_family(reduced.name, amb, vec, TableSet(amb))
+            family = closed_form_family(reduced.name, amb, vec)
             tv = total_variation(dist, family)
             print(f"TV to closed-form family ({reduced.name}): {tv:.12g}")
     return 0
@@ -154,8 +152,7 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 2026
     if args.ambient:
         amb = hio.read_complex(args.ambient)
-        if amb.num_faces > TABLE_LIMIT:
-            return _fail("ambient too large for exact distributions")
+        lattice_size(amb)  # before the first suite line
         tables = TableSet(amb)  # every suite of this run reads the same tables
         results = (run_suite(name, amb, rng_from(seed), tables) for name in names)
     else:
@@ -245,15 +242,7 @@ def cmd_powers(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    try:
-        word = parse_expression(args.expr).word
-    except ParseError as e:
-        return _fail(str(e))
-    try:
-        reduced = normalize(word)
-    except Exception as e:
-        return _fail(str(e))
-    print(str(reduced))
+    print(str(normalize(parse_expression(args.expr).word)))
     return 0
 
 
@@ -328,17 +317,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The one place that turns an error into exit 2 and
+    one `error:` line: bad values and files (ValueError, which covers
+    ParseError, WordError and FileFormatError), unreadable or unwritable
+    paths (OSError) and words nested too deep to evaluate (RecursionError)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (hio.FileFormatError, FileNotFoundError, ValueError) as e:
-        return _fail(str(e))
     except BrokenPipeError:
         # downstream closed stdout (e.g. piped into head); point the fd at
-        # devnull so the interpreter's exit flush cannot raise again
+        # devnull so the interpreter's exit flush cannot raise again.  First,
+        # since it is an OSError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, RecursionError, ValueError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

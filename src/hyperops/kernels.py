@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .models import check_probabilities
 from .operators import doubling
 
 
@@ -43,8 +44,7 @@ def sample_graph_block(n: int, p: float, rng: np.random.Generator, graphs: int) 
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability outside [0, 1]")
+    check_probabilities(p)
     nwords = (n + 63) >> 6
     pairs = n * (n - 1) // 2
     hit = np.flatnonzero(rng.random(graphs * pairs) < p)

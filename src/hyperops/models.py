@@ -14,6 +14,9 @@ per face:
   rule is operators.clique_faces_mask, which the external faces and the
   one draw loop staged_draw read; every staged draw runs that loop.
 
+Every probability, of an assignment, a vector or a graph model, passes
+check_probabilities, the one range check.
+
 Sampling is reproducible: a (seed, stream) pair pins the generator, and
 draws consume uniforms in canonical face order.  Hypergraph draws of a
 whole run come from one draw of (draws, faces) uniforms, in blocks of
@@ -35,7 +38,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .operators import TABLE_LIMIT, clique_faces_mask, complex_indicator, external_faces_mask
+from .operators import clique_faces_mask, complex_indicator, external_faces_mask, lattice_size
 
 
 def rng_from(seed: int, stream: int = 0) -> np.random.Generator:
@@ -67,9 +70,7 @@ class ProbabilityAssignment:
     def __post_init__(self):
         if (self.per_dim is None) == (self.entries is None):
             raise ValueError("exactly one of per_dim / entries must be given")
-        for p in self._all_values():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+        check_probabilities(list(self._all_values()))
 
     def _all_values(self) -> Iterator[float]:
         if self.per_dim is not None:
@@ -171,15 +172,23 @@ def _json_list(doc, key: str) -> list:
     return value
 
 
+def check_probabilities(values) -> np.ndarray:
+    """values as a float64 array, each checked to lie in [0, 1].  The one
+    range check of the package: NaN lies in no range, so it fails too."""
+    vec = np.asarray(values, dtype=np.float64)
+    inside = (vec >= 0.0) & (vec <= 1.0)
+    if not inside.all():
+        raise ValueError(f"probability {float(vec[~inside].flat[0])} outside [0, 1]")
+    return vec
+
+
 def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
     if isinstance(p, ProbabilityAssignment):
         return p.resolve(amb)
     vec = np.asarray(p, dtype=np.float64)
     if vec.shape != (amb.num_faces,):
         raise ValueError(f"expected {amb.num_faces} probabilities, got {vec.shape}")
-    if (vec < 0).any() or (vec > 1).any():
-        raise ValueError("probability outside [0, 1]")
-    return vec
+    return check_probabilities(vec)
 
 
 # ----- hypergraph model --------------------------------------------------------
@@ -285,13 +294,9 @@ def sample_complex_batch(
 
 def enumerate_subhypergraphs(amb: AmbientComplex) -> Iterator[int]:
     """Every subset of the ambient's faces, as masks in increasing order."""
-    if amb.num_faces > TABLE_LIMIT:
-        raise ValueError(f"too many faces to enumerate ({amb.num_faces})")
-    yield from range(1 << amb.num_faces)
+    yield from range(lattice_size(amb))
 
 
 def enumerate_subcomplexes(amb: AmbientComplex) -> Iterator[int]:
     """Every downward-closed subset, as masks in increasing order."""
-    if amb.num_faces > TABLE_LIMIT:
-        raise ValueError(f"too many faces to enumerate ({amb.num_faces})")
     yield from np.flatnonzero(complex_indicator(amb)).tolist()

@@ -21,6 +21,8 @@ L and distribute over intersection:
 For ambients with at most `TABLE_LIMIT` faces the module also builds full
 lookup tables (numpy arrays indexed by every subset of faces), which the
 exact distribution code uses to push measures through operators in bulk.
+`lattice_size` is the one check of that limit: every table, exact vector
+and enumeration calls it before it allocates, and the CLI calls it up front.
 A join's table is one doubling over the face bits of its single-face
 images; the table of gamma . J . gamma is J's table XORed with L and read
 backwards, since mask L - X is 2^m - 1 - X.
@@ -206,23 +208,24 @@ def external_faces(y: Hypergraph) -> Hypergraph:
 # ----- full lookup tables ----------------------------------------------------
 
 
-def _check_table_size(amb: AmbientComplex) -> int:
+def lattice_size(amb: AmbientComplex) -> int:
+    """2^m on the ambient's m faces: the length of every table, exact
+    distribution and enumeration of its sub-hypergraphs.  The one check of
+    TABLE_LIMIT, made before anything of that length is allocated."""
     m = amb.num_faces
     if m > TABLE_LIMIT:
-        raise ValueError(
-            f"ambient has {m} faces; operator tables support at most {TABLE_LIMIT}"
-        )
-    return m
+        raise ValueError(f"ambient of {m} faces is too large for the exact layer, "
+                         f"which holds at most {TABLE_LIMIT}")
+    return 1 << m
 
 
 def identity_table(amb: AmbientComplex) -> np.ndarray:
-    m = _check_table_size(amb)
-    return np.arange(1 << m, dtype=np.uint32)
+    return np.arange(lattice_size(amb), dtype=np.uint32)
 
 
 def complement_table(amb: AmbientComplex) -> np.ndarray:
-    m = _check_table_size(amb)
-    return np.uint32(amb.full_mask) ^ np.arange(1 << m, dtype=np.uint32)
+    masks = np.arange(lattice_size(amb), dtype=np.uint32)
+    return np.uint32(amb.full_mask) ^ masks
 
 
 def doubling(first, atoms, op) -> np.ndarray:
@@ -239,8 +242,8 @@ def doubling(first, atoms, op) -> np.ndarray:
 
 def _join_table(amb: AmbientComplex, join) -> np.ndarray:
     """Table of a join: one doubling over its single-face images."""
-    m = _check_table_size(amb)
-    return doubling(np.uint32(0), [join(amb, 1 << b) for b in range(m)], np.bitwise_or)
+    lattice_size(amb)  # checked before the doubling allocates 2^m entries
+    return doubling(np.uint32(0), [join(amb, 1 << b) for b in range(amb.num_faces)], np.bitwise_or)
 
 
 def _dual_table(amb: AmbientComplex, join) -> np.ndarray:
@@ -313,8 +316,7 @@ PRIMITIVE_MASK_OPS = {
 
 def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
     if name == "zero":
-        m = _check_table_size(amb)
-        return np.zeros(1 << m, dtype=np.uint32)
+        return np.zeros(lattice_size(amb), dtype=np.uint32)
     try:
         builder = PRIMITIVE_TABLES[name]
     except KeyError:
@@ -325,12 +327,22 @@ def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
 class TableSet(dict):
     """The primitive tables of one ambient by name, each built on first use
     by primitive_table.  Its maker owns it: a `verify` run makes one per
-    ambient for all its suites; eval_word_tables makes one per call when
-    given none, so a push drops its tables when it returns."""
+    ambient for all its suites; a function given none makes one for the
+    call (TableSet.of), so a push drops its tables when it returns."""
 
     def __init__(self, ambient: AmbientComplex):
         super().__init__()
         self.ambient = ambient
+
+    @classmethod
+    def of(cls, ambient: AmbientComplex, tables: TableSet | None) -> TableSet:
+        """The caller's tables, checked to belong to ambient, or a new set
+        when None."""
+        if tables is None:
+            return cls(ambient)
+        if tables.ambient is not ambient:
+            raise ValueError("table set belongs to a different ambient")
+        return tables
 
     def __missing__(self, name: str) -> np.ndarray:
         table = self[name] = primitive_table(self.ambient, name)

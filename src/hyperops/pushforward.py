@@ -1,7 +1,8 @@
 """Exact distributions on the subset lattice and their operator pushforwards.
 
 A distribution is a dense vector indexed by face-index masks, so exactness
-is limited to ambients with at most TABLE_LIMIT faces.  Pushing through a
+is limited to ambients with at most TABLE_LIMIT faces; operators.lattice_size
+checks that before each vector is allocated.  Pushing through a
 unary operator is a weighted bincount over the operator's lookup table.
 Binary operators push the independent coupling of two distributions, and
 for union and intersection that pushforward is a subset convolution: a
@@ -27,7 +28,6 @@ import numpy as np
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
 from .models import resolve_probabilities, staged_draw
 from .operators import (
-    TABLE_LIMIT,
     TableSet,
     complex_indicator,
     doubling,
@@ -35,15 +35,9 @@ from .operators import (
     external_faces_mask,
     fixed_points,
     interior_table,
+    lattice_size,
 )
 from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
-
-
-def _lattice_size(amb: AmbientComplex) -> int:
-    """2^m on m faces, checked against TABLE_LIMIT before any allocation."""
-    if amb.num_faces > TABLE_LIMIT:
-        raise ValueError("ambient too large for exact distributions")
-    return 1 << amb.num_faces
 
 
 @dataclass
@@ -54,7 +48,7 @@ class Distribution:
     vec: np.ndarray
 
     def __post_init__(self):
-        size = _lattice_size(self.ambient)
+        size = lattice_size(self.ambient)
         self.vec = np.asarray(self.vec, dtype=np.float64)
         if self.vec.shape != (size,):
             raise ValueError(f"expected vector of length {size}")
@@ -71,18 +65,18 @@ class Distribution:
 
 
 def point_mass(amb: AmbientComplex, mask: int) -> Distribution:
-    vec = np.zeros(_lattice_size(amb))
+    vec = np.zeros(lattice_size(amb))
     vec[mask] = 1.0
     return Distribution(amb, vec)
 
 
 def uniform_distribution(amb: AmbientComplex) -> Distribution:
-    size = _lattice_size(amb)
+    size = lattice_size(amb)
     return Distribution(amb, np.full(size, 1.0 / size))
 
 
 def random_exact(amb: AmbientComplex, rng: np.random.Generator) -> Distribution:
-    vec = rng.random(_lattice_size(amb))
+    vec = rng.random(lattice_size(amb))
     return Distribution(amb, vec / vec.sum())
 
 
@@ -91,7 +85,7 @@ def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
 
     Bit i of the mask index is face i, so the vector doubles once per face.
     """
-    _lattice_size(amb)  # checked before the vector doubles to that length
+    lattice_size(amb)  # checked before the vector doubles to that length
     probs = resolve_probabilities(amb, p)
     vec = np.ones(1)
     for q in probs:
@@ -131,7 +125,7 @@ def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarra
 
 def empirical_distribution(amb: AmbientComplex, masks: np.ndarray) -> Distribution:
     vec = np.bincount(
-        np.asarray(masks, dtype=np.int64), minlength=_lattice_size(amb)
+        np.asarray(masks, dtype=np.int64), minlength=lattice_size(amb)
     ).astype(np.float64)
     return Distribution(amb, vec / len(masks))
 
@@ -283,19 +277,20 @@ def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
     return not np.any((dist.vec > tol) & ~complex_indicator(dist.ambient))
 
 
-def closed_form_family(name: str, amb: AmbientComplex, p, tables: TableSet) -> Distribution:
+def closed_form_family(name: str, amb: AmbientComplex, p, tables: TableSet | None = None) -> Distribution:
     """Closed-form law of the image of the product law at p under the unary
     primitive `name` (Theorem 2): the product law at complement_transform for
     gamma, the staged law at closure_transform or interior_transform for
     Delta or delta, on the fixed points of tables["Delta"].  The staged two
     match the image's marginals, its joint law only in degenerate cases."""
+    tables = TableSet.of(amb, tables)
     if name == "gamma":
         return hypergraph_product(amb, complement_transform(amb, p))
     transform = {"Delta": closure_transform, "delta": interior_transform}[name]
     return _staged_product(amb, transform(amb, p), fixed_points(tables["Delta"]))
 
 
-def verify_transforms(amb: AmbientComplex, p, p2=None, tables: TableSet | None = None) -> dict[str, float]:
+def verify_transforms(amb: AmbientComplex, p, tables: TableSet | None = None) -> dict[str, float]:
     """TV between each of the five pushforwards and its closed-form family.
 
     complement / closure / interior: the gamma, Delta and delta pushes of a
@@ -304,29 +299,21 @@ def verify_transforms(amb: AmbientComplex, p, p2=None, tables: TableSet | None =
     (see marginal_gaps), but the joint law of a closed-up product draw is
     not a staged law in general, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
-    the product law with pointwise-multiplied / complement-multiplied
-    probabilities.  The tables come from `tables`, made here when None.
+    the product law at intersection_transform / union_transform.  The
+    tables come from `tables`, made here when None.
     """
-    if p2 is None:
-        p2 = p
-    tables = TableSet(amb) if tables is None else tables
-    vec1 = resolve_probabilities(amb, p)
-    vec2 = resolve_probabilities(amb, p2)
-    base1 = hypergraph_product(amb, vec1)
-    base2 = hypergraph_product(amb, vec2)
+    tables = TableSet.of(amb, tables)
+    vec = resolve_probabilities(amb, p)
+    base = hypergraph_product(amb, vec)
     out = {
-        row: total_variation(push_table(base1, tables[name]),
-                             closed_form_family(name, amb, vec1, tables))
+        row: total_variation(push_table(base, tables[name]),
+                             closed_form_family(name, amb, vec, tables))
         for row, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
     }
-    out["intersection"] = total_variation(
-        push_intersection(base1, base2),
-        hypergraph_product(amb, vec1 * vec2),
-    )
-    out["union"] = total_variation(
-        push_union(base1, base2),
-        hypergraph_product(amb, 1.0 - (1.0 - vec1) * (1.0 - vec2)),
-    )
+    out["intersection"] = total_variation(push_intersection(base, base),
+                                          hypergraph_product(amb, intersection_transform(amb, vec, vec)))
+    out["union"] = total_variation(push_union(base, base),
+                                   hypergraph_product(amb, union_transform(amb, vec, vec)))
     return out
 
 
@@ -395,7 +382,7 @@ def interior_limit(dist: Distribution) -> Distribution:
 def vertex_supported(amb: AmbientComplex) -> np.ndarray:
     """Bool per mask: True when every vertex of the mask's faces is a 0-face
     of the mask."""
-    size = _lattice_size(amb)
+    size = lattice_size(amb)
     dim0 = amb.skeleton_mask(0)
     spans = doubling(np.uint32(0), [sub & dim0 for sub in amb.sub_masks], np.bitwise_or)
     return (spans & ~np.arange(size, dtype=np.uint32)) == 0

@@ -31,7 +31,7 @@ import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import _BLOCK_UNIFORMS, rng_from
+from .models import _BLOCK_UNIFORMS, check_probabilities, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -59,9 +59,7 @@ def _base_tuple(n: int, p) -> tuple[float, ...]:
         raise ValueError("base probability vector is empty")
     if len(vals) > n:
         raise ValueError(f"base vector has {len(vals)} entries but n = {n}")
-    for x in vals:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"probability {x} outside [0, 1]")
+    check_probabilities(vals)
     if vals[0] != 1.0:
         raise ValueError("p_0 must be 1 (vertices are always present)")
     return tuple(vals) + (0.0,) * (n - len(vals))

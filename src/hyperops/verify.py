@@ -15,7 +15,8 @@ not the joint laws.
 
 Suites read their tables from a TableSet owned by the run: iter_standard
 makes one per fixture and `verify --ambient` one per run, so each table is
-built at most once per ambient; a suite called without a set makes its own.
+built at most once per ambient; a suite called without a set makes its own,
+and one called with another ambient's set raises (TableSet.of).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _finite_diameter(amb: AmbientComplex, suite: str) -> int:
 
 def suite_identities(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """The normalizer's rewrite rules, every sub-hypergraph of the ambient."""
-    tables = TableSet(amb) if tables is None else tables
+    tables = TableSet.of(amb, tables)
     idx = tables["id"]
     size = idx.size
     passed = 0
@@ -96,7 +97,7 @@ def suite_identities(amb: AmbientComplex, rng=None, tables: TableSet | None = No
 
 def suite_laws(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """The three distribution laws over all unordered mask pairs."""
-    tables = TableSet(amb) if tables is None else tables
+    tables = TableSet.of(amb, tables)
     bad, pairs = pair_laws(tables["Delta"], tables["delta"], tables["gamma"])
     labels = (
         "gamma(a + b) = gamma(a) /\\ gamma(b)",
@@ -121,7 +122,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     fixture while the complex-restricted record passes.
     """
     rng = rng if rng is not None else rng_from(2026)
-    tables = TableSet(amb) if tables is None else tables
+    tables = TableSet.of(amb, tables)
     d = _finite_diameter(amb, "theorem1")
     size = tables["id"].size
     et, it, ct, dt = tables["Ext"], tables["Int"], tables["Delta"], tables["delta"]
@@ -208,7 +209,7 @@ def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     interior rows match only at degenerate probabilities; expect this suite
     to FAIL its four non-degenerate closure/interior cases.
     """
-    tables = TableSet(amb) if tables is None else tables
+    tables = TableSet.of(amb, tables)
     settings = [
         ("p=0", ProbabilityAssignment.constant(0.0)),
         ("p=0.5", ProbabilityAssignment.constant(0.5)),
@@ -237,7 +238,7 @@ def suite_powers(amb: AmbientComplex, rng=None, tables: TableSet | None = None) 
     sample is cross-checked against the operator-level implementation.
     """
     rng = rng if rng is not None else rng_from(2026)
-    tables = TableSet(amb) if tables is None else tables
+    tables = TableSet.of(amb, tables)
     idx = tables["id"]
     size = idx.size
     it, et, gt = tables["Int"], tables["Ext"], tables["gamma"]

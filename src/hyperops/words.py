@@ -46,12 +46,6 @@ class Word:
     def arity(self) -> int:
         raise NotImplementedError
 
-    def compose(self, inner: "Word") -> "Word":
-        return Compose(self, inner)
-
-    def __pow__(self, k: int) -> "Word":
-        return Power(self, k)
-
 
 @dataclass(frozen=True)
 class Prim(Word):
@@ -190,10 +184,7 @@ def eval_word_tables(
     most once, however often the word uses it.
     """
     _check_arity(word, args)
-    if tables is None:
-        tables = TableSet(amb)
-    elif tables.ambient is not amb:
-        raise ValueError("table set belongs to a different ambient")
+    tables = TableSet.of(amb, tables)
     return _walk(word, list(args), lambda name, x: tables[name][x])
 
 

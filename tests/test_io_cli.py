@@ -23,9 +23,17 @@ from hyperops.io import (
     write_stats_csv,
 )
 from hyperops.metric import figure_hypergraphs
-from hyperops.models import ProbabilityAssignment, resolve_probabilities, rng_from
-from hyperops.operators import TABLE_LIMIT
+from hyperops.models import (
+    ProbabilityAssignment,
+    enumerate_subcomplexes,
+    enumerate_subhypergraphs,
+    resolve_probabilities,
+    rng_from,
+)
+from hyperops.operators import PRIMITIVE_TABLES, TABLE_LIMIT, lattice_size, primitive_table
 from hyperops.pushforward import (
+    Distribution,
+    complex_product,
     empirical_distribution,
     hypergraph_product,
     point_mass,
@@ -475,13 +483,30 @@ def test_cli_verify_rejects_ambients_beyond_tables(tmp_path, capsys, suite):
         assert _one_error(err) and "too large" in err
 
 
+def _exact_builds(amb):
+    # every table, exact vector and enumeration of amb
+    probs = [0.5] * amb.num_faces
+    builds = [lambda: hypergraph_product(amb, 0.5), lambda: point_mass(amb, 0),
+              lambda: uniform_distribution(amb), lambda: random_exact(amb, rng_from(1)),
+              lambda: empirical_distribution(amb, [0, 1]), lambda: Distribution(amb, [1.0]),
+              lambda: complex_product(amb, probs), lambda: primitive_table(amb, "zero"),
+              lambda: list(enumerate_subhypergraphs(amb)), lambda: list(enumerate_subcomplexes(amb))]
+    return builds + [lambda build=build: build(amb) for build in PRIMITIVE_TABLES.values()]
+
+
 def test_exact_distributions_check_size_before_allocating():
-    amb = AmbientComplex([(1, 2, 3, 4, 5)])  # 31 faces
-    for build in (lambda: hypergraph_product(amb, 0.5), lambda: point_mass(amb, 0),
-                  lambda: uniform_distribution(amb), lambda: random_exact(amb, rng_from(1)),
-                  lambda: empirical_distribution(amb, [0, 1])):
-        with pytest.raises(ValueError, match="too large"):
-            build()
+    # each build stops at the one check with its one message; at 63 faces no
+    # 2^63 array could be allocated, so the check comes first
+    for amb in (AmbientComplex([(1, 2, 3, 4, 5)]), AmbientComplex([(1, 2, 3, 4, 5, 6)])):
+        messages = set()
+        for build in _exact_builds(amb):
+            with pytest.raises(ValueError, match="too large") as exc:
+                build()
+            messages.add(str(exc.value))
+        with pytest.raises(ValueError) as exc:
+            lattice_size(amb)
+        assert messages == {str(exc.value)}
+        assert f"{amb.num_faces} faces" in str(exc.value) and f"at most {TABLE_LIMIT}" in str(exc.value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -575,6 +600,43 @@ def test_cli_removed_noop_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CHAIN_3000 = ".".join(["Delta"] * 3000)
+NESTED_3000 = "(" * 3000 + "Delta" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-hyper", "--ambient", "{dir}", "--prob", "{prob}", "--seed", "1"],
+    ["gen-complex", "--ambient", "{cx}", "--prob", "{dir}", "--seed", "1"],
+    ["push", "--ambient", "{cx}", "--expr", "Delta", "--hyper", "{dir}"],
+    ["gen-hyper", "--ambient", "{cx}", "--prob", "{prob}", "--seed", "1", "--out", "{dir}"],
+    ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--prob", "{prob}", "--seed", "1", "--out", "{dir}"],
+    ["stats", "--n", "6", "--r", "1", "--samples", "5", "--seed", "1", "--out", "{dir}"],
+    ["push", "--ambient", "{cx}", "--expr", CHAIN_3000, "--model", "phyper", "--prob", "{prob}"],
+    ["push", "--ambient", "{cx}", "--expr", NESTED_3000, "--model", "phyper", "--prob", "{prob}"],
+    ["normalize", "--expr", NESTED_3000],
+], ids=["ambient-dir", "prob-dir", "hyper-dir", "gen-out-dir", "sparse-out-dir", "stats-out-dir",
+        "push-chain-3000", "push-nested-3000", "normalize-nested-3000"])
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, triangle_cx, half_prob, argv):
+    # unreadable paths, unwritable outputs and words nested past the
+    # interpreter's recursion limit: one error line, no traceback, no
+    # temp file left beside an --out
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(cx=triangle_cx, prob=half_prob, dir=folder) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert _one_error(err) and err.count("\n") == 1
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+    assert os.listdir(folder) == []
+
+
+def test_cli_600_term_chain_pushes_as_its_normal_form(capsys, triangle_cx, half_prob):
+    argv = ["push", "--ambient", triangle_cx, "--model", "phyper", "--prob", half_prob, "--expr"]
+    code, out, _ = run_cli(capsys, *argv, ".".join(["Delta"] * 600))
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv, "Delta")[:2]
 
 
 def test_cli_missing_file(capsys):

@@ -19,7 +19,7 @@ from hyperops.models import (
     sample_hypergraph_masks,
 )
 
-from hyperops.pushforward import complex_union_resample
+from hyperops.pushforward import complex_product, complex_union_resample, hypergraph_product
 
 from oracles import (
     ambient_faces,
@@ -56,6 +56,20 @@ def test_probability_assignment_guards(delta2):
         ProbabilityAssignment.from_entries([((7, 8), 0.5)]).resolve(delta2)
     with pytest.raises(ValueError):
         resolve_probabilities(delta2, [0.5] * 3)  # needs 7 entries
+
+
+@pytest.mark.parametrize("use", [
+    lambda amb, p: resolve_probabilities(amb, p),
+    lambda amb, p: hypergraph_product(amb, p),
+    lambda amb, p: complex_product(amb, p),
+    lambda amb, p: sample_hypergraph(amb, p, rng_from(1)),
+    lambda amb, p: sample_complex(amb, p, rng_from(1)),
+], ids=["resolve_probabilities", "hypergraph_product", "complex_product",
+        "sample_hypergraph", "sample_complex"])
+def test_nan_probability_rejected(use):
+    # NaN compares false both ways, so it must fail the range check itself
+    with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
+        use(full_complex(2), [0.5, np.nan, 0.5])
 
 
 def test_probability_assignment_json_round_trip():

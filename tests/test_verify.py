@@ -4,6 +4,7 @@ from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.models import rng_from
 from hyperops.operators import TableSet
+from hyperops.pushforward import closed_form_family, verify_transforms
 from hyperops.verify import (
     SUITES,
     SuiteResult,
@@ -97,6 +98,18 @@ def test_suites_reject_ambients_beyond_tables():
     for name in SUITES:
         with pytest.raises(ValueError, match="at most|too large"):
             run_suite(name, big, rng_from(1))
+
+
+@pytest.mark.parametrize("use", [
+    *(lambda amb, tables, name=name: run_suite(name, amb, rng_from(1), tables) for name in sorted(SUITES)),
+    lambda amb, tables: verify_transforms(amb, [0.5] * amb.num_faces, tables=tables),
+    lambda amb, tables: closed_form_family("gamma", amb, [0.5] * amb.num_faces, tables),
+    lambda amb, tables: closed_form_family("Delta", amb, [0.5] * amb.num_faces, tables),
+], ids=[*sorted(SUITES), "verify_transforms", "closed_form_family-gamma", "closed_form_family-Delta"])
+def test_table_set_of_another_ambient_rejected(delta1, delta2, use):
+    # the 7-face set would otherwise answer for the 3-face ambient
+    with pytest.raises(ValueError, match="different ambient"):
+        use(delta1, TableSet(delta2))
 
 
 def test_theorem2_known_gaps(delta1, delta2):

@@ -34,6 +34,7 @@ from .operators import (
     extension_table,
     external_faces_mask,
     fixed_points,
+    identity_table,
     interior_table,
     lattice_size,
 )
@@ -83,13 +84,16 @@ def random_exact(amb: AmbientComplex, rng: np.random.Generator) -> Distribution:
 def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
     """The independent-faces law as an exact vector.
 
-    Bit i of the mask index is face i, so the vector doubles once per face.
+    Bit i of the mask index is face i, so the filled prefix doubles once
+    per face, in one buffer: pass i writes the masks with top bit i as the
+    masks below times q, then multiplies those below by 1 - q.
     """
-    lattice_size(amb)  # checked before the vector doubles to that length
-    probs = resolve_probabilities(amb, p)
-    vec = np.ones(1)
-    for q in probs:
-        vec = np.concatenate([vec * (1.0 - q), vec * q])
+    vec = np.empty(lattice_size(amb))
+    vec[0] = 1.0
+    for i, q in enumerate(resolve_probabilities(amb, p)):
+        half = 1 << i
+        np.multiply(vec[:half], q, out=vec[half : 2 * half])
+        vec[:half] *= 1.0 - q
     return Distribution(amb, vec)
 
 
@@ -97,29 +101,27 @@ def complex_product(amb: AmbientComplex, p) -> Distribution:
     """The staged law: mass on downward-closed masks, zero elsewhere.
 
     A subcomplex's mass is p over its faces times 1 - p over its external
-    faces.  The vector starts at 1 on the subcomplexes and 0 elsewhere, then
-    takes p_i on every mask holding face i, face by face, then 1 - p_i on
-    every mask lacking face i but holding its boundary, face by face: the
-    multiplies pmf_complex makes, in its order, so each entry is
-    bit-identical to it.
+    faces (those it lacks whose boundary it holds).  Only the subcomplexes
+    are computed: each starts at 1.0, takes p_i for its faces with i
+    increasing, then 1 - p_i for its external faces with i increasing,
+    the multiplies pmf_complex makes in its order, so each entry is
+    bit-identical to it.  Every other mask is 0.
     """
     return _staged_product(amb, resolve_probabilities(amb, p), complex_indicator(amb))
 
 
 def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarray) -> Distribution:
     # complex_product from the bool subcomplex indicator, so a caller that
-    # holds the closure table need not build it again.
-    m = amb.num_faces
-    vec = indicator.astype(np.float64)
-    for i in range(m):
-        vec.reshape(-1, 2, 1 << i)[:, 1] *= probs[i]
-    cube = vec.reshape((2,) * m)  # axis m - 1 - i is face bit i
-    for i in range(m):
-        at = [slice(None)] * m
-        at[m - 1 - i] = 0
-        for j in iter_bits(amb.boundary_masks[i]):
-            at[m - 1 - j] = 1
-        cube[tuple(at)] *= 1.0 - probs[i]
+    # holds the closure table need not build it again.  Entry X of the
+    # doubling is 1.0 times p_i over the set bits i of X, i increasing.
+    idx = np.flatnonzero(indicator)
+    vals = doubling(1.0, probs, np.multiply)[idx]
+    for i, bound in enumerate(amb.boundary_masks):
+        # external to X: face i is not in X and its boundary is
+        external = (idx & (bound | (1 << i))) == bound
+        np.multiply(vals, 1.0 - probs[i], out=vals, where=external)
+    vec = np.zeros(indicator.size)
+    vec[idx] = vals
     return Distribution(amb, vec)
 
 
@@ -167,9 +169,13 @@ def _push(word: Word, dists: list[Distribution]) -> Distribution:
     # Operands of a join or meet are independent, so each side is pushed on
     # its own and the two laws are combined by a subset convolution.
     if word.arity() == 1:
+        # The operand slice(None) reads the first primitive's table whole,
+        # with no gather; only a zeroth power applies no primitive.
         amb = dists[0].ambient
-        ident = np.arange(dists[0].vec.size, dtype=np.uint32)
-        return push_table(dists[0], eval_word_tables(word, amb, [ident]))
+        table = eval_word_tables(word, amb, [slice(None)])
+        if isinstance(table, slice):
+            table = identity_table(amb)
+        return push_table(dists[0], table)
     if isinstance(word, (Join, Meet)):
         na = word.left.arity()
         lhs = _push(word.left, dists[:na])
@@ -264,12 +270,22 @@ def intersection_transform(amb: AmbientComplex, p1, p2) -> np.ndarray:
 
 def marginals(dist: Distribution) -> np.ndarray:
     """Per-face inclusion probabilities of a distribution."""
-    amb = dist.ambient
-    out = np.empty(amb.num_faces)
-    idx = np.arange(dist.vec.size, dtype=np.uint32)
-    for i in range(amb.num_faces):
-        out[i] = dist.vec[(idx >> np.uint32(i)) & np.uint32(1) == 1].sum()
-    return out
+    # Mask X is row X >> k, column X & (2^k - 1) of the matrix view with
+    # k = m // 2: faces k and up are read from the row sums, faces below k
+    # from the column sums.  The rows are added in blocks, so no sum runs
+    # one term after another over more than about 2^(m/4) terms.
+    m = dist.ambient.num_faces
+    k = m // 2
+    mat = dist.vec.reshape(-1, 1 << k)
+    cols = mat.reshape(1 << ((m - k) // 2), -1, 1 << k).sum(axis=1).sum(axis=0)
+    return np.concatenate([_bit_sums(cols), _bit_sums(mat.sum(axis=1))])
+
+
+def _bit_sums(short: np.ndarray) -> np.ndarray:
+    # entry i: the sum of short[x] over the x with bit i set
+    n = short.size.bit_length() - 1
+    bits = (np.arange(short.size) >> np.arange(n)[:, None]) & 1
+    return (bits * short).sum(axis=1)
 
 
 def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
@@ -458,10 +474,10 @@ def restrict_distribution(dist: Distribution, sub: AmbientComplex) -> Distributi
     """
     amb = dist.ambient
     src_idx = [amb.face_index(sub.face_vertices(i)) for i in range(sub.num_faces)]
-    masks = np.arange(dist.vec.size, dtype=np.int64)
-    small = np.zeros_like(masks)
+    atoms = np.zeros(amb.num_faces, dtype=np.int64)
     for b, i in enumerate(src_idx):
-        small |= ((masks >> i) & 1) << b
+        atoms[i] = 1 << b
+    small = doubling(np.int64(0), atoms, np.bitwise_or)
     vec = np.bincount(small, weights=dist.vec, minlength=1 << sub.num_faces)
     return Distribution(sub, vec)
 

@@ -131,7 +131,7 @@ def threshold_schedule(coefficient: float, denominator: float):
     Denominators r+1 and r select the two threshold regimes for dimension r.
     Values above 1 are clamped with a warning.
     """
-    if coefficient <= 0.0 or denominator <= 0.0:
+    if not (coefficient > 0.0 and denominator > 0.0):  # NaN fails too
         raise ValueError("coefficient and denominator must be positive")
 
     def p1(n: int) -> float:

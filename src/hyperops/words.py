@@ -176,7 +176,9 @@ def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
 def eval_word_tables(
     word: Word, amb: AmbientComplex, args: list[np.ndarray], tables: TableSet | None = None
 ) -> np.ndarray:
-    """Vectorized evaluation over arrays of masks (broadcast together).
+    """Vectorized evaluation over arrays of masks (broadcast together).  An
+    operand of slice(None) stands for every mask in order, so a primitive
+    applied to it returns a view of its table, with no gather.
 
     Primitives are read from `tables`, a TableSet of amb that the caller
     owns and may share between calls; without one, a set is made for this

@@ -3,8 +3,9 @@
 Everything here works on plain frozensets (a face is a frozenset of vertex
 ids, a hypergraph is a frozenset of faces) with no bitmask tricks, so the
 package's table/mask machinery can be checked against definitions that read
-like the definitions.  The one numpy oracle, o_push_pairwise, sums over
-every pair of masks, the O(4^m) definition of a binary pushforward.
+like the definitions.  Two oracles use numpy: o_push_pairwise sums over
+every pair of masks, the O(4^m) definition of a binary pushforward, and
+o_hypergraph_pmf multiplies out each mask's product-law mass face by face.
 
 The last two sections keep the former loops of the mask and sampling
 layer (per pair, per candidate and per face, one uniform at a time) and of
@@ -221,6 +222,19 @@ def o_push_pairwise(a, b, op):
             weights=np.outer(a[start : start + chunk], b).ravel(),
             minlength=size,
         )
+    return vec
+
+
+def o_hypergraph_pmf(probs):
+    """Vector of the independent-faces law over all 2^m masks.
+
+    Entry X folds left from 1.0 over the faces in index order, multiplying
+    by q for a face of X and by 1 - q for a face not in X.
+    """
+    masks = np.arange(1 << len(probs))
+    vec = np.ones(masks.size)
+    for i, q in enumerate(probs):
+        vec *= np.where((masks >> i) & 1 == 1, q, 1.0 - q)
     return vec
 
 

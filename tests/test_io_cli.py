@@ -535,6 +535,13 @@ def test_cli_keys_outside_64_bits_are_rejected(capsys, triangle_cx, half_prob, c
     assert _one_error(err) and flag[2:] in err and "2^64" in err
 
 
+@pytest.mark.parametrize("flag", ["--coeff", "--denom"])
+def test_cli_stats_rejects_nan_schedule(capsys, flag):
+    code, out, err = run_cli(capsys, "stats", "--n", "6", "--r", "1", "--seed", "1", flag, "nan")
+    assert code == 2 and out == ""
+    assert _one_error(err) and "coefficient and denominator must be positive" in err
+
+
 @pytest.mark.parametrize("model", ["clique", "closure"])
 @pytest.mark.parametrize("n,samples,flag", [("6", "0", "--samples"), ("0", "5", "--n"), ("8,-3", "5", "--n")])
 def test_cli_stats_rejects_empty_runs(capsys, half_prob, model, n, samples, flag):

@@ -311,6 +311,13 @@ def test_restrict_distribution_of_product(delta2):
         [p[delta2.face_index(sub.face_vertices(i))] for i in range(sub.num_faces)]
     )
     assert total_variation(small, hypergraph_product(sub, sub_p)) < 1e-12
+    # the index map is built by a doubling; the face-by-face map is the same
+    masks = np.arange(big.vec.size, dtype=np.int64)
+    face_map = np.zeros_like(masks)
+    for b in range(sub.num_faces):
+        face_map |= ((masks >> delta2.face_index(sub.face_vertices(b))) & 1) << b
+    want = np.bincount(face_map, weights=big.vec, minlength=1 << sub.num_faces)
+    assert small.vec.tobytes() == want.tobytes()
 
 
 def test_empirical_distribution(delta1):

@@ -1,10 +1,15 @@
-"""Subset-convolution pushes and the staged law against brute force.
+"""Subset-convolution pushes, the product and staged laws and marginals
+against brute force.
 
 Binary pushes are checked against o_push_pairwise, which sums over every
-pair of masks, and the staged law against a loop over all masks.  The
-doubling tables are checked against the single-mask operators in
-test_operators.py.
+pair of masks, the product law against o_hypergraph_pmf and the staged law
+against a loop over all masks, both bit for bit, and marginals against
+per-face sums.  The doubling tables are checked against the single-mask
+operators in test_operators.py.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +22,16 @@ from hyperops.operators import TableSet
 from hyperops.pushforward import (
     complex_product,
     hypergraph_product,
+    marginals,
     push_intersection,
+    push_table,
     push_union,
     push_word,
     random_exact,
 )
-from hyperops.words import Join, Prim, eval_word_tables
+from hyperops.words import PRIMITIVES, Compose, Join, Power, Prim, eval_word_tables
 
-from oracles import o_push_pairwise
+from oracles import o_hypergraph_pmf, o_push_pairwise
 
 TOL = 1e-12
 
@@ -96,6 +103,11 @@ def _cycle6():
     return AmbientComplex([(v, v % 6 + 1) for v in range(1, 7)])
 
 
+def _cycle10():
+    """The 10-cycle: 20 faces, the exact layer's largest lattice."""
+    return AmbientComplex([(v, v % 10 + 1) for v in range(1, 11)])
+
+
 def test_dense_laws_on_the_six_cycle():
     amb = _cycle6()
     rng = np.random.default_rng(18)
@@ -123,6 +135,69 @@ def test_complex_product_is_bit_identical_to_all_masks_loop(fixtures):
             for mask in complexes:
                 want[mask] = pmf_complex(amb, probs, mask)
             assert np.array_equal(complex_product(amb, probs).vec, want)
+
+
+def test_hypergraph_product_is_bit_identical_to_fold(fixtures):
+    rng = np.random.default_rng(25)
+    for amb in list(fixtures.values()) + [triangulated_triangle(2), _cycle10()]:
+        m = amb.num_faces
+        for probs in (rng.random(m), _with_zeros_and_ones(rng, m)):
+            assert hypergraph_product(amb, probs).vec.tobytes() == o_hypergraph_pmf(probs).tobytes()
+
+
+# Every primitive, a power, a zeroth power, and compositions whose first
+# primitive's table is a reversed view (delta and Int are complement duals).
+UNARY_WORDS = [Prim(name) for name in PRIMITIVES] + [
+    Power(Prim("Ext"), 3), Power(Prim("Ext"), 0),
+    Compose(Prim("Ext"), Prim("delta")), Compose(Prim("Delta"), Prim("Int"))]
+
+
+def test_unary_push_is_bit_identical_to_identity_gather(fixtures):
+    # the push reads its first primitive's table whole; evaluating the word
+    # on the identity array instead gathers that table first
+    rng = np.random.default_rng(26)
+    for amb in list(fixtures.values()) + [_cycle6()]:
+        dist = random_exact(amb, rng)
+        ident = np.arange(dist.vec.size, dtype=np.uint32)
+        for word in UNARY_WORDS:
+            want = push_table(dist, eval_word_tables(word, amb, [ident]))
+            assert push_word(word, dist).vec.tobytes() == want.vec.tobytes(), word
+
+
+def _brute_marginals(dist):
+    masks = np.arange(dist.vec.size)
+    return np.array([math.fsum(dist.vec[(masks >> i) & 1 == 1].tolist())
+                     for i in range(dist.ambient.num_faces)])
+
+
+def test_marginals_match_per_face_sums(fixtures):
+    rng = np.random.default_rng(27)
+    ambients = list(fixtures.values()) + [AmbientComplex([(1,)]), _cycle10()]
+    for amb in ambients:
+        m = amb.num_faces
+        for dist in (hypergraph_product(amb, rng.random(m)), random_exact(amb, rng)):
+            got = marginals(dist)
+            assert got.shape == (m,)
+            assert np.abs(got - _brute_marginals(dist)).max() <= 1e-15
+
+
+def test_product_and_marginals_peak_memory():
+    # on 20 faces one float64 vector is 8 MiB: the product law allocates
+    # only its result, and marginals only short sums
+    amb = _cycle10()
+    probs = np.random.default_rng(28).random(amb.num_faces)
+    tracemalloc.start()
+    try:
+        dist = hypergraph_product(amb, probs)
+        product_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        marginals(dist)
+        marginals_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert product_peak <= 8.5 * 2**20
+    assert marginals_peak <= 2**20
 
 
 def test_each_primitive_table_built_once_per_evaluation(delta2, table_builds):

@@ -10,6 +10,7 @@ alone turns a raised error into that line.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -80,13 +81,14 @@ def _draw_masks(amb, probs, rng, samples: int, as_complex: bool) -> list[int]:
     return sample_hypergraph_masks(amb, probs, rng, samples)
 
 
-def cmd_gen(args, as_complex: bool) -> int:
+def cmd_gen(args) -> int:
     bad = _require_seed(args)
     if bad is not None:
         return bad
     amb = hio.read_complex(args.ambient)
     probs = resolve_probabilities(amb, hio.read_probability(args.prob))
-    masks = _draw_masks(amb, probs, rng_from(args.seed, args.stream), args.samples, as_complex)
+    masks = _draw_masks(amb, probs, rng_from(args.seed, args.stream), args.samples,
+                        args.command == "gen-complex")
     _emit("".join(hio.format_mask(amb, mask) + "\n" for mask in masks), args.out)
     return 0
 
@@ -257,13 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyperops", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for cmd, as_complex in (("gen-hyper", False), ("gen-complex", True)):
-        p = sub.add_parser(cmd, help=f"sample {'complexes' if as_complex else 'hypergraphs'} to a file")
+    for cmd, what in (("gen-hyper", "hypergraphs"), ("gen-complex", "complexes")):
+        p = sub.add_parser(cmd, help=f"sample {what} to a file")
         p.add_argument("--ambient", required=True, help="ambient .cx file")
         _add_sampling_flags(p)
         p.add_argument("--samples", type=_count, default=1)
         p.add_argument("--out", help="output file (default: stdout)")
-        p.set_defaults(fn=lambda a, c=as_complex: cmd_gen(a, c))
 
     p = sub.add_parser("push", help="push a model or a point mass through an expression")
     p.add_argument("--ambient", required=True)
@@ -272,13 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyper", help=".hg file for a point-mass start")
     p.add_argument("--samples", type=_count, default=0, help="Monte Carlo sample count (0: exact)")
     _add_sampling_flags(p)
-    p.set_defaults(fn=cmd_push)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="|".join(sorted(SUITES)) + "|all")
     p.add_argument("--ambient", help="run on this .cx instead of the standard fixtures")
     p.add_argument("--seed", type=int, default=None, help="seed for the sampled checks (default 2026)")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sparse", help="run a truncated generator")
     p.add_argument("--algorithm", type=int, choices=(1, 2), required=True)
@@ -287,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(p)
     p.add_argument("--samples", type=_count, default=1)
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(fn=cmd_sparse)
 
     p = sub.add_parser("stats", help="dimension statistics over a sweep of n")
     p.add_argument("--model", choices=("clique", "closure"), default="clique")
@@ -298,22 +296,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(p)
     p.add_argument("--samples", type=_count, default=1000, help="graphs per n (at least 1)")
     p.add_argument("--out", help="CSV output file (default: stdout)")
-    p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("figure1", help="write the 28-vertex triangulated triangle and its three example sub-hypergraphs")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=cmd_figure1)
 
     p = sub.add_parser("powers", help="minimal vanishing/filling powers of a hypergraph file")
     p.add_argument("--file", required=True, help=".hg file")
     p.add_argument("--ambient", default="figure1.cx")
-    p.set_defaults(fn=cmd_powers)
 
     p = sub.add_parser("normalize", help="rewrite an expression with the composition relations")
     p.add_argument("--expr", required=True)
-    p.set_defaults(fn=cmd_normalize)
 
     return parser
+
+
+# Subcommand -> the name of its function, looked up when it runs, so a
+# rebinding of cli.cmd_* (a wrapper, a test double) is what the cached
+# parser dispatches to.
+COMMANDS = {
+    "gen-hyper": "cmd_gen",
+    "gen-complex": "cmd_gen",
+    "push": "cmd_push",
+    "verify": "cmd_verify",
+    "sparse": "cmd_sparse",
+    "stats": "cmd_stats",
+    "figure1": "cmd_figure1",
+    "powers": "cmd_powers",
+    "normalize": "cmd_normalize",
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one tree per process, built by the first main call rather than at import
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -321,10 +337,9 @@ def main(argv=None) -> int:
     one `error:` line: bad values and files (ValueError, which covers
     ParseError, WordError and FileFormatError), unreadable or unwritable
     paths (OSError) and words nested too deep to evaluate (RecursionError)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[COMMANDS[args.command]](args)
     except BrokenPipeError:
         # downstream closed stdout (e.g. piped into head); point the fd at
         # devnull so the interpreter's exit flush cannot raise again.  First,

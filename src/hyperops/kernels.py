@@ -1,7 +1,7 @@
 """Hot kernels of the statistics run and of the verification suites, in numpy.
 
 Graphs travel in blocks: a (graphs, n, ceil(n/64)) uint64 array of
-adjacency rows, drawn from one rng.random call.  The clique census counts
+adjacency rows, drawn from one call for raw words.  The clique census counts
 cliques over a whole block level by level: the k-cliques of every graph
 are rows (graph, common neighbours above the last vertex), the popcount of
 a row counts the (k+1)-cliques extending it, and the next level unpacks
@@ -16,9 +16,11 @@ rebuilds what the table must be, and one comparison checks every pair.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .models import check_probabilities
+from .models import _bernoulli_hits, _raw_words, check_probabilities
 from .operators import doubling
 
 
@@ -30,32 +32,51 @@ def active_backend() -> str:
 # ----- graph sampling -------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _pair_slots(n: int) -> tuple[np.ndarray, ...]:
+    # For the pairs i < j in np.triu_indices order, counted in words from
+    # the graph's first row: the word of row i that holds bit j, that bit,
+    # the word of row j that holds bit i, and that bit; read-only, since
+    # callers share them.  One n is kept: a sweep draws every block of one
+    # n before the next.
+    nwords = (n + 63) >> 6
+    rows, cols = np.triu_indices(n, 1)
+    one = np.uint64(1)
+    slots = (rows * nwords + (cols >> 6), one << (cols & 63).astype(np.uint64),
+             cols * nwords + (rows >> 6), one << (rows & 63).astype(np.uint64))
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
+
+
 def sample_graph_block(n: int, p: float, rng: np.random.Generator, graphs: int) -> np.ndarray:
     """`graphs` Erdos-Renyi draws as uint64 adjacency bitset rows, shape
     (graphs, n, ceil(n/64)).
 
-    One rng.random call supplies every uniform; graph g reads the g-th
-    slice of n(n-1)/2 of them in row-major pair order (0,1), (0,2), ...,
-    the order of np.triu_indices.  A Philox stream yields the same doubles
-    in one call as in `graphs` calls, so a fixed (seed, stream) pins each
-    graph however the draws are grouped into blocks.  Bit j of row i sits at bit j & 63 of word j >> 6:
-    packing the bool adjacency little-endian per row and reading it as
-    little-endian uint64 gives exactly that layout.
+    One coin per pair, one raw word each (models._bernoulli_hits: the hits
+    and the stream of rng.random(graphs * n(n-1)/2) < p); graph g reads the
+    g-th slice of n(n-1)/2 of them in row-major pair order (0,1), (0,2),
+    ..., the order of np.triu_indices.  A Philox stream yields the same
+    words in one call as in `graphs` calls, so a fixed (seed, stream) pins
+    each graph however the draws are grouped into blocks.  Bit j of row i
+    sits at bit j & 63 of word j >> 6; each hit adds its two bits into the
+    rows, and the bits added to one word are distinct, so adding them ORs
+    them.  The bit generator must make a double from one raw word (every
+    numpy one but MT19937).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    check_probabilities(p)
+    q = float(check_probabilities(p))
     nwords = (n + 63) >> 6
     pairs = n * (n - 1) // 2
-    hit = np.flatnonzero(rng.random(graphs * pairs) < p)
+    hit = _bernoulli_hits(_raw_words(rng), graphs * pairs, q)
     g, pair = np.divmod(hit, max(pairs, 1))
-    rows, cols = np.triu_indices(n, 1)
-    rows, cols = rows[pair], cols[pair]
-    adj = np.zeros((graphs, n, 64 * nwords), dtype=bool)
-    adj[g, rows, cols] = True
-    adj[g, cols, rows] = True
-    packed = np.packbits(adj, axis=2, bitorder="little")
-    return packed.view("<u8").astype(np.uint64, copy=False)
+    first = g * (n * nwords)
+    lo, lo_bit, hi, hi_bit = _pair_slots(n)
+    words = np.zeros(graphs * n * nwords, dtype=np.uint64)
+    np.add.at(words, first + lo[pair], lo_bit[pair])
+    np.add.at(words, first + hi[pair], hi_bit[pair])
+    return words.reshape(graphs, n, nwords)
 
 
 def sample_graph_words(n: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -196,6 +197,33 @@ def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
 
 # Uniforms per block of a whole-run draw (256 KiB of doubles).
 _BLOCK_UNIFORMS = 1 << 15
+
+
+def _raw_words(rng) -> np.random.BitGenerator:
+    # These bit generators make each double (w >> 11) * 2^-53 of one raw
+    # word w; MT19937 builds it from two 32-bit draws instead.  (Named here,
+    # not at import: numpy.random loads lazily.)
+    bitgen = rng.bit_generator
+    one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+    if not isinstance(bitgen, one_word):
+        raise ValueError(
+            f"raw-word sampling needs a bit generator whose doubles come from one "
+            f"64-bit word (Philox, PCG64, PCG64DXSM or SFC64), not {type(bitgen).__name__}"
+        )
+    return bitgen
+
+
+def _bernoulli_hits(bitgen: np.random.BitGenerator, count: int, q: float) -> np.ndarray:
+    """Indices of the hits among `count` coins of probability q, one raw
+    word each.  rng.random() would return u = (w >> 11) * 2^-53 for the raw
+    word w, and u < q holds exactly when w < ceil(q * 2^53) * 2^11, so the
+    words are compared with that integer cut: the same hits, and the same
+    stream, as rng.random(count) < q."""
+    words = bitgen.random_raw(count)
+    cut = math.ceil(q * 2.0**53) << 11
+    if not cut:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(words <= np.uint64(cut - 1))
 
 
 def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n: int) -> list[int]:

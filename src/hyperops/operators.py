@@ -230,13 +230,15 @@ def complement_table(amb: AmbientComplex) -> np.ndarray:
 
 def doubling(first, atoms, op) -> np.ndarray:
     """Entry X is op over first and atoms[b] for the set bits b of X, in
-    first's dtype: pass b fills the masks with top bit b from those below."""
-    out = np.empty(1 << len(atoms), dtype=np.asarray(first).dtype)
-    out[0] = first
-    atoms = np.asarray(atoms, dtype=out.dtype)
-    for b in range(len(atoms)):
+    first's dtype: pass b fills the masks with top bit b from those below.
+    Atoms of shape (..., n) give one doubling per row."""
+    atoms = np.asarray(atoms, dtype=np.asarray(first).dtype)
+    n = atoms.shape[-1]
+    out = np.empty(atoms.shape[:-1] + (1 << n,), dtype=atoms.dtype)
+    out[..., 0] = first
+    for b in range(n):
         half = 1 << b
-        op(out[:half], atoms[b], out=out[half : 2 * half])
+        op(out[..., :half], atoms[..., b, None], out=out[..., half : 2 * half])
     return out
 
 

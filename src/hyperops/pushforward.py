@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
-from .models import resolve_probabilities, staged_draw
+from .models import check_probabilities, resolve_probabilities, staged_draw
 from .operators import (
     TableSet,
     complex_indicator,
@@ -77,8 +77,17 @@ def uniform_distribution(amb: AmbientComplex) -> Distribution:
 
 
 def random_exact(amb: AmbientComplex, rng: np.random.Generator) -> Distribution:
-    vec = rng.random(lattice_size(amb))
-    return Distribution(amb, vec / vec.sum())
+    """A law drawn uniformly per mask and normalized.  Its core,
+    _random_laws, takes a leading shape of laws: one rng.random call fills
+    every row, so k stacked laws are the bytes and the stream of k calls."""
+    return Distribution(amb, _random_laws(amb, rng))
+
+
+def _random_laws(amb: AmbientComplex, rng: np.random.Generator, *laws: int) -> np.ndarray:
+    # shape (*laws, 2^m); each row divided by its own sum
+    vec = rng.random((*laws, lattice_size(amb)))
+    vec /= vec.sum(axis=-1, keepdims=True)
+    return vec
 
 
 def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
@@ -86,15 +95,23 @@ def hypergraph_product(amb: AmbientComplex, p) -> Distribution:
 
     Bit i of the mask index is face i, so the filled prefix doubles once
     per face, in one buffer: pass i writes the masks with top bit i as the
-    masks below times q, then multiplies those below by 1 - q.
+    masks below times q, then multiplies those below by 1 - q.  The core,
+    _product, takes probabilities of shape (..., m) and builds one law per
+    row, each the bytes of its own call.
     """
-    vec = np.empty(lattice_size(amb))
-    vec[0] = 1.0
-    for i, q in enumerate(resolve_probabilities(amb, p)):
+    lattice_size(amb)  # the size check comes before any check of p
+    return Distribution(amb, _product(amb, resolve_probabilities(amb, p)))
+
+
+def _product(amb: AmbientComplex, probs: np.ndarray) -> np.ndarray:
+    vec = np.empty(probs.shape[:-1] + (lattice_size(amb),))
+    vec[..., 0] = 1.0
+    for i in range(probs.shape[-1]):
         half = 1 << i
-        np.multiply(vec[:half], q, out=vec[half : 2 * half])
-        vec[:half] *= 1.0 - q
-    return Distribution(amb, vec)
+        q = probs[..., i, None]
+        np.multiply(vec[..., :half], q, out=vec[..., half : 2 * half])
+        vec[..., :half] *= 1.0 - q
+    return vec
 
 
 def complex_product(amb: AmbientComplex, p) -> Distribution:
@@ -107,22 +124,24 @@ def complex_product(amb: AmbientComplex, p) -> Distribution:
     the multiplies pmf_complex makes in its order, so each entry is
     bit-identical to it.  Every other mask is 0.
     """
-    return _staged_product(amb, resolve_probabilities(amb, p), complex_indicator(amb))
+    probs = resolve_probabilities(amb, p)
+    return Distribution(amb, _staged_product(amb, probs, complex_indicator(amb)))
 
 
-def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarray) -> Distribution:
-    # complex_product from the bool subcomplex indicator, so a caller that
-    # holds the closure table need not build it again.  Entry X of the
-    # doubling is 1.0 times p_i over the set bits i of X, i increasing.
+def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarray) -> np.ndarray:
+    # complex_product's vector from the bool subcomplex indicator, so a
+    # caller that holds the closure table need not build it again; one law
+    # per row of probs (shape (..., m)).  Entry X of the doubling is 1.0
+    # times p_i over the set bits i of X, i increasing.
     idx = np.flatnonzero(indicator)
-    vals = doubling(1.0, probs, np.multiply)[idx]
+    vals = doubling(1.0, probs, np.multiply)[..., idx]
     for i, bound in enumerate(amb.boundary_masks):
         # external to X: face i is not in X and its boundary is
         external = (idx & (bound | (1 << i))) == bound
-        np.multiply(vals, 1.0 - probs[i], out=vals, where=external)
-    vec = np.zeros(indicator.size)
-    vec[idx] = vals
-    return Distribution(amb, vec)
+        np.multiply(vals, 1.0 - probs[..., i, None], out=vals, where=external)
+    vec = np.zeros(probs.shape[:-1] + (indicator.size,))
+    vec[..., idx] = vals
+    return vec
 
 
 def empirical_distribution(amb: AmbientComplex, masks: np.ndarray) -> Distribution:
@@ -135,7 +154,17 @@ def empirical_distribution(amb: AmbientComplex, masks: np.ndarray) -> Distributi
 def total_variation(a: Distribution, b: Distribution) -> float:
     if a.ambient is not b.ambient:
         raise ValueError("distributions live on different ambients")
-    return float(np.abs(a.vec - b.vec).sum() / 2.0)
+    return float(_tv(a.vec, b.vec))
+
+
+def _tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # total variation between the laws of a and b, row by row
+    return _half_l1(a - b)
+
+
+def _half_l1(diff: np.ndarray) -> np.ndarray:
+    # half the L1 norm of each row of a difference of laws, which it overwrites
+    return np.abs(diff, out=diff).sum(axis=-1) / 2.0
 
 
 # ----- pushforwards ------------------------------------------------------------
@@ -209,10 +238,14 @@ def _convolve(a: Distribution, b: Distribution, upward: bool) -> Distribution:
     if a.ambient is not b.ambient:
         raise ValueError("distributions live on different ambients")
     za = a.vec.copy()
-    zb = b.vec.copy()
     _sum_transform(za, upward, np.add)
-    _sum_transform(zb, upward, np.add)
-    za *= zb
+    if b is a:
+        # a self-coupling: both transforms are the same vector
+        za *= za
+    else:
+        zb = b.vec.copy()
+        _sum_transform(zb, upward, np.add)
+        za *= zb
     _sum_transform(za, upward, np.subtract)
     return Distribution(a.ambient, za)
 
@@ -228,43 +261,57 @@ def push_intersection(a: Distribution, b: Distribution) -> Distribution:
 # ----- closed-form transforms ---------------------------------------------------
 
 
+def _rows(amb: AmbientComplex, p) -> np.ndarray:
+    # p as checked probabilities on the last axis: an assignment or a
+    # vector is one law, a float array of shape (laws, m) one law per row
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        if p.shape[1] != amb.num_faces:
+            raise ValueError(f"expected {amb.num_faces} probabilities per row, got {p.shape}")
+        return check_probabilities(p)
+    return resolve_probabilities(amb, p)
+
+
+# Each transform maps p to the per-face probabilities of the image law.  p
+# may be a (laws, m) array, and then each row is transformed on its own.
+
+
 def complement_transform(amb: AmbientComplex, p) -> np.ndarray:
-    return 1.0 - resolve_probabilities(amb, p)
+    return 1.0 - _rows(amb, p)
 
 
 def closure_transform(amb: AmbientComplex, p) -> np.ndarray:
     """Per-face inclusion probabilities of the closure of a product draw."""
-    probs = resolve_probabilities(amb, p)
+    probs = _rows(amb, p)
     out = np.empty_like(probs)
     for i in range(amb.num_faces):
         miss = 1.0
         for j in iter_bits(amb.sup_masks[i]):
-            miss *= 1.0 - probs[j]
-        out[i] = 1.0 - miss
+            miss *= 1.0 - probs[..., j]
+        out[..., i] = 1.0 - miss
     return out
 
 
 def interior_transform(amb: AmbientComplex, p) -> np.ndarray:
     """Per-face inclusion probabilities of the interior-complex of a product draw."""
-    probs = resolve_probabilities(amb, p)
+    probs = _rows(amb, p)
     out = np.empty_like(probs)
     for i in range(amb.num_faces):
         keep = 1.0
         for j in iter_bits(amb.sub_masks[i]):
-            keep *= probs[j]
-        out[i] = keep
+            keep *= probs[..., j]
+        out[..., i] = keep
     return out
 
 
 def union_transform(amb: AmbientComplex, p1, p2) -> np.ndarray:
-    a = resolve_probabilities(amb, p1)
-    b = resolve_probabilities(amb, p2)
+    a = _rows(amb, p1)
+    b = _rows(amb, p2)
     return 1.0 - (1.0 - a) * (1.0 - b)
 
 
 def intersection_transform(amb: AmbientComplex, p1, p2) -> np.ndarray:
-    a = resolve_probabilities(amb, p1)
-    b = resolve_probabilities(amb, p2)
+    a = _rows(amb, p1)
+    b = _rows(amb, p2)
     return a * b
 
 
@@ -300,10 +347,15 @@ def closed_form_family(name: str, amb: AmbientComplex, p, tables: TableSet | Non
     Delta or delta, on the fixed points of tables["Delta"].  The staged two
     match the image's marginals, its joint law only in degenerate cases."""
     tables = TableSet.of(amb, tables)
+    return Distribution(amb, _family(name, amb, resolve_probabilities(amb, p), tables))
+
+
+def _family(name: str, amb: AmbientComplex, probs: np.ndarray, tables: TableSet) -> np.ndarray:
+    # closed_form_family's vector, one law per row of probs
     if name == "gamma":
-        return hypergraph_product(amb, complement_transform(amb, p))
+        return _product(amb, complement_transform(amb, probs))
     transform = {"Delta": closure_transform, "delta": interior_transform}[name]
-    return _staged_product(amb, transform(amb, p), fixed_points(tables["Delta"]))
+    return _staged_product(amb, transform(amb, probs), fixed_points(tables["Delta"]))
 
 
 def verify_transforms(amb: AmbientComplex, p, tables: TableSet | None = None) -> dict[str, float]:
@@ -316,20 +368,32 @@ def verify_transforms(amb: AmbientComplex, p, tables: TableSet | None = None) ->
     not a staged law in general, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
     the product law at intersection_transform / union_transform.  The
-    tables come from `tables`, made here when None.
+    tables come from `tables`, made here when None.  This is row 0 of
+    _transform_tvs.
     """
     tables = TableSet.of(amb, tables)
-    vec = resolve_probabilities(amb, p)
-    base = hypergraph_product(amb, vec)
+    tvs = _transform_tvs(amb, resolve_probabilities(amb, p)[None], tables)
+    return {op: float(tv[0]) for op, tv in tvs.items()}
+
+
+def _transform_tvs(amb: AmbientComplex, probs: np.ndarray, tables: TableSet) -> dict[str, np.ndarray]:
+    # verify_transforms for each row of probs (shape (laws, m)): the
+    # product laws, the pushes of one operation and their closed-form
+    # families are rows of one array each, while every push is its own
+    # call on one law.
+    laws = [Distribution(amb, row) for row in _product(amb, probs)]
+
+    def tv(pushes, family):
+        return _tv(np.stack([d.vec for d in pushes]), family)
+
     out = {
-        row: total_variation(push_table(base, tables[name]),
-                             closed_form_family(name, amb, vec, tables))
-        for row, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
+        op: tv([push_table(law, tables[name]) for law in laws], _family(name, amb, probs, tables))
+        for op, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
     }
-    out["intersection"] = total_variation(push_intersection(base, base),
-                                          hypergraph_product(amb, intersection_transform(amb, vec, vec)))
-    out["union"] = total_variation(push_union(base, base),
-                                   hypergraph_product(amb, union_transform(amb, vec, vec)))
+    out["intersection"] = tv([push_intersection(law, law) for law in laws],
+                             _product(amb, intersection_transform(amb, probs, probs)))
+    out["union"] = tv([push_union(law, law) for law in laws],
+                      _product(amb, union_transform(amb, probs, probs)))
     return out
 
 
@@ -376,23 +440,21 @@ def push_interior_power(dist: Distribution, k: int) -> Distribution:
 def extension_limit(dist: Distribution) -> Distribution:
     """Saturation value of the extension chain: mass f(empty) stays at the
     empty hypergraph, everything else ends at the whole complex."""
-    amb = dist.ambient
-    p_empty = dist.prob(0)
-    vec = np.zeros_like(dist.vec)
-    vec[0] = p_empty
-    vec[amb.full_mask] = 1.0 - p_empty
-    return Distribution(amb, vec)
+    return Distribution(dist.ambient, _saturation(dist.vec, 0, dist.ambient.full_mask))
 
 
 def interior_limit(dist: Distribution) -> Distribution:
     """Saturation value of the interior chain: mass f(L) stays at the whole
     complex, everything else ends empty."""
-    amb = dist.ambient
-    p_full = dist.prob(amb.full_mask)
-    vec = np.zeros_like(dist.vec)
-    vec[amb.full_mask] = p_full
-    vec[0] = 1.0 - p_full
-    return Distribution(amb, vec)
+    return Distribution(dist.ambient, _saturation(dist.vec, dist.ambient.full_mask, 0))
+
+
+def _saturation(vec: np.ndarray, stay: int, end: int) -> np.ndarray:
+    # each row keeps its mass at mask `stay`; the rest of it ends at `end`
+    out = np.zeros_like(vec)
+    out[..., stay] = vec[..., stay]
+    out[..., end] = 1.0 - vec[..., stay]
+    return out
 
 
 def vertex_supported(amb: AmbientComplex) -> np.ndarray:

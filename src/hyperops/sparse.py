@@ -31,7 +31,7 @@ import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import _BLOCK_UNIFORMS, check_probabilities, rng_from
+from .models import _BLOCK_UNIFORMS, _bernoulli_hits, _raw_words, check_probabilities, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -236,43 +236,24 @@ def _binomial_tables(n, r) -> dict[int, np.ndarray]:
     return binom
 
 
-def _raw_words(rng) -> np.random.BitGenerator:
-    # These bit generators make each double (w >> 11) * 2^-53 of one raw
-    # word w; MT19937 builds it from two 32-bit draws instead.  (Named here,
-    # not at import: numpy.random loads lazily.)
-    bitgen = rng.bit_generator
-    one_word = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
-    if not isinstance(bitgen, one_word):
-        raise ValueError(
-            f"the sparse generators need a bit generator whose doubles come from one "
-            f"64-bit word (Philox, PCG64, PCG64DXSM or SFC64), not {type(bitgen).__name__}"
-        )
-    return bitgen
-
-
 def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
     # One draw per candidate face, in lexicographic order per dimension; the
-    # count depends only on (n, r), never on the outcomes.  rng.random()
-    # would return u = (w >> 11) * 2^-53 for the raw word w, and u < q holds
-    # exactly when w < ceil(q * 2^53) * 2^11, so the raw words are compared
-    # with that integer cut: the same hits, the same stream.  Only the hits
-    # become faces: a hit's lexicographic rank is unranked through the
-    # combinatorial number system.  With x = C(n, k) - 1 - rank, for
-    # j = k..1 the largest c with C(c, j) <= x gives the next vertex n - c,
-    # and x drops by C(c, j).  Returns one int64 (hits, d + 1) vertex array
-    # per dimension d, rows in lex order.
+    # count depends only on (n, r), never on the outcomes.  The raw words
+    # are cut as _bernoulli_hits does: the same hits, the same stream.
+    # Only the hits become faces: a hit's lexicographic rank is unranked
+    # through the combinatorial number system.  With x = C(n, k) - 1 - rank,
+    # for j = k..1 the largest c with C(c, j) <= x gives the next vertex
+    # n - c, and x drops by C(c, j).  Returns one int64 (hits, d + 1)
+    # vertex array per dimension d, rows in lex order.
     bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
     layers = []
     for d in range(r + 1):
-        cut = math.ceil(base[d] * 2.0**53) << 11
         k = d + 1
         total = math.comb(n, k)
         ranks = [np.empty(0, dtype=np.int64)]
         for start in range(0, total, _BLOCK_UNIFORMS):
-            words = bitgen.random_raw(min(total - start, _BLOCK_UNIFORMS))
-            if cut:
-                ranks.append(np.flatnonzero(words <= np.uint64(cut - 1)) + start)
+            ranks.append(_bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), base[d]) + start)
         x = total - 1 - np.concatenate(ranks)
         verts = np.empty((x.size, k), dtype=np.int64)
         for pos, j in enumerate(range(k, 0, -1)):

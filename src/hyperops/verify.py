@@ -13,6 +13,13 @@ closure/interior cases fail at non-degenerate probabilities: only the
 per-face marginals of those two pushforwards match the derived vectors,
 not the joint laws.
 
+theorem1 and theorem2 hold their laws as rows of one array: the 20 random
+laws of each theorem1 check, drawn in one call (the bytes and the stream
+of 20 random_exact calls), and the four settings of theorem2 with their
+product laws and closed-form families.  Limits, masses and TVs are taken
+over the rows.  Every push is still one push_table, push_union or
+push_intersection call on one law.
+
 Suites read their tables from a TableSet owned by the run: iter_standard
 makes one per fixture and `verify --ambient` one per run, so each table is
 built at most once per ambient; a suite called without a set makes its own,
@@ -29,18 +36,18 @@ import numpy as np
 from .complexes import AmbientComplex, Hypergraph, standard_fixtures
 from .kernels import pair_laws
 from .metric import diameter, minimal_powers
-from .models import ProbabilityAssignment, rng_from
+from .models import ProbabilityAssignment, resolve_probabilities, rng_from
 from .operators import TableSet, fixed_points
 from .pushforward import (
+    Distribution,
+    _random_laws,
+    _saturation,
+    _half_l1,
+    _transform_tvs,
     contained,
     containment_cases,
-    extension_limit,
-    interior_limit,
     push_table,
-    random_exact,
     recovery_cases,
-    total_variation,
-    verify_transforms,
     vertex_supported,
 )
 from .words import REWRITE_RULES, eval_word_tables, word_from_names
@@ -139,20 +146,21 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
         if good != cases:
             failures.append(f"{label}: {cases - good} of {cases} cases fail")
 
-    # saturation at the diameter, 20 random exact distributions each way,
-    # pushed d times through the set's tables
-    ext_good = int_good = 0
-    for _ in range(20):
-        f = random_exact(amb, rng)
-        ext = intr = f
-        for _ in range(d):
-            ext, intr = push_table(ext, et), push_table(intr, it)
-        if total_variation(ext, extension_limit(f)) < EXACT_TOL:
-            ext_good += 1
-        if total_variation(intr, interior_limit(f)) < EXACT_TOL:
-            int_good += 1
-    record("extension chain saturates at the diameter", ext_good, 20)
-    record("interior chain empties at the diameter", int_good, 20)
+    def saturated(laws: np.ndarray, table: np.ndarray, stay: int, end: int) -> int:
+        # laws whose chain of d pushes ends at its limit; each row's end law
+        # is subtracted in place from that row of the limits
+        gaps = _saturation(laws, stay, end)
+        for row, vec in enumerate(laws):
+            law = Distribution(amb, vec)
+            for _ in range(d):
+                law = push_table(law, table)
+            np.subtract(law.vec, gaps[row], out=gaps[row])
+        return int(np.count_nonzero(_half_l1(gaps) < EXACT_TOL))
+
+    # saturation at the diameter: 20 random exact laws, rows of one array
+    laws = _random_laws(amb, rng, 20)
+    record("extension chain saturates at the diameter", saturated(laws, et, 0, amb.full_mask), 20)
+    record("interior chain empties at the diameter", saturated(laws, it, amb.full_mask, 0), 20)
 
     # power sandwich: Ext^(k-1)(gH) <= g Int^k(H) <= Ext^(k+1)(gH), k <= diam+1
     sandwich = np.logical_and.reduce([containment_cases(tables, k)[0] for k in range(1, d + 2)])
@@ -180,15 +188,13 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     record("closure recovered on vertex-supported masks",
            int(recovered_mask[vcond].sum()), int(vcond.sum()))
 
-    # recovery inequality for 20 random exact distributions
-    good = 0
-    for _ in range(20):
-        f = random_exact(amb, rng)
-        prob = float(f.vec[recovered_mask].sum())
-        bound = float(f.vec[vcond].sum())
-        if prob >= bound - EXACT_TOL:
-            good += 1
-    record("recovery probability dominates vertex-support mass", good, 20)
+    # recovery inequality for 20 more random exact laws; compress keeps the
+    # rows contiguous, so each row sums as its own vector would
+    laws = _random_laws(amb, rng, 20)
+    prob = laws.compress(recovered_mask, axis=1).sum(axis=1)
+    bound = laws.compress(vcond, axis=1).sum(axis=1)
+    record("recovery probability dominates vertex-support mass",
+           int(np.count_nonzero(prob >= bound - EXACT_TOL)), 20)
 
     return SuiteResult("theorem1", passed, total, failures)
 
@@ -216,17 +222,19 @@ def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None
         ("p=1", ProbabilityAssignment.constant(1.0)),
         ("asymmetric", _asymmetric_assignment(amb)),
     ]
+    # one row of probabilities per setting
+    tvs = _transform_tvs(amb, np.stack([resolve_probabilities(amb, pa) for _, pa in settings]), tables)
     passed = 0
     total = 0
     failures = []
-    for label, pa in settings:
-        tvs = verify_transforms(amb, pa, tables=tables)
+    for row, (label, _) in enumerate(settings):
         for op in ("complement", "closure", "interior", "intersection", "union"):
+            tv = float(tvs[op][row])
             total += 1
-            if tvs[op] < EXACT_TOL:
+            if tv < EXACT_TOL:
                 passed += 1
             else:
-                failures.append(f"{op} at {label}: TV = {tvs[op]:.6g}")
+                failures.append(f"{op} at {label}: TV = {tv:.6g}")
     return SuiteResult("theorem2", passed, total, failures)
 
 

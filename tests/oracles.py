@@ -7,12 +7,13 @@ like the definitions.  Two oracles use numpy: o_push_pairwise sums over
 every pair of masks, the O(4^m) definition of a binary pushforward, and
 o_hypergraph_pmf multiplies out each mask's product-law mass face by face.
 
-The last two sections keep the former loops of the mask and sampling
-layer (per pair, per candidate and per face, one uniform at a time) and of
-the exact layer (the staged subcomplex enumeration and the pair sweep of
-the distribution laws).  The package computes the same outputs without
-them, and the differential tests require exact equality, consumed uniforms
-included.
+The last three sections keep the former loops of the mask and sampling
+layer (per pair, per candidate and per face, one uniform at a time, and
+the double-per-pair graph sampler), of the exact layer (the staged
+subcomplex enumeration and the pair sweep of the distribution laws) and of
+the Theorem 1 and 2 suites (one law at a time).  The package computes the
+same outputs without them, and the differential tests require exact
+equality, consumed uniforms included.
 """
 
 from itertools import chain, combinations, compress, islice
@@ -254,6 +255,22 @@ def o_sample_graph_words(n, p, rng):
                 words[j, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
             idx += 1
     return words
+
+
+def o_sample_graph_block(n, p, rng, graphs):
+    """The former whole-block sampler: one rng.random double per pair,
+    scattered into a (graphs, n, 64 * nwords) bool array and packed."""
+    nwords = (n + 63) >> 6
+    pairs = n * (n - 1) // 2
+    hit = np.flatnonzero(rng.random(graphs * pairs) < p)
+    g, pair = np.divmod(hit, max(pairs, 1))
+    rows, cols = np.triu_indices(n, 1)
+    rows, cols = rows[pair], cols[pair]
+    adj = np.zeros((graphs, n, 64 * nwords), dtype=bool)
+    adj[g, rows, cols] = True
+    adj[g, cols, rows] = True
+    packed = np.packbits(adj, axis=2, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def o_clique_stats(words, count_size, exist_size):
@@ -566,3 +583,111 @@ def o_containment_probabilities(dist, k):
         "lower_bound": float(bound),
         "inequality_holds": recovered >= bound - 1e-12,
     }
+
+
+# ----- per-law loops of the Theorem 1 and 2 suites --------------------------------
+
+
+def o_verify_transforms(amb, p, tables):
+    """verify_transforms for one assignment, one law at a time: each
+    closed-form family built on its own and each TV taken on its own."""
+    from hyperops.models import resolve_probabilities
+    from hyperops.pushforward import (closed_form_family, hypergraph_product, intersection_transform,
+                                      push_intersection, push_table, push_union, total_variation,
+                                      union_transform)
+
+    vec = resolve_probabilities(amb, p)
+    base = hypergraph_product(amb, vec)
+    out = {
+        row: total_variation(push_table(base, tables[name]), closed_form_family(name, amb, vec, tables))
+        for row, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
+    }
+    out["intersection"] = total_variation(push_intersection(base, base),
+                                          hypergraph_product(amb, intersection_transform(amb, vec, vec)))
+    out["union"] = total_variation(push_union(base, base),
+                                   hypergraph_product(amb, union_transform(amb, vec, vec)))
+    return out
+
+
+def o_suite_theorem1(amb, rng, tables):
+    """suite_theorem1 with one random_exact call, one chain and one TV per
+    law, and each recovery mass summed on its own vector."""
+    from hyperops.metric import diameter
+    from hyperops.operators import fixed_points
+    from hyperops.pushforward import (containment_cases, contained, extension_limit, interior_limit,
+                                      push_table, random_exact, recovery_cases, total_variation,
+                                      vertex_supported)
+
+    tol = 1e-12
+    d = diameter(amb)
+    size = tables["id"].size
+    et, it, ct, dt = tables["Ext"], tables["Int"], tables["Delta"], tables["delta"]
+    nt, nit = tables["Nbd"], tables["NbdInv"]
+    passed = total = 0
+    failures = []
+
+    def record(label, good, cases):
+        nonlocal passed, total
+        passed += good
+        total += cases
+        if good != cases:
+            failures.append(f"{label}: {cases - good} of {cases} cases fail")
+
+    ext_good = int_good = 0
+    for _ in range(20):
+        f = random_exact(amb, rng)
+        ext = intr = f
+        for _ in range(d):
+            ext, intr = push_table(ext, et), push_table(intr, it)
+        ext_good += total_variation(ext, extension_limit(f)) < tol
+        int_good += total_variation(intr, interior_limit(f)) < tol
+    record("extension chain saturates at the diameter", ext_good, 20)
+    record("interior chain empties at the diameter", int_good, 20)
+
+    sandwich = np.logical_and.reduce([containment_cases(tables, k)[0] for k in range(1, d + 2)])
+    record("power sandwich between extension chains", int(sandwich.sum()), size)
+    vcond = vertex_supported(amb)
+    record("neighborhood of co-neighborhood inside the simplicial part", int(contained(nt[nit], dt).sum()), size)
+    record("closure inside co-neighborhood of neighborhood", int(contained(ct, nit[nt]).sum()), size)
+    record("extension inside neighborhood, equal on vertex-supported masks",
+           int((contained(et, nt) & (~vcond | (et == nt))).sum()), size)
+    ext_int_inside = containment_cases(tables, 1)[1]
+    record("extension of interior inside the simplicial part (all masks)", int(ext_int_inside.sum()), size)
+    is_complex = fixed_points(ct)
+    record("extension of interior inside the simplicial part (complexes)",
+           int(ext_int_inside[is_complex].sum()), int(is_complex.sum()))
+    recovered_mask = recovery_cases(tables)
+    record("closure recovered on vertex-supported masks", int(recovered_mask[vcond].sum()), int(vcond.sum()))
+
+    good = 0
+    for _ in range(20):
+        f = random_exact(amb, rng)
+        good += float(f.vec[recovered_mask].sum()) >= float(f.vec[vcond].sum()) - tol
+    record("recovery probability dominates vertex-support mass", good, 20)
+    return passed, total, failures
+
+
+def o_theorem2_settings(amb):
+    """The four (label, assignment) settings of suite_theorem2."""
+    from hyperops.models import ProbabilityAssignment
+
+    values = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
+    asymmetric = ProbabilityAssignment.from_entries(
+        [(amb.face_vertices(i), values[i % len(values)]) for i in range(amb.num_faces)])
+    return [("p=0", ProbabilityAssignment.constant(0.0)), ("p=0.5", ProbabilityAssignment.constant(0.5)),
+            ("p=1", ProbabilityAssignment.constant(1.0)), ("asymmetric", asymmetric)]
+
+
+def o_suite_theorem2(amb, rng, tables):
+    """suite_theorem2 as one o_verify_transforms call per setting."""
+    passed = total = 0
+    failures = []
+    for label, pa in o_theorem2_settings(amb):
+        tvs = o_verify_transforms(amb, pa, tables)
+        for op in ("complement", "closure", "interior", "intersection", "union"):
+            total += 1
+            if tvs[op] < 1e-12:
+                passed += 1
+            else:
+                failures.append(f"{op} at {label}: TV = {tvs[op]:.6g}")
+    return passed, total, failures

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hyperops import cli
 from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, Hypergraph, standard_fixtures
 from hyperops.io import (
@@ -736,3 +737,53 @@ def test_cli_byte_identical_across_processes(tmp_path, triangle_cx, half_prob):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") == 6
+
+
+# ----- one parser per process ----------------------------------------------------
+
+
+def _exit_and_out(capsys, argv):
+    # (exit code, stdout, stderr) of one main call; argparse exits 2 itself
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_calls_on_one_parser_match_calls_made_alone(capsys):
+    calls = [["verify", "--suite", "laws", "--seed", "5"], ["verify", "--suite", "laws"],
+             ["verify", "--bogus"], ["normalize", "--expr", "Ext^2"]]
+    in_sequence = [_exit_and_out(capsys, argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()  # a fresh parser, as in a new process
+        alone.append(_exit_and_out(capsys, argv))
+    assert in_sequence == alone
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0]
+
+
+def test_cli_dispatches_to_the_current_command_function(capsys, monkeypatch):
+    assert main(["normalize", "--expr", "gamma"]) == 0  # the parser is built
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.suite) or 7)
+    assert main(["verify", "--suite", "laws"]) == 7
+    assert calls == ["laws"]
+    assert capsys.readouterr().out == "gamma\n"
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["normalize", "--expr", "gamma"], ["verify", "--suite", "laws"],
+                 ["normalize", "--expr", "Ext"]):
+        assert main(argv) == 0
+    assert len(builds) == 1

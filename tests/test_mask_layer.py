@@ -88,6 +88,19 @@ def test_graph_block_matches_successive_draws(n):
             assert _same_stream_state(got_rng, want_rng)
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 80])
+def test_graph_block_matches_double_sampler(n):
+    # raw words cut at ceil(p * 2^53) * 2^11 against rng.random() < p
+    for p in (0.0, 1e-3, 0.5, 1.0):
+        for graphs in (1, 5):
+            got_rng, want_rng = rng_from(n, 12), rng_from(n, 12)
+            got = sample_graph_block(n, p, got_rng, graphs)
+            want = oracles.o_sample_graph_block(n, p, want_rng, graphs)
+            assert got.dtype == want.dtype == np.uint64
+            assert np.array_equal(got, want), (n, p, graphs)
+            assert _same_stream_state(got_rng, want_rng)
+
+
 # ----- clique census ------------------------------------------------------------
 
 CENSUS_SIZES = [(2, 2), (2, 4), (3, 3), (3, 4), (4, 2), (4, 5), (5, 3)]

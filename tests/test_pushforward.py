@@ -52,6 +52,7 @@ from hyperops.pushforward import (
     union_transform,
     verify_transforms,
 )
+from hyperops import pushforward as pf
 from hyperops.words import Compose, Join, Meet, Prim
 
 import oracles
@@ -365,3 +366,43 @@ def test_mismatched_ambients_rejected(delta1, delta2):
         complex_union_resample(
             Complex(delta1, 0), Complex(delta2, 0), [0.5] * 3, [0.5] * 7, rng_from(0)
         )
+
+
+# ----- laws as rows of one array -----------------------------------------------------
+
+
+@pytest.mark.parametrize("faces", [[(1,)], [(1, 2)], [(1, 2, 3)], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+                                   [(v, v % 6 + 1) for v in range(1, 7)]])
+def test_stacked_rows_are_the_bytes_of_single_laws(faces):
+    # every core with a leading axis of laws gives, row by row, the bytes of
+    # the public one-law call, and the stacked draw leaves the same stream
+    amb = AmbientComplex(faces)
+    m, full = amb.num_faces, amb.full_mask
+    for seed in range(3):
+        got_rng, want_rng = rng_from(seed), rng_from(seed)
+        laws = pf._random_laws(amb, got_rng, 20)
+        singles = [random_exact(amb, want_rng) for _ in range(20)]
+        assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+        assert all(np.array_equal(row, d.vec) for row, d in zip(laws, singles))
+        others = pf._random_laws(amb, got_rng, 20)
+        tvs = pf._tv(laws, others)
+        mask = np.random.default_rng(seed).random(laws.shape[1]) < 0.5
+        sums = laws.compress(mask, axis=1).sum(axis=1)
+        ext, intr = pf._saturation(laws, 0, full), pf._saturation(laws, full, 0)
+        for row, d in enumerate(singles):
+            assert tvs[row] == total_variation(d, Distribution(amb, others[row]))
+            assert sums[row] == d.vec[mask].sum()
+            assert np.array_equal(ext[row], extension_limit(d).vec)
+            assert np.array_equal(intr[row], interior_limit(d).vec)
+        probs = np.random.default_rng(seed).random((4, m))
+        probs[0] = 0.0
+        probs[1, ::2] = 1.0
+        indicator = TableSet(amb)["Delta"] == np.arange(1 << m)
+        products = pf._product(amb, probs)
+        staged = pf._staged_product(amb, probs, indicator)
+        closure, interior = closure_transform(amb, probs), interior_transform(amb, probs)
+        for row, p in enumerate(probs):
+            assert np.array_equal(products[row], hypergraph_product(amb, p).vec)
+            assert np.array_equal(staged[row], complex_product(amb, p).vec)
+            assert np.array_equal(closure[row], closure_transform(amb, p))
+            assert np.array_equal(interior[row], interior_transform(amb, p))

@@ -20,6 +20,7 @@ from hyperops.metric import triangulated_triangle
 from hyperops.models import pmf_complex
 from hyperops.operators import TableSet
 from hyperops.pushforward import (
+    Distribution,
     complex_product,
     hypergraph_product,
     marginals,
@@ -87,6 +88,16 @@ def test_push_word_rejects_arity_three(delta1):
     ternary = Join(Join(Prim("id"), Prim("id")), Prim("id"))
     with pytest.raises(ValueError):
         push_word(ternary, d, d, d)
+
+
+def test_self_coupling_transforms_once_with_equal_bytes(fixtures):
+    # one zeta transform squared equals the product of two transforms
+    rng = np.random.default_rng(19)
+    for amb in [*fixtures.values(), _cycle6()]:
+        for d in (hypergraph_product(amb, rng.random(amb.num_faces)), random_exact(amb, rng)):
+            twin = Distribution(amb, d.vec.copy())
+            assert np.array_equal(push_union(d, d).vec, push_union(d, twin).vec)
+            assert np.array_equal(push_intersection(d, d).vec, push_intersection(d, twin).vec)
 
 
 def test_binary_pushes_reject_mixed_ambients(delta1, delta2):

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, standard_fixtures
+from hyperops.metric import triangulated_triangle
 from hyperops.models import rng_from
 from hyperops.operators import TableSet
 from hyperops.pushforward import closed_form_family, verify_transforms
@@ -17,6 +20,9 @@ from hyperops.verify import (
     suite_theorem1,
     suite_theorem2,
 )
+
+import oracles
+from test_census import CONNECTED, facets
 
 # exhaustive counts of masks violating the printed extension-of-interior
 # containment, per fixture; only complexes satisfy it
@@ -168,3 +174,46 @@ def test_default_scope_covers_all_suites():
         fixes = default_fixtures(name)
         assert fixes
         assert set(fixes) <= {"delta1", "delta2", "p3", "sk1d3"}
+
+
+# ----- stacked laws against the per-law loops ------------------------------------
+
+
+def _random_flag_ambient(seed):
+    # a random tree on 6 vertices, two more random edges and every triangle
+    # of the resulting graph: connected, at most 6 + 7 + 6 faces
+    rng = rng_from(seed)
+    edges = {(int(rng.integers(1, v)), v) for v in range(2, 7)}
+    pairs = sorted(set(itertools.combinations(range(1, 7), 2)) - edges)
+    edges |= {pairs[int(k)] for k in rng.choice(len(pairs), 2, replace=False)}
+    triangles = [t for t in itertools.combinations(range(1, 7), 3)
+                 if set(itertools.combinations(t, 2)) <= edges]
+    return AmbientComplex([(v,) for v in range(1, 7)] + sorted(edges) + triangles)
+
+
+ORACLE_AMBIENTS = [
+    *standard_fixtures().items(),
+    *((f"class-{facets(amb)}", amb) for _, amb in CONNECTED),
+    ("triangle1", triangulated_triangle(1)),
+    *((f"flag6-{seed}", _random_flag_ambient(seed)) for seed in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("seed", [3, 2026])
+@pytest.mark.parametrize("name, amb", ORACLE_AMBIENTS, ids=[name for name, _ in ORACLE_AMBIENTS])
+def test_stacked_theorem_suites_match_per_law_loops(name, amb, seed):
+    # same counts and failure lines, and the same uniforms consumed
+    tables = TableSet(amb)
+    for suite, oracle in ((suite_theorem1, oracles.o_suite_theorem1),
+                          (suite_theorem2, oracles.o_suite_theorem2)):
+        got_rng, want_rng = rng_from(seed), rng_from(seed)
+        res = suite(amb, got_rng, tables)
+        assert (res.passed, res.total, res.failures) == oracle(amb, want_rng, tables), suite.__name__
+        assert got_rng.random(4).tolist() == want_rng.random(4).tolist(), suite.__name__
+
+
+@pytest.mark.parametrize("name, amb", ORACLE_AMBIENTS, ids=[name for name, _ in ORACLE_AMBIENTS])
+def test_verify_transforms_matches_per_setting_loop(name, amb):
+    tables = TableSet(amb)
+    for _, pa in oracles.o_theorem2_settings(amb):
+        assert verify_transforms(amb, pa, tables) == oracles.o_verify_transforms(amb, pa, tables)

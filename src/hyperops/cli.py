@@ -248,11 +248,9 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def _add_sampling_flags(sub, need_prob=True):
+def _add_sampling_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (required to sample)")
     sub.add_argument("--stream", "--streams", dest="stream", type=int, default=0, help="RNG stream id")
-    if need_prob:
-        sub.add_argument("--prob", help="probability JSON file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=f"sample {what} to a file")
         p.add_argument("--ambient", required=True, help="ambient .cx file")
         _add_sampling_flags(p)
+        p.add_argument("--prob", required=True, help="probability JSON file")
         p.add_argument("--samples", type=_count, default=1)
         p.add_argument("--out", help="output file (default: stdout)")
 
@@ -273,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyper", help=".hg file for a point-mass start")
     p.add_argument("--samples", type=_count, default=0, help="Monte Carlo sample count (0: exact)")
     _add_sampling_flags(p)
+    p.add_argument("--prob", help="probability JSON file (with --model)")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="|".join(sorted(SUITES)) + "|all")
@@ -284,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--r", type=int, required=True, help="dimension cutoff")
     _add_sampling_flags(p)
+    p.add_argument("--prob", required=True, help="per-dim probability JSON file")
     p.add_argument("--samples", type=_count, default=1)
     p.add_argument("--out", help="output file (default: stdout)")
 
@@ -294,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", type=float, default=0.5, help="schedule coefficient")
     p.add_argument("--denom", type=float, default=None, help="schedule denominator (default r+1)")
     _add_sampling_flags(p)
+    p.add_argument("--prob", help="per-dim probability JSON file (closure model)")
     p.add_argument("--samples", type=_count, default=1000, help="graphs per n (at least 1)")
     p.add_argument("--out", help="CSV output file (default: stdout)")
 

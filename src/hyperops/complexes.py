@@ -80,22 +80,18 @@ class AmbientComplex:
         self.dim: int = max(self.dims, default=-1)
 
         # Relation masks over face indices: faces contained in / containing /
-        # meeting each face, and codim-1 subfaces (the boundary).  Faces
-        # come in order of dimension and the set is downward closed, so each
-        # facet vi ^ (1 << v) is already indexed: the boundary collects the
-        # facets, and the sub mask is the face's own bit joined with its
+        # meeting each face.  Faces come in order of dimension and the set
+        # is downward closed, so each facet vi ^ (1 << v) is already
+        # indexed, and the sub mask is the face's own bit joined with its
         # facets' sub masks.  The sup masks transpose the sub masks, and a
         # face meets exactly the faces in the vertex stars of its vertices.
         index = self.index
         sub = [0] * m
-        bnd = [0] * m
         for i, vi in enumerate(self.face_vmasks):
             down = 1 << i
             if vi & (vi - 1):
                 for v in iter_bits(vi):
-                    j = index[vi ^ (1 << v)]
-                    bnd[i] |= 1 << j
-                    down |= sub[j]
+                    down |= sub[index[vi ^ (1 << v)]]
             sub[i] = down
         sup = [0] * m
         for i, down in enumerate(sub):
@@ -109,7 +105,6 @@ class AmbientComplex:
         self.sub_masks: tuple[int, ...] = tuple(sub)
         self.sup_masks: tuple[int, ...] = tuple(sup)
         self.meet_masks: tuple[int, ...] = tuple(meet)
-        self.boundary_masks: tuple[int, ...] = tuple(bnd)
         self.maximal_mask: int = 0
         for i in range(m):
             if sup[i] == (1 << i):

@@ -86,9 +86,6 @@ def sample_graph_words(n: int, p: float, rng: np.random.Generator) -> np.ndarray
 
 # ----- clique census ---------------------------------------------------------------
 
-_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333,
-                                               0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
 # Rows of one level handed to the next at a time, so a dense graph's
 # census holds a bounded slice of a level (at most about 256 KiB of
 # unpacked bits per adjacency word) rather than all of it.
@@ -96,13 +93,10 @@ _LEVEL_ROWS = 1 << 12
 
 
 def _popcount_rows(cand: np.ndarray) -> np.ndarray:
-    # Bit-parallel popcount per uint64 word (np.bitwise_count needs numpy 2),
-    # then a column sum over the few words of a row.
-    x = cand - ((cand >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    x = ((x * _H01) >> np.uint64(56)).astype(np.int64)
-    total = x[:, 0].copy()
+    # np.bitwise_count per uint64 word (uint8), then an int64 column sum
+    # over the few words of a row
+    x = np.bitwise_count(cand)
+    total = x[:, 0].astype(np.int64)
     for w in range(1, x.shape[1]):
         total += x[:, w]
     return total
@@ -167,11 +161,6 @@ def clique_stats(words: np.ndarray, count_size: int, exist_size: int) -> tuple[i
     for one graph's (n, nwords) bitset rows; see clique_census."""
     counts, exists = clique_census(words[None], count_size, exist_size)
     return int(counts[0]), bool(exists[0])
-
-
-def edge_count(words: np.ndarray) -> int:
-    total = int(np.unpackbits(words.view(np.uint8)).sum())
-    return total // 2
 
 
 def _atoms_hold(table: np.ndarray, op) -> bool:

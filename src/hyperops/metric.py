@@ -112,29 +112,22 @@ def minimal_powers(h: Hypergraph) -> PowerIndices:
     amb = h.ambient
     if h.mask == 0 or h.mask == amb.full_mask:
         return PowerIndices(0, 0, degenerate=True)
-    bound = amb.num_faces + 1
-    t = None
-    cur = h.mask
-    for k in range(bound + 1):
-        if cur == 0:
-            t = k
-            break
-        nxt = interior_mask(amb, cur)
-        if nxt == cur:
-            raise ValueError("interior iteration stalled; is the complex connected?")
-        cur = nxt
-    r = None
-    cur = complement_mask(amb, h.mask)
-    for k in range(bound + 1):
-        if cur == amb.full_mask:
-            r = k
-            break
-        nxt = extension_mask(amb, cur)
-        if nxt == cur:
-            raise ValueError("extension iteration stalled; is the complex connected?")
-        cur = nxt
-    assert t is not None and r is not None
+    t = _power_until(amb, interior_mask, h.mask, 0, "interior")
+    r = _power_until(amb, extension_mask, complement_mask(amb, h.mask), amb.full_mask, "extension")
     return PowerIndices(t, r)
+
+
+def _power_until(amb: AmbientComplex, op, mask: int, goal: int, name: str) -> int:
+    # least k with op^k(mask) == goal; an op that leaves a mask unchanged
+    # before the goal never reaches it
+    k = 0
+    while mask != goal:
+        nxt = op(amb, mask)
+        if nxt == mask:
+            raise ValueError(f"{name} iteration stalled; is the complex connected?")
+        mask = nxt
+        k += 1
+    return k
 
 
 # ----- triangulated triangle fixture -------------------------------------------
@@ -188,7 +181,7 @@ def _subtriangle_mask(amb: AmbientComplex, m: int, i0: int, j0: int, side: int) 
     return out
 
 
-def figure_hypergraphs(m: int = 6) -> tuple[AmbientComplex, Hypergraph, Hypergraph, Hypergraph]:
+def figure_hypergraphs() -> tuple[AmbientComplex, Hypergraph, Hypergraph, Hypergraph]:
     """The side-6 triangle with its three reference sub-hypergraphs.
 
     h1: closed side-2 subtriangle at corner (1, 2).
@@ -197,8 +190,7 @@ def figure_hypergraphs(m: int = 6) -> tuple[AmbientComplex, Hypergraph, Hypergra
         cells, the interior edges and the single interior vertex, and is not
         downward closed.
     """
-    if m < 5:
-        raise ValueError("the reference figure needs side at least 5")
+    m = 6
     amb = triangulated_triangle(m)
     h1 = _subtriangle_mask(amb, m, 1, 2, 2)
     h2 = _subtriangle_mask(amb, m, 1, 1, 3)

@@ -150,16 +150,17 @@ class ProbabilityAssignment:
         mode = doc.get("mode")
         try:
             if mode == "per-dim":
-                return cls(per_dim=tuple(float(x) for x in _json_list(doc, "p")))
+                return cls(per_dim=tuple(_json_number(x, "p") for x in _json_list(doc, "p")))
             if mode == "per-simplex":
                 entries = tuple(
-                    (tuple(sorted(set(_json_list(e, "simplex")))), float(e["p"]))
+                    (tuple(sorted({_json_of(v, "simplex", int) for v in _json_list(e, "simplex")})),
+                     _json_number(e["p"], "p"))
                     for e in _json_list(doc, "entries")
                 )
-                return cls(entries=entries, default=float(doc.get("default", 0.0)))
+                return cls(entries=entries, default=_json_number(doc.get("default", 0.0), "default"))
         except KeyError as e:
             raise ValueError(f"{mode} probability JSON lacks the key {e}") from None
-        except TypeError as e:
+        except (TypeError, OverflowError) as e:
             raise ValueError(f"malformed {mode} probability JSON: {e}") from None
         raise ValueError(f"unknown probability mode {mode!r}")
 
@@ -171,6 +172,18 @@ def _json_list(doc, key: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
     return value
+
+
+def _json_of(value, key: str, kind):
+    # value, checked to be of kind and not a bool: JSON true and false
+    # are ints to Python
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} takes {'integers' if kind is int else 'numbers'}, not {value!r}")
+    return value
+
+
+def _json_number(value, key: str) -> float:
+    return float(_json_of(value, key, (int, float)))
 
 
 def check_probabilities(values) -> np.ndarray:

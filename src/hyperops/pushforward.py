@@ -135,9 +135,9 @@ def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarra
     # times p_i over the set bits i of X, i increasing.
     idx = np.flatnonzero(indicator)
     vals = doubling(1.0, probs, np.multiply)[..., idx]
-    for i, bound in enumerate(amb.boundary_masks):
-        # external to X: face i is not in X and its boundary is
-        external = (idx & (bound | (1 << i))) == bound
+    for i, down in enumerate(amb.sub_masks):
+        # external to X: face i is not in X and its proper subfaces are
+        external = (idx & down) == down & ~(1 << i)
         np.multiply(vals, 1.0 - probs[..., i, None], out=vals, where=external)
     vec = np.zeros(probs.shape[:-1] + (indicator.size,))
     vec[..., idx] = vals
@@ -335,19 +335,18 @@ def _bit_sums(short: np.ndarray) -> np.ndarray:
     return (bits * short).sum(axis=1)
 
 
-def support_is_complexes(dist: Distribution, tol: float = 0.0) -> bool:
-    """True iff all mass (above tol per point) sits on downward-closed sets."""
-    return not np.any((dist.vec > tol) & ~complex_indicator(dist.ambient))
+def support_is_complexes(dist: Distribution) -> bool:
+    """True iff all mass sits on downward-closed sets."""
+    return not np.any((dist.vec > 0.0) & ~complex_indicator(dist.ambient))
 
 
-def closed_form_family(name: str, amb: AmbientComplex, p, tables: TableSet | None = None) -> Distribution:
+def closed_form_family(name: str, amb: AmbientComplex, p) -> Distribution:
     """Closed-form law of the image of the product law at p under the unary
     primitive `name` (Theorem 2): the product law at complement_transform for
     gamma, the staged law at closure_transform or interior_transform for
-    Delta or delta, on the fixed points of tables["Delta"].  The staged two
+    Delta or delta, on the fixed points of the closure table.  The staged two
     match the image's marginals, its joint law only in degenerate cases."""
-    tables = TableSet.of(amb, tables)
-    return Distribution(amb, _family(name, amb, resolve_probabilities(amb, p), tables))
+    return Distribution(amb, _family(name, amb, resolve_probabilities(amb, p), TableSet(amb)))
 
 
 def _family(name: str, amb: AmbientComplex, probs: np.ndarray, tables: TableSet) -> np.ndarray:
@@ -358,7 +357,7 @@ def _family(name: str, amb: AmbientComplex, probs: np.ndarray, tables: TableSet)
     return _staged_product(amb, transform(amb, probs), fixed_points(tables["Delta"]))
 
 
-def verify_transforms(amb: AmbientComplex, p, tables: TableSet | None = None) -> dict[str, float]:
+def verify_transforms(amb: AmbientComplex, p) -> dict[str, float]:
     """TV between each of the five pushforwards and its closed-form family.
 
     complement / closure / interior: the gamma, Delta and delta pushes of a
@@ -367,12 +366,10 @@ def verify_transforms(amb: AmbientComplex, p, tables: TableSet | None = None) ->
     (see marginal_gaps), but the joint law of a closed-up product draw is
     not a staged law in general, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
-    the product law at intersection_transform / union_transform.  The
-    tables come from `tables`, made here when None.  This is row 0 of
-    _transform_tvs.
+    the product law at intersection_transform / union_transform.  This is
+    row 0 of _transform_tvs.
     """
-    tables = TableSet.of(amb, tables)
-    tvs = _transform_tvs(amb, resolve_probabilities(amb, p)[None], tables)
+    tvs = _transform_tvs(amb, resolve_probabilities(amb, p)[None], TableSet(amb))
     return {op: float(tv[0]) for op, tv in tvs.items()}
 
 
@@ -422,19 +419,19 @@ def marginal_gaps(amb: AmbientComplex, p) -> dict[str, float]:
 
 
 def push_extension_power(dist: Distribution, k: int) -> Distribution:
-    table = extension_table(dist.ambient)
-    out = dist
-    for _ in range(k):
-        out = push_table(out, table)
-    return out
+    return _push_power(dist, extension_table(dist.ambient), k)
 
 
 def push_interior_power(dist: Distribution, k: int) -> Distribution:
-    table = interior_table(dist.ambient)
-    out = dist
+    return _push_power(dist, interior_table(dist.ambient), k)
+
+
+def _push_power(dist: Distribution, table: np.ndarray, k: int) -> Distribution:
+    # k pushes through one table, each a call of the module's push_table,
+    # so a wrapper of pushforward.push_table sees every one
     for _ in range(k):
-        out = push_table(out, table)
-    return out
+        dist = push_table(dist, table)
+    return dist
 
 
 def extension_limit(dist: Distribution) -> Distribution:

@@ -40,13 +40,13 @@ from .models import ProbabilityAssignment, resolve_probabilities, rng_from
 from .operators import TableSet, fixed_points
 from .pushforward import (
     Distribution,
+    _half_l1,
+    _push_power,
     _random_laws,
     _saturation,
-    _half_l1,
     _transform_tvs,
     contained,
     containment_cases,
-    push_table,
     recovery_cases,
     vertex_supported,
 )
@@ -151,10 +151,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
         # is subtracted in place from that row of the limits
         gaps = _saturation(laws, stay, end)
         for row, vec in enumerate(laws):
-            law = Distribution(amb, vec)
-            for _ in range(d):
-                law = push_table(law, table)
-            np.subtract(law.vec, gaps[row], out=gaps[row])
+            np.subtract(_push_power(Distribution(amb, vec), table, d).vec, gaps[row], out=gaps[row])
         return int(np.count_nonzero(_half_l1(gaps) < EXACT_TOL))
 
     # saturation at the diameter: 20 random exact laws, rows of one array

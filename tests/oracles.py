@@ -320,10 +320,10 @@ def o_dimension_stats(n_values, schedule, r, samples, seed):
 
 
 def o_relation_masks(amb):
-    """(sub, sup, meet, boundary) masks by testing every pair of faces."""
+    """(sub, sup, meet) masks by testing every pair of faces."""
     vms = amb.face_vmasks
     m = len(vms)
-    sub, sup, meet, bnd = ([0] * m for _ in range(4))
+    sub, sup, meet = ([0] * m for _ in range(3))
     for i, vi in enumerate(vms):
         for j, vj in enumerate(vms):
             if vj & ~vi == 0:
@@ -332,9 +332,15 @@ def o_relation_masks(amb):
                 sup[i] |= 1 << j
             if vi & vj:
                 meet[i] |= 1 << j
-            if vj & ~vi == 0 and bin(vj).count("1") == bin(vi).count("1") - 1:
-                bnd[i] |= 1 << j
-    return tuple(sub), tuple(sup), tuple(meet), tuple(bnd)
+    return tuple(sub), tuple(sup), tuple(meet)
+
+
+def o_boundary(amb, i):
+    """The facets of face i as a face mask, one vertex removed at a time."""
+    vi = amb.face_vmasks[i]
+    if not vi & (vi - 1):
+        return 0
+    return sum(1 << amb.index[vi & ~(1 << b)] for b in range(vi.bit_length()) if vi >> b & 1)
 
 
 def o_diameter(amb):
@@ -464,7 +470,7 @@ def o_sample_complex(amb, probs, rng):
     mask = 0
     for d in range(amb.dim + 1):
         for i in iter_bits(amb.faces_by_dim(d)):
-            if amb.boundary_masks[i] & ~mask:
+            if o_boundary(amb, i) & ~mask:
                 continue
             if rng.random() < probs[i]:
                 mask |= 1 << i
@@ -485,7 +491,7 @@ def o_complex_union_resample(amb, k1, k2, q1, q2, rng):
         for i in iter_bits(amb.faces_by_dim(d)):
             if mask >> i & 1:
                 continue
-            if amb.boundary_masks[i] & ~mask:
+            if o_boundary(amb, i) & ~mask:
                 continue
             in1 = ext1 >> i & 1
             in2 = ext2 >> i & 1
@@ -516,7 +522,7 @@ def o_enumerate_subcomplexes(amb):
         layer = list(iter_bits(amb.faces_by_dim(d)))
         grown = []
         for base in partial:
-            ok = [i for i in layer if amb.boundary_masks[i] & ~base == 0]
+            ok = [i for i in layer if o_boundary(amb, i) & ~base == 0]
             for pick in range(1 << len(ok)):
                 add = 0
                 for b, i in enumerate(ok):
@@ -599,7 +605,7 @@ def o_verify_transforms(amb, p, tables):
     vec = resolve_probabilities(amb, p)
     base = hypergraph_product(amb, vec)
     out = {
-        row: total_variation(push_table(base, tables[name]), closed_form_family(name, amb, vec, tables))
+        row: total_variation(push_table(base, tables[name]), closed_form_family(name, amb, vec))
         for row, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
     }
     out["intersection"] = total_variation(push_intersection(base, base),

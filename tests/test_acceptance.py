@@ -229,7 +229,7 @@ def test_criterion_4_printed_ext_int_containment(fixtures):
 
 
 def test_criterion_5_figure_reproduction(fixtures):
-    _, h1, h2, h3 = figure_hypergraphs(6)
+    _, h1, h2, h3 = figure_hypergraphs()
     got = tuple((minimal_powers(h).t, minimal_powers(h).r) for h in (h1, h2, h3))
     exact = got == ((1, 2), (2, 2), (2, 1))
     within = True

@@ -61,11 +61,9 @@ def test_relation_masks_match_subset_arithmetic(p3):
         subs = {j for j in range(p3.num_faces) if fv[j] <= fv[i]}
         sups = {j for j in range(p3.num_faces) if fv[i] <= fv[j]}
         meets = {j for j in range(p3.num_faces) if fv[i] & fv[j]}
-        bnd = {j for j in subs if len(fv[j]) == len(fv[i]) - 1}
         assert set(iter_bits(p3.sub_masks[i])) == subs
         assert set(iter_bits(p3.sup_masks[i])) == sups
         assert set(iter_bits(p3.meet_masks[i])) == meets
-        assert set(iter_bits(p3.boundary_masks[i])) == bnd
 
 
 def test_maximal_mask_matches_oracle(fixtures):

@@ -265,20 +265,52 @@ def test_cli_gen_bad_probability_file(tmp_path, capsys, triangle_cx, cmd, text):
     ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--seed", "5"],
     ["stats", "--model", "closure", "--n", "6", "--r", "1", "--seed", "5"],
 ], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("text", [
-    '{"mode": "per-dim"}',
-    '{"mode": "per-dim", "p": 0.5}',
-    '{"mode": "per-simplex", "entries": [{"p": 0.5}]}',
-    '[{"mode": "per-dim", "p": [0.5]}]',
-    '{"mode": "per-dim", "p": [null]}',
-    '{"mode": "per-dim", "p": "1"}',
-], ids=["no-p", "scalar-p", "no-simplex", "list", "null-p", "string-p"])
-def test_cli_malformed_probability_json(tmp_path, capsys, triangle_cx, argv, text):
+@pytest.mark.parametrize("text, names", [
+    ('{"mode": "per-dim"}', "'p'"),
+    ('{"mode": "per-dim", "p": 0.5}', "'p'"),
+    ('{"mode": "per-simplex", "entries": [{"p": 0.5}]}', "'simplex'"),
+    ('[{"mode": "per-dim", "p": [0.5]}]', '"mode"'),
+    ('{"mode": "per-dim", "p": [null]}', "'p'"),
+    ('{"mode": "per-dim", "p": "1"}', "'p'"),
+    # a bool is an int to Python and a digit string converts with float(),
+    # but neither is a JSON number; vertex labels are integers
+    ('{"mode": "per-dim", "p": ["1", "0.5", true]}', "'p'"),
+    ('{"mode": "per-dim", "p": [1, 0.5, true]}', "'p'"),
+    ('{"mode": "per-dim", "p": [1, 0.5, 1%s]}' % ("0" * 400), "int too large"),
+    ('{"mode": "per-simplex", "default": "0.25", "entries": []}', "'default'"),
+    ('{"mode": "per-simplex", "entries": [{"simplex": [1], "p": false}]}', "'p'"),
+    ('{"mode": "per-simplex", "entries": [{"simplex": [true], "p": 0.5}]}', "'simplex'"),
+    ('{"mode": "per-simplex", "entries": [{"simplex": [1.0], "p": 0.5}]}', "'simplex'"),
+], ids=["no-p", "scalar-p", "no-simplex", "list", "null-p", "string-p", "string-and-bool-p", "bool-p",
+        "huge-int-p", "string-default", "bool-entry-p", "bool-vertex", "float-vertex"])
+def test_cli_malformed_probability_json(tmp_path, capsys, triangle_cx, argv, text, names):
+    # one error line that says which key is wrong
     prob = write(tmp_path / "bad.json", text)
     argv = [a.format(cx=triangle_cx) for a in argv]
     code, out, err = run_cli(capsys, *argv, "--prob", prob)
     assert code == 2 and out == ""
-    assert _one_error(err) and "probability JSON" in err
+    assert _one_error(err) and "probability JSON" in err and names in err
+
+
+def test_probability_json_accepts_integers():
+    pa = ProbabilityAssignment.from_json('{"mode": "per-dim", "p": [1, 0, 0.5]}')
+    assert pa.per_dim == (1.0, 0.0, 0.5)
+    pa = ProbabilityAssignment.from_json(
+        '{"mode": "per-simplex", "default": 1, "entries": [{"simplex": [2, 1], "p": 0}]}')
+    assert (pa.default, pa.entries) == (1.0, (((1, 2), 0.0),))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-hyper", "--ambient", "{cx}", "--seed", "1"],
+    ["gen-complex", "--ambient", "{cx}", "--seed", "1"],
+    ["sparse", "--algorithm", "2", "--n", "10", "--r", "1", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_generators_require_prob(capsys, triangle_cx, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cx=triangle_cx) for a in argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "required: --prob" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cmd, oracle", [("gen-hyper", o_sample_hypergraph),

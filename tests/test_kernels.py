@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperops.kernels import clique_stats, edge_count, pair_laws, sample_graph_words
+from hyperops.kernels import _popcount_rows, clique_stats, pair_laws, sample_graph_words
 from hyperops.models import rng_from
 from hyperops.operators import closure_table, complement_table, interior_complex_table
 
@@ -41,7 +41,7 @@ def test_sample_graph_words_contract():
 def test_sample_graph_edge_density():
     n, p, draws = 30, 0.3, 60
     total = sum(
-        edge_count(sample_graph_words(n, p, rng_from(2, s))) for s in range(draws)
+        int(np.bitwise_count(sample_graph_words(n, p, rng_from(2, s))).sum()) // 2 for s in range(draws)
     )
     pairs = n * (n - 1) // 2
     want = p * pairs * draws
@@ -77,10 +77,28 @@ def test_clique_stats_guards():
         clique_stats(words, 3, 0)
 
 
-def test_edge_count():
-    words = sample_graph_words(12, 0.4, rng_from(7, 0))
-    a = dense(words, 12)
-    assert edge_count(words) == int(a.sum()) // 2
+EDGE_WORDS = [0, (1 << 64) - 1, 1, 1 << 63, 0x8000000000000001, 0x5555555555555555]
+
+
+@pytest.mark.parametrize("nwords", [1, 2, 3])
+def test_popcount_rows_edge_bits(nwords):
+    # every row of nwords words drawn from the empty word, the full word,
+    # bits 0 and 63 alone and two mixed words, against int.bit_count
+    rows = np.array(list(itertools.product(EDGE_WORDS, repeat=nwords)), dtype=np.uint64)
+    want = [sum(w.bit_count() for w in row) for row in rows.tolist()]
+    got = _popcount_rows(rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_clique_census_edge_bits():
+    # complete graph on 128 vertices: every adjacency word is all ones but
+    # for the diagonal bit, so the census reads bits 0 and 63 of full words
+    n = 128
+    words = np.full((n, 2), (1 << 64) - 1, dtype=np.uint64)
+    words[np.arange(n), np.arange(n) >> 6] ^= np.uint64(1) << (np.arange(n) & 63).astype(np.uint64)
+    for k in (2, 3):
+        assert clique_stats(words, k, k) == (math.comb(n, k), True)
 
 
 def test_pair_laws_clean_and_broken(delta2):

@@ -141,11 +141,10 @@ def test_clique_census_block_of_mixed_graphs():
 @pytest.mark.parametrize("name", AMBIENT_NAMES)
 def test_relation_masks_match_pair_loop(ambients, name):
     amb = ambients[name]
-    sub, sup, meet, bnd = oracles.o_relation_masks(amb)
+    sub, sup, meet = oracles.o_relation_masks(amb)
     assert amb.sub_masks == sub
     assert amb.sup_masks == sup
     assert amb.meet_masks == meet
-    assert amb.boundary_masks == bnd
     maximal = oracles.o_maximal(oracles.ambient_faces(amb))
     assert amb.maximal_mask == oracles.faces_to_mask(amb, maximal)
 

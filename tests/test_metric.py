@@ -182,7 +182,7 @@ def test_triangulated_triangle_side_one_is_simplex(delta2):
 
 
 def test_figure_hypergraphs_shapes():
-    amb, h1, h2, h3 = figure_hypergraphs(6)
+    amb, h1, h2, h3 = figure_hypergraphs()
     assert amb.num_faces == 127
     assert h1.is_complex
     assert h2.is_complex
@@ -194,12 +194,10 @@ def test_figure_hypergraphs_shapes():
     # h3 strips the 9 perimeter vertices and 9 perimeter edges
     assert h3.edge_count == 37 - 18
     assert h3.mask & ~h2.mask == 0
-    with pytest.raises(ValueError):
-        figure_hypergraphs(3)
 
 
 def test_figure_powers_match_reference():
-    _, h1, h2, h3 = figure_hypergraphs(6)
+    _, h1, h2, h3 = figure_hypergraphs()
     assert (minimal_powers(h1).t, minimal_powers(h1).r) == (1, 2)
     assert (minimal_powers(h2).t, minimal_powers(h2).r) == (2, 2)
     assert (minimal_powers(h3).t, minimal_powers(h3).r) == (2, 1)

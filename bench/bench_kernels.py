@@ -9,8 +9,10 @@ checked by their atoms, one doubling per law.  The six primitive mask
 operators are timed on fixed random masks of a triangulated triangle too
 large for tables.  The truncated generators' two draws are timed on the
 base vector of the benchmark's sparse jobs: the raw-word Bernoulli draw
-and the staged draw under its closure marginals.  Each time is the best
-of 3.
+(algorithm 1's hypergraph part, which reads every face's word) and the
+staged draw under its closure marginals.  Algorithm 2, which reads only its
+candidates' words on Philox, is timed whole: 12 successive samples at the
+sparse job's n = 200, and one at n = 1000.  Each time is the best of 3.
 """
 
 import argparse
@@ -35,12 +37,14 @@ from hyperops.sparse import (
     _bernoulli_faces,
     _derived_cached,
     _staged_complex_faces,
+    algorithm2_truncated,
 )
 
 P = 0.15
 SIDE, MASKS = 20, 10  # triangle and random masks for the mask ops
 SPARSE_BASE, SPARSE_R = (1.0, 0.045, 0.0025), 2  # the sparse jobs' base vector
 BERNOULLI_N, STAGED_N = 200, 100
+ALG2_RUNS = ((200, 12), (1000, 1))  # (n, successive samples)
 
 
 def timed(fn, repeats=3):
@@ -126,6 +130,14 @@ def bench_staged(n):
     return run
 
 
+def bench_algorithm2(n, samples):
+    def run():
+        rng = rng_from(1)
+        return sum(len(algorithm2_truncated(n, SPARSE_BASE, SPARSE_R, rng)) for _ in range(samples))
+
+    return run
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--samples", type=int, default=300, help="graphs per census")
@@ -141,9 +153,11 @@ def main():
         ("pair laws by atoms (10-face fixture, 1024 masks)", bench_pair_laws()),
         (f"six primitive mask ops (side-{SIDE} triangle, {tri.num_faces} faces, {MASKS} masks)",
          bench_mask_ops(tri, MASKS)),
-        (f"Bernoulli faces by raw words (n={BERNOULLI_N}, r={SPARSE_R}, sparse base)",
+        (f"Bernoulli faces by raw words, every face (n={BERNOULLI_N}, r={SPARSE_R}, sparse base)",
          bench_bernoulli(BERNOULLI_N)),
         (f"staged draw (n={STAGED_N}, r={SPARSE_R}, closure marginals)", bench_staged(STAGED_N)),
+        *((f"algorithm 2 (n={n}, r={SPARSE_R}, sparse base, samples={samples})", bench_algorithm2(n, samples))
+          for n, samples in ALG2_RUNS),
     ]
 
     print(f"{'workload':<72} {'numpy':>12}")

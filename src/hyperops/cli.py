@@ -202,6 +202,9 @@ def cmd_stats(args) -> int:
         return _fail("give --n as a comma-separated list of positive counts, e.g. 20,40,80")
     if args.samples < 1:
         return _fail("stats needs --samples of at least 1")
+    least_r = 1 if args.model == "clique" else 0
+    if args.r < least_r:
+        return _fail(f"{args.model} stats need --r of at least {least_r}, got {args.r}")
     if args.model == "clique":
         denom = args.denom if args.denom is not None else args.r + 1
         schedule = threshold_schedule(args.coeff, denom)

@@ -226,17 +226,22 @@ def _raw_words(rng) -> np.random.BitGenerator:
     return bitgen
 
 
-def _bernoulli_hits(bitgen: np.random.BitGenerator, count: int, q: float) -> np.ndarray:
-    """Indices of the hits among `count` coins of probability q, one raw
-    word each.  rng.random() would return u = (w >> 11) * 2^-53 for the raw
-    word w, and u < q holds exactly when w < ceil(q * 2^53) * 2^11, so the
-    words are compared with that integer cut: the same hits, and the same
-    stream, as rng.random(count) < q."""
-    words = bitgen.random_raw(count)
+def _word_hits(words: np.ndarray, q: float) -> np.ndarray:
+    """Bool per raw word w: is its coin of probability q a hit?
+    rng.random() would return u = (w >> 11) * 2^-53, and u < q holds
+    exactly when w < ceil(q * 2^53) * 2^11, so the words are compared with
+    that integer cut."""
     cut = math.ceil(q * 2.0**53) << 11
     if not cut:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(words <= np.uint64(cut - 1))
+        return np.zeros(words.shape, dtype=bool)
+    return words <= np.uint64(cut - 1)
+
+
+def _bernoulli_hits(bitgen: np.random.BitGenerator, count: int, q: float) -> np.ndarray:
+    """Indices of the hits among `count` coins of probability q, one raw
+    word each: the same hits, and the same stream, as
+    rng.random(count) < q."""
+    return _word_hits(bitgen.random_raw(count), q).nonzero()[0]
 
 
 def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n: int) -> list[int]:

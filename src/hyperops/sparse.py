@@ -6,11 +6,17 @@ truncated generation that cuts every draw at a dimension bound r.
 The truncated generators work in whole-array steps and read the stream
 exactly as one uniform per candidate, in lexicographic order, would:
 
-* the Bernoulli draw gives every candidate face one raw 64-bit word,
-  drawn in fixed-size blocks and compared with the exact integer cut of
-  its probability, and turns only the hits into faces, by unranking;
+* the Bernoulli draw gives every face one raw 64-bit word, drawn in
+  fixed-size blocks and compared with the exact integer cut of its
+  probability, and turns only the hits into faces, by unranking;
 * the staged draw builds each stage's candidates as sibling pairs of the
   kept layer and draws all their uniforms in one call;
+* algorithm 2 keeps a face iff its word hits and all its facets were
+  kept.  On Philox, a dimension whose candidates (the sibling pairs of the
+  kept layer with every facet kept) are few reads only their words, by
+  lexicographic rank, and leaves the generator at the same stream
+  position, counter and buffer as the full Bernoulli draw; other
+  dimensions and other bit generators take the full draw;
 * algorithm 2 and the staged draw test facets by colex rank.
 
 Nothing here ever enumerates the full simplex on n vertices, so memory
@@ -31,7 +37,7 @@ import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import _BLOCK_UNIFORMS, _bernoulli_hits, _raw_words, check_probabilities, rng_from
+from .models import _BLOCK_UNIFORMS, _bernoulli_hits, _raw_words, _word_hits, check_probabilities, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -221,6 +227,16 @@ class TruncatedSample:
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# Algorithm 2 on Philox reads only its candidates' words in a dimension of
+# at least _SEEK_MIN_WORDS faces (fewer are read whole in less time than
+# the candidates take to build) whose candidates are bounded by
+# 1/_SEEK_SHARE of them.  A gap of _SEEK_GAP words or more between two
+# candidates is jumped with one advance(), which costs about as much as
+# random_raw takes for 500 words (numpy 2.4 on a 2-vCPU Xeon).
+_SEEK_MIN_WORDS = 1 << 12
+_SEEK_SHARE = 32
+_SEEK_GAP = 512
+
 
 @lru_cache(maxsize=8)
 def _binomial_tables(n, r) -> dict[int, np.ndarray]:
@@ -236,32 +252,85 @@ def _binomial_tables(n, r) -> dict[int, np.ndarray]:
     return binom
 
 
+def _bernoulli_layer(n, k, q, bitgen, binom) -> np.ndarray:
+    # One draw per k-subset of 1..n, in lexicographic order; the count
+    # depends only on (n, k), never on the outcomes.  The raw words are cut
+    # as _bernoulli_hits does: the same hits, the same stream.  Only the
+    # hits become faces: a hit's lexicographic rank is unranked through the
+    # combinatorial number system.  With x = C(n, k) - 1 - rank, for
+    # j = k..1 the largest c with C(c, j) <= x gives the next vertex n - c,
+    # and x drops by C(c, j).  Returns an int64 (hits, k) vertex array,
+    # rows in lex order.
+    total = math.comb(n, k)
+    ranks = [
+        _bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), q) + start
+        for start in range(0, total, _BLOCK_UNIFORMS)
+    ]
+    x = total - 1 - np.concatenate(ranks)
+    verts = np.empty((x.size, k), dtype=np.int64)
+    for pos, j in enumerate(range(k, 0, -1)):
+        c = binom[j].searchsorted(x, "right") - 1
+        verts[:, pos] = n - c
+        x -= binom[j][c]
+    return verts
+
+
+def _lex_ranks(faces: np.ndarray, n: int, binom) -> np.ndarray:
+    # Inverse of _bernoulli_layer's unranking: the face v_0 < .. < v_{k-1}
+    # has rank C(n, k) - 1 - sum_pos C(n - v_pos, k - pos).
+    k = faces.shape[1]
+    return math.comb(n, k) - 1 - sum(binom[k - pos][n - faces[:, pos]] for pos in range(k))
+
+
 def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
-    # One draw per candidate face, in lexicographic order per dimension; the
-    # count depends only on (n, r), never on the outcomes.  The raw words
-    # are cut as _bernoulli_hits does: the same hits, the same stream.
-    # Only the hits become faces: a hit's lexicographic rank is unranked
-    # through the combinatorial number system.  With x = C(n, k) - 1 - rank,
-    # for j = k..1 the largest c with C(c, j) <= x gives the next vertex
-    # n - c, and x drops by C(c, j).  Returns one int64 (hits, d + 1)
-    # vertex array per dimension d, rows in lex order.
+    # One _bernoulli_layer per dimension d = 0..r, in order.
     bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
-    layers = []
-    for d in range(r + 1):
-        k = d + 1
-        total = math.comb(n, k)
-        ranks = [np.empty(0, dtype=np.int64)]
-        for start in range(0, total, _BLOCK_UNIFORMS):
-            ranks.append(_bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), base[d]) + start)
-        x = total - 1 - np.concatenate(ranks)
-        verts = np.empty((x.size, k), dtype=np.int64)
-        for pos, j in enumerate(range(k, 0, -1)):
-            c = np.searchsorted(binom[j], x, "right") - 1
-            verts[:, pos] = n - c
-            x -= binom[j][c]
-        layers.append(verts)
-    return layers
+    return [_bernoulli_layer(n, d + 1, base[d], bitgen, binom) for d in range(r + 1)]
+
+
+def _philox_words_at(bitgen: np.random.Philox, ranks: np.ndarray, total: int) -> np.ndarray:
+    # The words at the ascending positions `ranks` among the next `total`
+    # raw words, leaving the generator exactly where random_raw(total)
+    # would: the same counter, buffer and buffer_pos.  Philox computes each
+    # 4-word block from the key and the block's counter alone, and
+    # advance(b) adds b to the counter and empties the buffer, so a gap of
+    # _SEEK_GAP words or more is jumped and a shorter one read through.
+    # Reads never cross a multiple of _BLOCK_UNIFORMS, so none is longer
+    # than a dense read's.  `used` counts the words of the buffered block
+    # already read (4: none left).
+    state = bitgen.state
+    used = state["buffer_pos"]
+    words = np.empty(ranks.size, dtype=np.uint64)
+    head = np.ones(ranks.size, dtype=bool)
+    head[1:] = (np.diff(ranks) >= _SEEK_GAP) | (np.diff(ranks // _BLOCK_UNIFORMS) != 0)
+    starts = np.flatnonzero(head).tolist()
+    pos = 0
+    for lo, hi in zip(starts, starts[1:] + [ranks.size]):
+        first, last = int(ranks[lo]), int(ranks[hi - 1])
+        gap = first - pos
+        if gap >= _SEEK_GAP:
+            blocks, gap = divmod(gap - (4 - used), 4)
+            bitgen.advance(blocks)
+            used = 4
+        span = bitgen.random_raw(gap + last - first + 1)
+        words[lo:hi] = span[ranks[lo:hi] - (first - gap)]
+        used = (used + span.size - 1) % 4 + 1
+        pos = last + 1
+    rest = total - pos
+    if rest > 4 - used:
+        # land on the block the full read ends in, then read its used words
+        blocks, rest = divmod(rest - (4 - used) - 1, 4)
+        bitgen.advance(blocks)
+        rest += 1
+    if rest:
+        bitgen.random_raw(rest)
+    if state["has_uint32"]:
+        # advance() also drops the cached 32-bit half, which a raw read keeps
+        now = bitgen.state
+        now["has_uint32"], now["uinteger"] = state["has_uint32"], state["uinteger"]
+        bitgen.state = now
+    return words
 
 
 def _face_tuples(layers) -> list[tuple[int, ...]]:
@@ -292,40 +361,61 @@ def _facets_kept(prev: np.ndarray, faces: np.ndarray, binom, tested=None) -> np.
 
 
 def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    pos = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    pos = np.minimum(keys.searchsorted(x), keys.size - 1)
     return keys[pos] == x
 
 
-def _sibling_extensions(layer: np.ndarray) -> np.ndarray:
-    # Rows a < b of the lex-sorted layer that agree on all but their last
-    # vertex give the face row a + (last vertex of b); in (a, b) order these
-    # come out in lex order.  Every (d + 1)-face whose facets all lie in the
-    # layer arises once this way, from its facets without v_d and v_{d-1}.
+def _sibling_runs(layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Start row and length of each run of rows of the lex-sorted layer that
+    # agree on all but their last vertex.
     rows = layer.shape[0]
     head = np.ones(rows, dtype=bool)
     head[1:] = (layer[1:, :-1] != layer[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(head)
-    sizes = np.diff(np.append(starts, rows))
+    return starts, np.diff(np.append(starts, rows))
+
+
+def _sibling_extensions(layer: np.ndarray) -> np.ndarray:
+    # Rows a < b of one sibling run give the face row a + (last vertex of
+    # b); in (a, b) order these come out in lex order.  Every (d + 1)-face
+    # whose facets all lie in the layer arises once this way, from its
+    # facets without v_d and v_{d-1}.
+    rows = layer.shape[0]
+    starts, sizes = _sibling_runs(layer)
     later = np.repeat(starts + sizes, sizes) - np.arange(rows) - 1
     left = np.repeat(np.arange(rows), later)
     right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
     return np.concatenate([layer[left], layer[right, -1:]], axis=1)
 
 
+def _candidates(layer: np.ndarray, binom) -> np.ndarray:
+    # The (d + 1)-faces, in lex order, whose facets all lie in the
+    # lex-sorted layer of d-faces: the sibling extensions (which hold the
+    # facets without v_d and v_{d-1}) whose other d - 1 facets are rows too.
+    cands = _sibling_extensions(layer)
+    d = layer.shape[1]
+    if d > 1:
+        cands = cands[_facets_kept(layer, cands, binom, tested=d - 1)]
+    return cands
+
+
+def _sibling_pairs(layer: np.ndarray) -> int:
+    # Row count of _sibling_extensions(layer), without building it: a
+    # bound on the next dimension's candidates.
+    sizes = _sibling_runs(layer)[1]
+    return int((sizes * (sizes - 1)).sum()) // 2
+
+
 def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
     # Stage-by-dimension draw: a (d+1)-subset is a candidate once all of its
     # d-subsets were kept, and gets one uniform at closure_p[d], all of a
     # stage's uniforms in one call.  Candidates come in lexicographic
-    # order, so the stream layout is reproducible: the sibling extensions
-    # of the kept layer (which hold the facets without v_d and v_{d-1})
-    # whose other d - 1 facets were kept too.
+    # order (_candidates), so the stream layout is reproducible.
     binom = _binomial_tables(n, r)
     layer = np.arange(1, n + 1, dtype=np.int64)[rng.random(n) < closure_p[0], None]
     layers = [layer]
     for d in range(1, r + 1):
-        cands = _sibling_extensions(layer)
-        if d > 1:
-            cands = cands[_facets_kept(layer, cands, binom, tested=d - 1)]
+        cands = _candidates(layer, binom)
         layer = cands[rng.random(cands.shape[0]) < closure_p[d]]
         layers.append(layer)
     return _face_tuples(layers)
@@ -360,15 +450,29 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     <= r, so drawing the hypergraph only up to r is exact.  Membership is
     decided by facet recursion: keep a face iff it was drawn and all of its
     facets were kept (tested by colex rank, see _facets_kept).
+
+    The stream is read as one raw word per face, in lexicographic order per
+    dimension, but on Philox a dimension with few candidates (the faces
+    whose facets were all kept) reads only their words and jumps the rest
+    (_philox_words_at): the same faces, and the same generator state after
+    the call.
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     base = _base_tuple(n, p)
-    drawn = _bernoulli_faces(n, base, r, rng)
+    bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
-    kept = [drawn[0]]
+    philox = isinstance(bitgen, np.random.Philox)
+    kept = [_bernoulli_layer(n, 1, base[0], bitgen, binom)]
     for d in range(1, r + 1):
-        kept.append(drawn[d][_facets_kept(kept[-1], drawn[d], binom)])
+        layer, total = kept[-1], math.comb(n, d + 1)
+        if philox and total >= _SEEK_MIN_WORDS and _SEEK_SHARE * _sibling_pairs(layer) <= total:
+            cands = _candidates(layer, binom)
+            words = _philox_words_at(bitgen, _lex_ranks(cands, n, binom), total)
+            kept.append(cands[_word_hits(words, base[d])])
+        else:
+            drawn = _bernoulli_layer(n, d + 1, base[d], bitgen, binom)
+            kept.append(drawn[_facets_kept(layer, drawn, binom)])
     return tuple(_face_tuples(kept))
 
 

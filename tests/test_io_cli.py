@@ -584,6 +584,16 @@ def test_cli_stats_rejects_empty_runs(capsys, half_prob, model, n, samples, flag
     assert _one_error(err) and flag in err
 
 
+@pytest.mark.parametrize("model, r", [("clique", "-1"), ("clique", "0"), ("closure", "-1")])
+def test_cli_stats_rejects_r_below_its_model(capsys, half_prob, model, r):
+    # no --denom: the clique model's default denominator r + 1 would be
+    # the first thing to fail, with a message that names neither flag
+    code, out, err = run_cli(capsys, "stats", "--model", model, "--n", "5", "--r", r,
+                             "--prob", half_prob, "--seed", "1", "--samples", "3")
+    assert code == 2 and out == ""
+    assert _one_error(err) and "--r" in err and "coefficient" not in err
+
+
 @pytest.mark.parametrize("model", ["clique", "closure"])
 def test_cli_stats_reads_its_stream(tmp_path, capsys, model):
     # row k of `stats --stream s` reads stream s + k, as the library's

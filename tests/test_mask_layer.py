@@ -248,6 +248,97 @@ def test_generators_match_loops(n, r, p, bitgen):
         assert _same_stream_state(got_rng, want_rng)
 
 
+# ----- algorithm 2's Philox seek ------------------------------------------------
+
+SEEK_KEYS = [(0, 0), (7, 3), (2**64 - 1, 2**63 + 5)]
+
+
+def _philox_state(bitgen):
+    st = bitgen.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def _keyed(key, pre=0, half=False):
+    # Philox at `key` after `pre` raw words and, with `half`, one uint32
+    # draw that leaves the other half of its word cached
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    rng.bit_generator.random_raw(pre)
+    if half:
+        rng.integers(0, 1 << 32, dtype=np.uint32)
+    return rng
+
+
+@pytest.mark.parametrize("key", SEEK_KEYS)
+def test_philox_advance_matches_long_read(key):
+    # The seek's premises about numpy's Philox: word w of block c (counted
+    # from 1) is word 4 (c - 1) + w of the stream; advance(b) adds b blocks
+    # to the counter and empties the buffer and the cached 32-bit half.
+    long = _keyed(key).bit_generator.random_raw(5000)
+    pick = random.Random(sum(key))
+    spots = [0, 3, 4, 5, 4092, 4095, 4999, *range(8, 5000, 404), *pick.sample(range(5000), 40)]
+    for word in spots:
+        for pre in range(5):
+            blocks = word // 4 - (pre + 3) // 4
+            if blocks < 0:
+                continue
+            bitgen = _keyed(key, pre, half=pre % 2 == 1).bit_generator
+            bitgen.advance(blocks)
+            state = bitgen.state
+            assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+            assert bitgen.random_raw(word % 4 + 1)[-1] == long[word]
+            assert bitgen.state["buffer_pos"] == word % 4 + 1
+
+
+@pytest.mark.parametrize("key", SEEK_KEYS)
+def test_philox_words_at_match_full_read(key):
+    pick = np.random.default_rng(sum(key) % 1000)
+    total = 3 * sparse._BLOCK_UNIFORMS + 6
+    boundary = sparse._BLOCK_UNIFORMS
+    rank_sets = [
+        [], [0], [total - 1], [0, total - 1],
+        [boundary - 2, boundary - 1, boundary, boundary + 1],
+        list(range(600, 700)) + list(range(2000, 2003)),
+        sorted(pick.choice(total, 300, replace=False).tolist()),
+        sorted(pick.choice(total, 3000, replace=False).tolist()),
+    ]
+    for pre in range(5):
+        for half in (False, True):
+            for count in (total, total - 1, total - 2, total - 3):
+                for ranks in rank_sets:
+                    ranks = np.array([x for x in ranks if x < count], dtype=np.int64)
+                    got, want = _keyed(key, pre, half), _keyed(key, pre, half)
+                    words = sparse._philox_words_at(got.bit_generator, ranks, count)
+                    assert words.tolist() == want.bit_generator.random_raw(count)[ranks].tolist()
+                    assert _philox_state(got.bit_generator) == _philox_state(want.bit_generator)
+
+
+# (n, r, p): each seeks in every dimension above the edges; the oracle
+# builds every drawn face, so the cases keep their dense hits few
+SEEK_CASES = [
+    (200, 2, [1.0, 0.045, 0.0025]),  # the sparse benchmark job
+    (50, 3, [1.0, 0.13, 1.0, 0.02]),  # two sparse dimensions
+    (40, 2, [1.0, 0.12, 1.0]),  # top p of 1: every candidate is kept
+]
+
+
+@pytest.mark.parametrize("n, r, p", SEEK_CASES)
+def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
+    seeks = []
+    words_at = sparse._philox_words_at
+    monkeypatch.setattr(sparse, "_philox_words_at", lambda *a: seeks.append(a[1].size) or words_at(*a))
+    for key in SEEK_KEYS:
+        for pre in range(5):  # so each dimension ends on every residue mod 4
+            got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
+            for _ in range(2):
+                got = sparse.algorithm2_truncated(n, p, r, got_rng)
+                assert got == oracles.o_algorithm2_truncated(n, p, r, want_rng)
+                assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
+    # every draw seeks in dimensions 2..r, and each of them meets candidates
+    assert len(seeks) == 30 * (r - 1)
+    assert all(sum(seeks[d::r - 1]) > 0 for d in range(r - 1))
+
+
 def _dims_schedule(n):
     return {1: 0.5, 3: 0.7, 20: 0.25, 70: 0.1}[n]
 

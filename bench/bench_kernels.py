@@ -12,7 +12,11 @@ base vector of the benchmark's sparse jobs: the raw-word Bernoulli draw
 (algorithm 1's hypergraph part, which reads every face's word) and the
 staged draw under its closure marginals.  Algorithm 2, which reads only its
 candidates' words on Philox, is timed whole: 12 successive samples at the
-sparse job's n = 200, and one at n = 1000.  Each time is the best of 3.
+sparse job's n = 200, and one at n = 1000.  One more sample, at n = 100
+with dense edges and every higher coin a hit, times the route that reads a
+whole dimension's words: at d = 2 and 3 the kept layers have too many
+sibling pairs to seek, and the 3.9M tetrahedra's hits are unranked and
+filtered block by block.  Each time is the best of 3.
 """
 
 import argparse
@@ -45,6 +49,7 @@ SIDE, MASKS = 20, 10  # triangle and random masks for the mask ops
 SPARSE_BASE, SPARSE_R = (1.0, 0.045, 0.0025), 2  # the sparse jobs' base vector
 BERNOULLI_N, STAGED_N = 200, 100
 ALG2_RUNS = ((200, 12), (1000, 1))  # (n, successive samples)
+FULL_READ_N, FULL_READ_BASE, FULL_READ_R = 100, (1.0, 0.5, 1.0, 1.0), 3
 
 
 def timed(fn, repeats=3):
@@ -130,10 +135,10 @@ def bench_staged(n):
     return run
 
 
-def bench_algorithm2(n, samples):
+def bench_algorithm2(n, samples, base=SPARSE_BASE, r=SPARSE_R):
     def run():
         rng = rng_from(1)
-        return sum(len(algorithm2_truncated(n, SPARSE_BASE, SPARSE_R, rng)) for _ in range(samples))
+        return sum(len(algorithm2_truncated(n, base, r, rng)) for _ in range(samples))
 
     return run
 
@@ -158,6 +163,8 @@ def main():
         (f"staged draw (n={STAGED_N}, r={SPARSE_R}, closure marginals)", bench_staged(STAGED_N)),
         *((f"algorithm 2 (n={n}, r={SPARSE_R}, sparse base, samples={samples})", bench_algorithm2(n, samples))
           for n, samples in ALG2_RUNS),
+        (f"algorithm 2 read whole (n={FULL_READ_N}, r={FULL_READ_R}, p=1,0.5,1,1, samples=1)",
+         bench_algorithm2(FULL_READ_N, 1, FULL_READ_BASE, FULL_READ_R)),
     ]
 
     print(f"{'workload':<72} {'numpy':>12}")

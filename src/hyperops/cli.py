@@ -42,7 +42,7 @@ from .sparse import (
     dimension_stats,
     threshold_schedule,
 )
-from .verify import SUITES, iter_standard, run_suite
+from .verify import DEFAULT_SEED, SUITES, iter_standard, run_suite
 from .words import Prim, eval_word_mask, normalize
 
 
@@ -151,14 +151,13 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in SUITES:
             return _fail(f"unknown suite {name!r}; choose from {sorted(SUITES)} or all")
-    seed = args.seed if args.seed is not None else 2026
     if args.ambient:
         amb = hio.read_complex(args.ambient)
         lattice_size(amb)  # before the first suite line
         tables = TableSet(amb)  # every suite of this run reads the same tables
-        results = (run_suite(name, amb, rng_from(seed), tables) for name in names)
+        results = (run_suite(name, amb, rng_from(args.seed), tables) for name in names)
     else:
-        results = iter_standard(names, seed=seed)
+        results = iter_standard(names, seed=args.seed)
     ok = True
     for res in results:
         # each line as soon as its suite returns, so a later suite's error
@@ -197,7 +196,10 @@ def cmd_stats(args) -> int:
     bad = _require_seed(args)
     if bad is not None:
         return bad
-    n_values = [int(tok) for tok in args.n.split(",") if tok]
+    try:
+        n_values = [int(tok) for tok in args.n.split(",") if tok]
+    except ValueError:
+        n_values = []
     if not n_values or min(n_values) < 1:
         return _fail("give --n as a comma-separated list of positive counts, e.g. 20,40,80")
     if args.samples < 1:
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="|".join(sorted(SUITES)) + "|all")
     p.add_argument("--ambient", help="run on this .cx instead of the standard fixtures")
-    p.add_argument("--seed", type=int, default=None, help="seed for the sampled checks (default 2026)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed for the sampled checks (default {DEFAULT_SEED})")
 
     p = sub.add_parser("sparse", help="run a truncated generator")
     p.add_argument("--algorithm", type=int, choices=(1, 2), required=True)

@@ -19,40 +19,33 @@ from .complexes import AmbientComplex, Hypergraph, iter_bits
 from .operators import _meets, complement_mask, extension_mask, interior_mask
 
 
-def _balls(amb: AmbientComplex, i: int, within: int):
-    """Balls around face i in the meets-graph on the faces of `within`.
+def _balls(amb: AmbientComplex, i: int):
+    """Balls around face i in the meets-graph.
 
     Ball k holds the faces at most k hops from i, as a face bitset; the
-    balls stop when one stops growing.  Each round adds the faces of
-    `within` that meet a face the last round added.
+    balls stop when one stops growing.  Each round adds the faces that
+    meet a face the last round added.
     """
     ball = frontier = 1 << i
     while frontier:
         yield ball
-        frontier = _meets(amb, frontier) & within & ~ball
+        frontier = _meets(amb, frontier) & ~ball
         ball |= frontier
 
 
 def distance(amb: AmbientComplex, i: int, j: int) -> int:
     """Least number of faces in a path from face i to face j (inf -> -1)."""
-    for hops, ball in enumerate(_balls(amb, i, amb.full_mask)):
+    for hops, ball in enumerate(_balls(amb, i)):
         if ball >> j & 1:
             return hops + 1
     return -1
 
 
-def _radius(amb: AmbientComplex, i: int, within: int) -> int:
-    # hops from face i to the farthest face of `within`; -1 if some face
-    # of `within` is out of reach
-    for hops, ball in enumerate(_balls(amb, i, within)):
-        pass
-    return hops if ball == within else -1
-
-
 def eccentricity(amb: AmbientComplex, i: int) -> int:
     """Largest distance from face i to any face; -1 if some face is out of reach."""
-    hops = _radius(amb, i, amb.full_mask)
-    return hops + 1 if hops >= 0 else -1
+    for hops, ball in enumerate(_balls(amb, i)):
+        pass
+    return hops + 1 if ball == amb.full_mask else -1
 
 
 def diameter(amb: AmbientComplex) -> int:

@@ -279,28 +279,26 @@ def complement_transform(amb: AmbientComplex, p) -> np.ndarray:
     return 1.0 - _rows(amb, p)
 
 
+def _relation_products(rel, factors: np.ndarray) -> np.ndarray:
+    # entry i: the product of factors[..., j] over the bits j of rel[i],
+    # taken in ascending j
+    out = np.empty_like(factors)
+    for i, mask in enumerate(rel):
+        prod = 1.0
+        for j in iter_bits(mask):
+            prod *= factors[..., j]
+        out[..., i] = prod
+    return out
+
+
 def closure_transform(amb: AmbientComplex, p) -> np.ndarray:
     """Per-face inclusion probabilities of the closure of a product draw."""
-    probs = _rows(amb, p)
-    out = np.empty_like(probs)
-    for i in range(amb.num_faces):
-        miss = 1.0
-        for j in iter_bits(amb.sup_masks[i]):
-            miss *= 1.0 - probs[..., j]
-        out[..., i] = 1.0 - miss
-    return out
+    return 1.0 - _relation_products(amb.sup_masks, 1.0 - _rows(amb, p))
 
 
 def interior_transform(amb: AmbientComplex, p) -> np.ndarray:
     """Per-face inclusion probabilities of the interior-complex of a product draw."""
-    probs = _rows(amb, p)
-    out = np.empty_like(probs)
-    for i in range(amb.num_faces):
-        keep = 1.0
-        for j in iter_bits(amb.sub_masks[i]):
-            keep *= probs[..., j]
-        out[..., i] = keep
-    return out
+    return _relation_products(amb.sub_masks, _rows(amb, p))
 
 
 def union_transform(amb: AmbientComplex, p1, p2) -> np.ndarray:

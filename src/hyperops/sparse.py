@@ -17,12 +17,15 @@ exactly as one uniform per candidate, in lexicographic order, would:
   lexicographic rank, and leaves the generator at the same stream
   position, counter and buffer as the full Bernoulli draw; other
   dimensions and other bit generators take the full draw;
-* algorithm 2 and the staged draw test facets by colex rank.
+* algorithm 2 and the staged draw test facets by lexicographic rank, the
+  numbering that places a face's word in the stream.
 
-Nothing here ever enumerates the full simplex on n vertices, so memory
-stays proportional to the output.  The raw-word cut needs a bit generator
-whose doubles come from one 64-bit word: every numpy bit generator but
-MT19937.
+Nothing here ever enumerates the full simplex on n vertices, and a full
+Bernoulli read in algorithm 2 filters each block's hits by facets as they
+are unranked, so memory stays proportional to the output plus one block of
+hits (and, where candidates are built, the sibling pairs of the kept layer
+they come from).  The raw-word cut needs a bit generator whose doubles come
+from one 64-bit word: every numpy bit generator but MT19937.
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ __all__ = [
 ]
 
 STATS_COLUMNS = ("n", "p1", "samples", "prob_dim_le_r", "prob_dim_eq_r", "mean_r_faces")
+
+
+def _stats_row(*values) -> dict:
+    # one row of a dimension census, keyed by STATS_COLUMNS
+    return dict(zip(STATS_COLUMNS, values, strict=True))
 
 
 def _base_tuple(n: int, p) -> tuple[float, ...]:
@@ -252,27 +260,25 @@ def _binomial_tables(n, r) -> dict[int, np.ndarray]:
     return binom
 
 
-def _bernoulli_layer(n, k, q, bitgen, binom) -> np.ndarray:
+def _bernoulli_layer(n, k, q, bitgen, binom):
     # One draw per k-subset of 1..n, in lexicographic order; the count
     # depends only on (n, k), never on the outcomes.  The raw words are cut
     # as _bernoulli_hits does: the same hits, the same stream.  Only the
     # hits become faces: a hit's lexicographic rank is unranked through the
     # combinatorial number system.  With x = C(n, k) - 1 - rank, for
     # j = k..1 the largest c with C(c, j) <= x gives the next vertex n - c,
-    # and x drops by C(c, j).  Returns an int64 (hits, k) vertex array,
-    # rows in lex order.
+    # and x drops by C(c, j).  Yields an int64 (hits, k) vertex array per
+    # block of _BLOCK_UNIFORMS words, rows in lex order; each block's words
+    # are read when it is asked for, so the caller consumes every block.
     total = math.comb(n, k)
-    ranks = [
-        _bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), q) + start
-        for start in range(0, total, _BLOCK_UNIFORMS)
-    ]
-    x = total - 1 - np.concatenate(ranks)
-    verts = np.empty((x.size, k), dtype=np.int64)
-    for pos, j in enumerate(range(k, 0, -1)):
-        c = binom[j].searchsorted(x, "right") - 1
-        verts[:, pos] = n - c
-        x -= binom[j][c]
-    return verts
+    for start in range(0, total, _BLOCK_UNIFORMS):
+        x = total - 1 - start - _bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), q)
+        verts = np.empty((x.size, k), dtype=np.int64)
+        for pos, j in enumerate(range(k, 0, -1)):
+            c = binom[j].searchsorted(x, "right") - 1
+            verts[:, pos] = n - c
+            x -= binom[j][c]
+        yield verts
 
 
 def _lex_ranks(faces: np.ndarray, n: int, binom) -> np.ndarray:
@@ -283,10 +289,12 @@ def _lex_ranks(faces: np.ndarray, n: int, binom) -> np.ndarray:
 
 
 def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
-    # One _bernoulli_layer per dimension d = 0..r, in order.
+    # One _bernoulli_layer per dimension d = 0..r, in order, its blocks
+    # joined.
     bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
-    return [_bernoulli_layer(n, d + 1, base[d], bitgen, binom) for d in range(r + 1)]
+    return [np.concatenate(list(_bernoulli_layer(n, d + 1, base[d], bitgen, binom)))
+            for d in range(r + 1)]
 
 
 def _philox_words_at(bitgen: np.random.Philox, ranks: np.ndarray, total: int) -> np.ndarray:
@@ -337,26 +345,23 @@ def _face_tuples(layers) -> list[tuple[int, ...]]:
     return [face for verts in layers for face in map(tuple, verts.tolist())]
 
 
-def _facets_kept(prev: np.ndarray, faces: np.ndarray, binom, tested=None) -> np.ndarray:
+def _facets_kept(keys: np.ndarray, faces: np.ndarray, n, binom, tested=None) -> np.ndarray:
     # Bool per row of faces (d + 1 vertices): the facets without v_0, v_1,
-    # .., v_{tested - 1} (1 <= tested <= d + 1, all by default) are rows
-    # of prev (d vertices).  Faces are compared by colex rank:
-    # v_0 < .. < v_d has rank sum_j C(v_j - 1, j + 1).  The facet without
-    # v_0 shifts every other vertex down one position, so its rank is
-    # sum_{j>0} C(v_j - 1, j); the facet without v_i differs from the one
-    # without v_{i-1} only at position i - 1, which holds v_{i-1} in place
-    # of v_i, so its rank adds C(v_{i-1} - 1, i) - C(v_i - 1, i).
-    d = prev.shape[1]
+    # .., v_{tested - 1} (1 <= tested <= d + 1, all by default) have their
+    # lex ranks among keys, the ascending _lex_ranks of a lex-sorted layer
+    # of d-faces.  The facet without v_i differs from the one without
+    # v_{i-1} only at position i - 1, which holds v_{i-1} in place of v_i,
+    # so its rank adds C(n - v_i, d - i + 1) - C(n - v_{i-1}, d - i + 1).
+    d = faces.shape[1] - 1
     tested = d + 1 if tested is None else tested
-    if prev.shape[0] == 0:
+    if keys.size == 0:
         return np.zeros(faces.shape[0], dtype=bool)
-    keys = np.sort(sum(binom[j + 1][prev[:, j] - 1] for j in range(d)))
-    c = [faces[:, j] - 1 for j in range(d + 1)]
-    facet_key = sum(binom[j][c[j]] for j in range(1, d + 1))
-    keep = _in_sorted(keys, facet_key)
+    c = n - faces
+    facet = _lex_ranks(faces[:, 1:], n, binom)
+    keep = _in_sorted(keys, facet)
     for i in range(1, tested):
-        facet_key = facet_key + binom[i][c[i - 1]] - binom[i][c[i]]
-        keep &= _in_sorted(keys, facet_key)
+        facet += binom[d - i + 1][c[:, i]] - binom[d - i + 1][c[:, i - 1]]
+        keep &= _in_sorted(keys, facet)
     return keep
 
 
@@ -388,14 +393,14 @@ def _sibling_extensions(layer: np.ndarray) -> np.ndarray:
     return np.concatenate([layer[left], layer[right, -1:]], axis=1)
 
 
-def _candidates(layer: np.ndarray, binom) -> np.ndarray:
+def _candidates(layer: np.ndarray, n, binom) -> np.ndarray:
     # The (d + 1)-faces, in lex order, whose facets all lie in the
     # lex-sorted layer of d-faces: the sibling extensions (which hold the
     # facets without v_d and v_{d-1}) whose other d - 1 facets are rows too.
     cands = _sibling_extensions(layer)
     d = layer.shape[1]
     if d > 1:
-        cands = cands[_facets_kept(layer, cands, binom, tested=d - 1)]
+        cands = cands[_facets_kept(_lex_ranks(layer, n, binom), cands, n, binom, tested=d - 1)]
     return cands
 
 
@@ -415,7 +420,7 @@ def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
     layer = np.arange(1, n + 1, dtype=np.int64)[rng.random(n) < closure_p[0], None]
     layers = [layer]
     for d in range(1, r + 1):
-        cands = _candidates(layer, binom)
+        cands = _candidates(layer, n, binom)
         layer = cands[rng.random(cands.shape[0]) < closure_p[d]]
         layers.append(layer)
     return _face_tuples(layers)
@@ -449,13 +454,14 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     nonempty subsets are hyperedges, and those subsets also have dimension
     <= r, so drawing the hypergraph only up to r is exact.  Membership is
     decided by facet recursion: keep a face iff it was drawn and all of its
-    facets were kept (tested by colex rank, see _facets_kept).
+    facets were kept (tested by lex rank, see _facets_kept).
 
     The stream is read as one raw word per face, in lexicographic order per
     dimension, but on Philox a dimension with few candidates (the faces
     whose facets were all kept) reads only their words and jumps the rest
     (_philox_words_at): the same faces, and the same generator state after
-    the call.
+    the call.  A dimension read whole filters each block's hits by facets
+    as they are unranked, so it never holds more than one block of them.
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
@@ -463,16 +469,19 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
     philox = isinstance(bitgen, np.random.Philox)
-    kept = [_bernoulli_layer(n, 1, base[0], bitgen, binom)]
+    kept = [np.concatenate(list(_bernoulli_layer(n, 1, base[0], bitgen, binom)))]
     for d in range(1, r + 1):
         layer, total = kept[-1], math.comb(n, d + 1)
         if philox and total >= _SEEK_MIN_WORDS and _SEEK_SHARE * _sibling_pairs(layer) <= total:
-            cands = _candidates(layer, binom)
+            cands = _candidates(layer, n, binom)
             words = _philox_words_at(bitgen, _lex_ranks(cands, n, binom), total)
             kept.append(cands[_word_hits(words, base[d])])
         else:
-            drawn = _bernoulli_layer(n, d + 1, base[d], bitgen, binom)
-            kept.append(drawn[_facets_kept(layer, drawn, binom)])
+            keys = _lex_ranks(layer, n, binom)
+            kept.append(np.concatenate([
+                block[_facets_kept(keys, block, n, binom)]
+                for block in _bernoulli_layer(n, d + 1, base[d], bitgen, binom)
+            ]))
     return tuple(_face_tuples(kept))
 
 
@@ -504,16 +513,7 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
             le += int(np.count_nonzero(~exists))
             eq += int(np.count_nonzero(~exists & (counts > 0)))
             total_faces += int(counts.sum())
-        rows.append(
-            {
-                "n": n,
-                "p1": p1,
-                "samples": samples,
-                "prob_dim_le_r": le / samples,
-                "prob_dim_eq_r": eq / samples,
-                "mean_r_faces": total_faces / samples,
-            }
-        )
+        rows.append(_stats_row(n, p1, samples, le / samples, eq / samples, total_faces / samples))
     return rows
 
 
@@ -551,16 +551,8 @@ def closure_dimension_stats(n_values, base_template, r, samples, seed, *, stream
         us = rng.random(samples)
         le = int(np.count_nonzero(us < p_le))
         eq = int(np.count_nonzero((us >= p_le_below) & (us < p_le)))
-        rows.append(
-            {
-                "n": n,
-                "p1": base[1] if n > 1 else 1.0,
-                "samples": samples,
-                "prob_dim_le_r": le / samples,
-                "prob_dim_eq_r": eq / samples,
-                "mean_r_faces": mean_r_faces,
-            }
-        )
+        p1 = base[1] if n > 1 else 1.0
+        rows.append(_stats_row(n, p1, samples, le / samples, eq / samples, mean_r_faces))
     return rows
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .complexes import AmbientComplex, Hypergraph, standard_fixtures
 from .kernels import pair_laws
 from .metric import diameter, minimal_powers
-from .models import ProbabilityAssignment, resolve_probabilities, rng_from
+from .models import rng_from
 from .operators import TableSet, fixed_points
 from .pushforward import (
     Distribution,
@@ -55,6 +55,9 @@ from .words import REWRITE_RULES, eval_word_tables, word_from_names
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_standard", "default_fixtures"]
 
 EXACT_TOL = 1e-12
+
+# seed of the sampled checks when none is given
+DEFAULT_SEED = 2026
 
 
 @dataclass
@@ -128,7 +131,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     containment_cases), so expect the all-masks record to FAIL on every
     fixture while the complex-restricted record passes.
     """
-    rng = rng if rng is not None else rng_from(2026)
+    rng = rng if rng is not None else rng_from(DEFAULT_SEED)
     tables = TableSet.of(amb, tables)
     d = _finite_diameter(amb, "theorem1")
     size = tables["id"].size
@@ -196,15 +199,6 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     return SuiteResult("theorem1", passed, total, failures)
 
 
-def _asymmetric_assignment(amb: AmbientComplex) -> ProbabilityAssignment:
-    values = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
-    entries = [
-        (amb.face_vertices(i), values[i % len(values)])
-        for i in range(amb.num_faces)
-    ]
-    return ProbabilityAssignment.from_entries(entries)
-
-
 def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
     """Pushforwards of product draws against the closed-form families.
 
@@ -213,18 +207,16 @@ def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     to FAIL its four non-degenerate closure/interior cases.
     """
     tables = TableSet.of(amb, tables)
-    settings = [
-        ("p=0", ProbabilityAssignment.constant(0.0)),
-        ("p=0.5", ProbabilityAssignment.constant(0.5)),
-        ("p=1", ProbabilityAssignment.constant(1.0)),
-        ("asymmetric", _asymmetric_assignment(amb)),
-    ]
-    # one row of probabilities per setting
-    tvs = _transform_tvs(amb, np.stack([resolve_probabilities(amb, pa) for _, pa in settings]), tables)
+    # one row of probabilities per setting, in face order
+    labels = ("p=0", "p=0.5", "p=1", "asymmetric")
+    asymmetric = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
+    m = amb.num_faces
+    probs = np.stack([np.zeros(m), np.full(m, 0.5), np.ones(m), np.resize(asymmetric, m)])
+    tvs = _transform_tvs(amb, probs, tables)
     passed = 0
     total = 0
     failures = []
-    for row, (label, _) in enumerate(settings):
+    for row, label in enumerate(labels):
         for op in ("complement", "closure", "interior", "intersection", "union"):
             tv = float(tvs[op][row])
             total += 1
@@ -242,7 +234,7 @@ def suite_powers(amb: AmbientComplex, rng=None, tables: TableSet | None = None) 
     full; the empty and full masks are degenerate and skipped.  A random
     sample is cross-checked against the operator-level implementation.
     """
-    rng = rng if rng is not None else rng_from(2026)
+    rng = rng if rng is not None else rng_from(DEFAULT_SEED)
     tables = TableSet.of(amb, tables)
     idx = tables["id"]
     size = idx.size
@@ -250,18 +242,18 @@ def suite_powers(amb: AmbientComplex, rng=None, tables: TableSet | None = None) 
     full = np.uint32(amb.full_mask)
     limit = _finite_diameter(amb, "powers") + 2
 
-    t = np.full(size, -1, dtype=np.int64)
-    cur = idx
-    t[cur == 0] = 0
-    for k in range(1, limit + 1):
-        cur = it[cur]
-        t[(t < 0) & (cur == 0)] = k
-    r = np.full(size, -1, dtype=np.int64)
-    cur = gt
-    r[cur == full] = 0
-    for k in range(1, limit + 1):
-        cur = et[cur]
-        r[(r < 0) & (cur == full)] = k
+    def first_power(table: np.ndarray, start: np.ndarray, goal) -> np.ndarray:
+        # per mask, the least k <= limit with table^k(start) == goal; -1 if none
+        least = np.full(size, -1, dtype=np.int64)
+        cur = start
+        least[cur == goal] = 0
+        for k in range(1, limit + 1):
+            cur = table[cur]
+            least[(least < 0) & (cur == goal)] = k
+        return least
+
+    t = first_power(it, idx, 0)
+    r = first_power(et, gt, full)
 
     live = (idx != 0) & (idx != full)
     resolved = live & (t >= 0) & (r >= 0)
@@ -316,7 +308,7 @@ def run_suite(name: str, amb: AmbientComplex, rng=None, tables: TableSet | None 
     return fn(amb, rng, tables)
 
 
-def iter_standard(names=None, seed: int = 2026) -> Iterator[SuiteResult]:
+def iter_standard(names=None, seed: int = DEFAULT_SEED) -> Iterator[SuiteResult]:
     """Run suites over their default fixtures, tagging names suite:fixture;
     each result is yielded as soon as its suite returns.  Each fixture has
     one TableSet, shared by every suite that runs on it."""
@@ -329,6 +321,6 @@ def iter_standard(names=None, seed: int = 2026) -> Iterator[SuiteResult]:
             yield res
 
 
-def run_standard(names=None, seed: int = 2026) -> list[SuiteResult]:
+def run_standard(names=None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Every result of iter_standard, in order."""
     return list(iter_standard(names, seed))

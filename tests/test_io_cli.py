@@ -576,7 +576,8 @@ def test_cli_stats_rejects_nan_schedule(capsys, flag):
 
 
 @pytest.mark.parametrize("model", ["clique", "closure"])
-@pytest.mark.parametrize("n,samples,flag", [("6", "0", "--samples"), ("0", "5", "--n"), ("8,-3", "5", "--n")])
+@pytest.mark.parametrize("n,samples,flag", [("6", "0", "--samples"), ("0", "5", "--n"), ("8,-3", "5", "--n"),
+                                            ("5,abc", "5", "--n"), ("1.5", "5", "--n")])
 def test_cli_stats_rejects_empty_runs(capsys, half_prob, model, n, samples, flag):
     code, out, err = run_cli(capsys, "stats", "--model", model, "--n", n, "--r", "1",
                              "--prob", half_prob, "--seed", "1", "--samples", samples)

@@ -5,6 +5,7 @@ same faces in the same order, and the same number of uniforms consumed.
 """
 
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -322,11 +323,17 @@ SEEK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, r, p", SEEK_CASES)
-def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
+def _count_seeks(monkeypatch):
+    # the candidate count of each _philox_words_at call, in call order
     seeks = []
     words_at = sparse._philox_words_at
     monkeypatch.setattr(sparse, "_philox_words_at", lambda *a: seeks.append(a[1].size) or words_at(*a))
+    return seeks
+
+
+@pytest.mark.parametrize("n, r, p", SEEK_CASES)
+def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
+    seeks = _count_seeks(monkeypatch)
     for key in SEEK_KEYS:
         for pre in range(5):  # so each dimension ends on every residue mod 4
             got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
@@ -337,6 +344,37 @@ def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
     # every draw seeks in dimensions 2..r, and each of them meets candidates
     assert len(seeks) == 30 * (r - 1)
     assert all(sum(seeks[d::r - 1]) > 0 for d in range(r - 1))
+
+
+# Dense edges and every higher coin a hit: the kept layers have too many
+# sibling pairs to seek, so algorithm 2 reads d = 2 and 3 whole.  At n = 40
+# the C(40, 4) = 91,390 tetrahedra span three blocks of words.
+def test_algorithm2_full_read_matches_loop_across_blocks(monkeypatch):
+    p, r = [1.0, 0.6, 1.0, 1.0], 3
+    seeks = _count_seeks(monkeypatch)
+    assert comb(40, r + 1) > 2 * sparse._BLOCK_UNIFORMS
+    for pre in range(5):  # each key, and each residue of the stream mod 4
+        key = SEEK_KEYS[pre % len(SEEK_KEYS)]
+        got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
+        got = sparse.algorithm2_truncated(40, p, r, got_rng)
+        assert got == oracles.o_algorithm2_truncated(40, p, r, want_rng)
+        assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
+    assert seeks == []
+
+
+def test_algorithm2_full_read_holds_one_block_of_hits(monkeypatch):
+    # n = 60 unranks C(60, 4) = 487,635 tetrahedra (15 MiB of int64
+    # vertices) and keeps about 1/64 of them; filtered block by block, the
+    # peak stays near the output's size.
+    seeks = _count_seeks(monkeypatch)
+    tracemalloc.start()
+    try:
+        faces = sparse.algorithm2_truncated(60, [1.0, 0.5, 1.0, 1.0], 3, rng_from(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seeks == [] and len(faces) > 0
+    assert peak < 8 << 20
 
 
 def _dims_schedule(n):

@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
         amb = hio.read_complex(args.ambient)
         lattice_size(amb)  # before the first suite line
         tables = TableSet(amb)  # every suite of this run reads the same tables
-        results = (run_suite(name, amb, rng_from(args.seed), tables) for name in names)
+        results = (run_suite(name, tables, rng_from(args.seed)) for name in names)
     else:
         results = iter_standard(names, seed=args.seed)
     ok = True

@@ -34,9 +34,6 @@ from .words import (
 
 __all__ = ["OperatorExpression", "ParseError", "parse_expression"]
 
-# zero is a primitive of the evaluator with no surface syntax.
-_PLAIN = tuple(name for name in PRIMITIVES if name != "zero")
-
 _TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>/\\|[.^+()])")
 
 
@@ -129,7 +126,7 @@ class _Parser:
     def atom(self) -> Word:
         kind, value, pos = self.take()
         if kind == "name":
-            if value in _PLAIN:
+            if value in PRIMITIVES:
                 return Prim(value)
             if value in ALIASES:
                 return word_from_names(list(ALIASES[value]))

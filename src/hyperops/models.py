@@ -72,6 +72,12 @@ class ProbabilityAssignment:
         if (self.per_dim is None) == (self.entries is None):
             raise ValueError("exactly one of per_dim / entries must be given")
         check_probabilities(list(self._all_values()))
+        seen = set()
+        for face, _ in self.entries or ():
+            face = tuple(sorted(face))
+            if face in seen:
+                raise ValueError(f"probability entries list the simplex {list(face)} twice")
+            seen.add(face)
 
     def _all_values(self) -> Iterator[float]:
         if self.per_dim is not None:
@@ -160,7 +166,7 @@ class ProbabilityAssignment:
                 return cls(entries=entries, default=_json_number(doc.get("default", 0.0), "default"))
         except KeyError as e:
             raise ValueError(f"{mode} probability JSON lacks the key {e}") from None
-        except (TypeError, OverflowError) as e:
+        except (TypeError, OverflowError, ValueError) as e:
             raise ValueError(f"malformed {mode} probability JSON: {e}") from None
         raise ValueError(f"unknown probability mode {mode!r}")
 

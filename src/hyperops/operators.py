@@ -312,13 +312,10 @@ PRIMITIVE_MASK_OPS = {
     "Int": interior_mask,
     "Nbd": neighborhood_mask,
     "NbdInv": neighborhood_inverse_mask,
-    "zero": lambda amb, h: 0,
 }
 
 
 def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
-    if name == "zero":
-        return np.zeros(lattice_size(amb), dtype=np.uint32)
     try:
         builder = PRIMITIVE_TABLES[name]
     except KeyError:
@@ -328,23 +325,15 @@ def primitive_table(amb: AmbientComplex, name: str) -> np.ndarray:
 
 class TableSet(dict):
     """The primitive tables of one ambient by name, each built on first use
-    by primitive_table.  Its maker owns it: a `verify` run makes one per
-    ambient for all its suites; a function given none makes one for the
-    call (TableSet.of), so a push drops its tables when it returns."""
+    by primitive_table.  A set is the exact layer's one handle on its
+    ambient: a function that reads tables takes the set alone and reads the
+    ambient as `tables.ambient`, so the two cannot disagree.  Its maker owns
+    it: a `verify` run makes one per ambient for all its suites, and a push
+    or closed-form law makes one per call, dropping its tables on return."""
 
     def __init__(self, ambient: AmbientComplex):
         super().__init__()
         self.ambient = ambient
-
-    @classmethod
-    def of(cls, ambient: AmbientComplex, tables: TableSet | None) -> TableSet:
-        """The caller's tables, checked to belong to ambient, or a new set
-        when None."""
-        if tables is None:
-            return cls(ambient)
-        if tables.ambient is not ambient:
-            raise ValueError("table set belongs to a different ambient")
-        return tables
 
     def __missing__(self, name: str) -> np.ndarray:
         table = self[name] = primitive_table(self.ambient, name)

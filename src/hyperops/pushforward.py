@@ -125,21 +125,22 @@ def complex_product(amb: AmbientComplex, p) -> Distribution:
     bit-identical to it.  Every other mask is 0.
     """
     probs = resolve_probabilities(amb, p)
-    return Distribution(amb, _staged_product(amb, probs, complex_indicator(amb)))
+    return Distribution(amb, _staged_product(probs, TableSet(amb)))
 
 
-def _staged_product(amb: AmbientComplex, probs: np.ndarray, indicator: np.ndarray) -> np.ndarray:
-    # complex_product's vector from the bool subcomplex indicator, so a
-    # caller that holds the closure table need not build it again; one law
-    # per row of probs (shape (..., m)).  Entry X of the doubling is 1.0
-    # times p_i over the set bits i of X, i increasing.
-    idx = np.flatnonzero(indicator)
+def _staged_product(probs: np.ndarray, tables: TableSet) -> np.ndarray:
+    # complex_product's vector, one law per row of probs (shape (..., m)),
+    # on the subcomplexes: the fixed points of the set's closure table, so
+    # a caller that holds that table does not build it again.  Entry X of
+    # the doubling is 1.0 times p_i over the set bits i of X, i increasing.
+    closure = tables["Delta"]
+    idx = np.flatnonzero(fixed_points(closure))
     vals = doubling(1.0, probs, np.multiply)[..., idx]
-    for i, down in enumerate(amb.sub_masks):
+    for i, down in enumerate(tables.ambient.sub_masks):
         # external to X: face i is not in X and its proper subfaces are
         external = (idx & down) == down & ~(1 << i)
         np.multiply(vals, 1.0 - probs[..., i, None], out=vals, where=external)
-    vec = np.zeros(probs.shape[:-1] + (indicator.size,))
+    vec = np.zeros(probs.shape[:-1] + (closure.size,))
     vec[..., idx] = vals
     return vec
 
@@ -201,7 +202,7 @@ def _push(word: Word, dists: list[Distribution]) -> Distribution:
         # The operand slice(None) reads the first primitive's table whole,
         # with no gather; only a zeroth power applies no primitive.
         amb = dists[0].ambient
-        table = eval_word_tables(word, amb, [slice(None)])
+        table = eval_word_tables(word, TableSet(amb), [slice(None)])
         if isinstance(table, slice):
             table = identity_table(amb)
         return push_table(dists[0], table)
@@ -344,15 +345,16 @@ def closed_form_family(name: str, amb: AmbientComplex, p) -> Distribution:
     gamma, the staged law at closure_transform or interior_transform for
     Delta or delta, on the fixed points of the closure table.  The staged two
     match the image's marginals, its joint law only in degenerate cases."""
-    return Distribution(amb, _family(name, amb, resolve_probabilities(amb, p), TableSet(amb)))
+    return Distribution(amb, _family(name, resolve_probabilities(amb, p), TableSet(amb)))
 
 
-def _family(name: str, amb: AmbientComplex, probs: np.ndarray, tables: TableSet) -> np.ndarray:
+def _family(name: str, probs: np.ndarray, tables: TableSet) -> np.ndarray:
     # closed_form_family's vector, one law per row of probs
+    amb = tables.ambient
     if name == "gamma":
         return _product(amb, complement_transform(amb, probs))
     transform = {"Delta": closure_transform, "delta": interior_transform}[name]
-    return _staged_product(amb, transform(amb, probs), fixed_points(tables["Delta"]))
+    return _staged_product(transform(amb, probs), tables)
 
 
 def verify_transforms(amb: AmbientComplex, p) -> dict[str, float]:
@@ -367,22 +369,23 @@ def verify_transforms(amb: AmbientComplex, p) -> dict[str, float]:
     the product law at intersection_transform / union_transform.  This is
     row 0 of _transform_tvs.
     """
-    tvs = _transform_tvs(amb, resolve_probabilities(amb, p)[None], TableSet(amb))
+    tvs = _transform_tvs(resolve_probabilities(amb, p)[None], TableSet(amb))
     return {op: float(tv[0]) for op, tv in tvs.items()}
 
 
-def _transform_tvs(amb: AmbientComplex, probs: np.ndarray, tables: TableSet) -> dict[str, np.ndarray]:
+def _transform_tvs(probs: np.ndarray, tables: TableSet) -> dict[str, np.ndarray]:
     # verify_transforms for each row of probs (shape (laws, m)): the
     # product laws, the pushes of one operation and their closed-form
     # families are rows of one array each, while every push is its own
     # call on one law.
+    amb = tables.ambient
     laws = [Distribution(amb, row) for row in _product(amb, probs)]
 
     def tv(pushes, family):
         return _tv(np.stack([d.vec for d in pushes]), family)
 
     out = {
-        op: tv([push_table(law, tables[name]) for law in laws], _family(name, amb, probs, tables))
+        op: tv([push_table(law, tables[name]) for law in laws], _family(name, probs, tables))
         for op, name in (("complement", "gamma"), ("closure", "Delta"), ("interior", "delta"))
     }
     out["intersection"] = tv([push_intersection(law, law) for law in laws],

@@ -495,6 +495,7 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
     stream, so rows are reproducible independently of the sweep order.
     Graphs are drawn and censused in blocks of about _BLOCK_UNIFORMS pair
     uniforms; the stream is read in the same order whatever the block size.
+    schedule is a callable from n to the edge probability (threshold_schedule).
 
     Returns one dict per n with keys matching STATS_COLUMNS.
     """
@@ -503,7 +504,7 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
     rows = []
     for offset, n in enumerate(n_values):
         rng = rng_from(seed, stream=streams_from + offset)
-        p1 = schedule(n) if callable(schedule) else float(schedule)
+        p1 = schedule(n)
         le = eq = 0
         total_faces = 0
         per_block = max(1, _BLOCK_UNIFORMS // max(n * (n - 1) // 2, 1))

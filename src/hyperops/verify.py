@@ -20,10 +20,10 @@ product laws and closed-form families.  Limits, masses and TVs are taken
 over the rows.  Every push is still one push_table, push_union or
 push_intersection call on one law.
 
-Suites read their tables from a TableSet owned by the run: iter_standard
-makes one per fixture and `verify --ambient` one per run, so each table is
-built at most once per ambient; a suite called without a set makes its own,
-and one called with another ambient's set raises (TableSet.of).
+Every suite takes a TableSet, its one handle on the ambient (read as
+`tables.ambient`), and a generator for its sampled checks.  The run owns
+the set: iter_standard makes one per fixture and `verify --ambient` one per
+run, so each table is built at most once per ambient.
 """
 
 from __future__ import annotations
@@ -88,26 +88,24 @@ def _finite_diameter(amb: AmbientComplex, suite: str) -> int:
     return d
 
 
-def suite_identities(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def suite_identities(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     """The normalizer's rewrite rules, every sub-hypergraph of the ambient."""
-    tables = TableSet.of(amb, tables)
     idx = tables["id"]
     size = idx.size
     passed = 0
     failures = []
     for lhs, rhs in REWRITE_RULES:
         left, right = word_from_names(list(lhs)), word_from_names(list(rhs))
-        eq = int(np.count_nonzero(eval_word_tables(left, amb, [idx], tables)
-                                  == eval_word_tables(right, amb, [idx], tables)))
+        eq = int(np.count_nonzero(eval_word_tables(left, tables, [idx])
+                                  == eval_word_tables(right, tables, [idx])))
         passed += eq
         if eq != size:
             failures.append(f"{left} = {right}: {size - eq} of {size} masks disagree")
     return SuiteResult("identities", passed, len(REWRITE_RULES) * size, failures)
 
 
-def suite_laws(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def suite_laws(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     """The three distribution laws over all unordered mask pairs."""
-    tables = TableSet.of(amb, tables)
     bad, pairs = pair_laws(tables["Delta"], tables["delta"], tables["gamma"])
     labels = (
         "gamma(a + b) = gamma(a) /\\ gamma(b)",
@@ -123,7 +121,7 @@ def suite_laws(amb: AmbientComplex, rng=None, tables: TableSet | None = None) ->
     return SuiteResult("laws", passed, 3 * pairs, failures)
 
 
-def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def suite_theorem1(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     """Saturation, the containment battery, and the recovery inequality.
 
     Ext(Int(H)) inside the simplicial part of H is recorded as printed and
@@ -131,8 +129,7 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     containment_cases), so expect the all-masks record to FAIL on every
     fixture while the complex-restricted record passes.
     """
-    rng = rng if rng is not None else rng_from(DEFAULT_SEED)
-    tables = TableSet.of(amb, tables)
+    amb = tables.ambient
     d = _finite_diameter(amb, "theorem1")
     size = tables["id"].size
     et, it, ct, dt = tables["Ext"], tables["Int"], tables["Delta"], tables["delta"]
@@ -199,20 +196,19 @@ def suite_theorem1(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     return SuiteResult("theorem1", passed, total, failures)
 
 
-def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def suite_theorem2(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     """Pushforwards of product draws against the closed-form families.
 
     Complement, intersection, and union match exactly.  The closure and
     interior rows match only at degenerate probabilities; expect this suite
     to FAIL its four non-degenerate closure/interior cases.
     """
-    tables = TableSet.of(amb, tables)
     # one row of probabilities per setting, in face order
     labels = ("p=0", "p=0.5", "p=1", "asymmetric")
     asymmetric = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3)
-    m = amb.num_faces
+    m = tables.ambient.num_faces
     probs = np.stack([np.zeros(m), np.full(m, 0.5), np.ones(m), np.resize(asymmetric, m)])
-    tvs = _transform_tvs(amb, probs, tables)
+    tvs = _transform_tvs(probs, tables)
     passed = 0
     total = 0
     failures = []
@@ -227,15 +223,14 @@ def suite_theorem2(amb: AmbientComplex, rng=None, tables: TableSet | None = None
     return SuiteResult("theorem2", passed, total, failures)
 
 
-def suite_powers(amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def suite_powers(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     """Minimal vanishing/filling powers stay within one of each other.
 
     t is the least k with Int^k(H) empty, r the least k with Ext^k(gamma H)
     full; the empty and full masks are degenerate and skipped.  A random
     sample is cross-checked against the operator-level implementation.
     """
-    rng = rng if rng is not None else rng_from(DEFAULT_SEED)
-    tables = TableSet.of(amb, tables)
+    amb = tables.ambient
     idx = tables["id"]
     size = idx.size
     it, et, gt = tables["Int"], tables["Ext"], tables["gamma"]
@@ -300,23 +295,22 @@ def default_fixtures(suite: str) -> tuple[str, ...]:
     return _DEFAULT_SCOPE[suite]
 
 
-def run_suite(name: str, amb: AmbientComplex, rng=None, tables: TableSet | None = None) -> SuiteResult:
+def run_suite(name: str, tables: TableSet, rng: np.random.Generator) -> SuiteResult:
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return fn(amb, rng, tables)
+    return fn(tables, rng)
 
 
 def iter_standard(names=None, seed: int = DEFAULT_SEED) -> Iterator[SuiteResult]:
     """Run suites over their default fixtures, tagging names suite:fixture;
     each result is yielded as soon as its suite returns.  Each fixture has
     one TableSet, shared by every suite that runs on it."""
-    fixtures = standard_fixtures()
-    sets = {fix: TableSet(amb) for fix, amb in fixtures.items()}
+    sets = {fix: TableSet(amb) for fix, amb in standard_fixtures().items()}
     for name in names or sorted(SUITES):
         for fix in default_fixtures(name):
-            res = run_suite(name, fixtures[fix], rng_from(seed), sets[fix])
+            res = run_suite(name, sets[fix], rng_from(seed))
             res.name = f"{name}:{fix}"
             yield res
 

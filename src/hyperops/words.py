@@ -173,20 +173,17 @@ def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
     return Hypergraph(amb, mask)
 
 
-def eval_word_tables(
-    word: Word, amb: AmbientComplex, args: list[np.ndarray], tables: TableSet | None = None
-) -> np.ndarray:
-    """Vectorized evaluation over arrays of masks (broadcast together).  An
-    operand of slice(None) stands for every mask in order, so a primitive
-    applied to it returns a view of its table, with no gather.
+def eval_word_tables(word: Word, tables: TableSet, args: list[np.ndarray]) -> np.ndarray:
+    """Vectorized evaluation over arrays of masks (broadcast together) of
+    the ambient `tables.ambient`.  An operand of slice(None) stands for
+    every mask in order, so a primitive applied to it returns a view of its
+    table, with no gather.
 
-    Primitives are read from `tables`, a TableSet of amb that the caller
-    owns and may share between calls; without one, a set is made for this
-    call and dropped with it.  Either way each primitive's table is built at
-    most once, however often the word uses it.
+    Primitives are read from `tables`, which the caller owns and may share
+    between calls, so each primitive's table is built at most once per set,
+    however often the word uses it.
     """
     _check_arity(word, args)
-    tables = TableSet.of(amb, tables)
     return _walk(word, list(args), lambda name, x: tables[name][x])
 
 
@@ -246,7 +243,7 @@ def normalize(word: Word) -> Word:
     """Normal form of a unary composition word.
 
     Aliases are expanded first, so the result is a chain over the generators
-    (plus any Nbd/NbdInv/zero occurrences, which no rule touches).
+    (plus any Nbd/NbdInv occurrences, which no rule touches).
     """
     return word_from_names(normalize_chain(_flatten_chain(word)))
 

@@ -36,6 +36,7 @@ from hyperops.models import (
 )
 from hyperops.complexes import Hypergraph
 from hyperops.operators import (
+    TableSet,
     closure_table,
     extension_table,
     interior_complex_table,
@@ -85,8 +86,9 @@ def test_criterion_1_identities_and_laws(fixtures):
     ok = True
     cases = 0
     for amb in fixtures.values():
-        ri = suite_identities(amb)
-        rl = suite_laws(amb)
+        tables = TableSet(amb)
+        ri = suite_identities(tables, rng_from(2026))
+        rl = suite_laws(tables, rng_from(2026))
         ok = ok and ri.ok and rl.ok
         cases += ri.total + rl.total
     elapsed = time.perf_counter() - t0
@@ -195,7 +197,7 @@ def test_criterion_4_containment_battery(fixtures):
     ok = True
     details = []
     for name, amb in fixtures.items():
-        res = suite_theorem1(amb, rng_from(2026))
+        res = suite_theorem1(TableSet(amb), rng_from(2026))
         extra = [f for f in res.failures if "all masks" not in f]
         if extra:
             ok = False

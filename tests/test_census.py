@@ -66,7 +66,7 @@ def test_suites_fail_only_the_printed_claims(n, amb):
     tables = TableSet(amb)
     failing = {}
     for name in sorted(SUITES):
-        res = SUITES[name](amb, rng_from(2026), tables)
+        res = SUITES[name](tables, rng_from(2026))
         assert res.ok == (not res.failures)
         if res.failures:
             failing[name] = [f.split(":")[0] for f in res.failures]
@@ -77,4 +77,4 @@ def test_suites_fail_only_the_printed_claims(n, amb):
 @pytest.mark.parametrize("suite", ["powers", "theorem1"])
 def test_disconnected_classes_have_no_diameter(n, amb, suite):
     with pytest.raises(ValueError, match="finite diameter"):
-        SUITES[suite](amb, rng_from(2026), TableSet(amb))
+        SUITES[suite](TableSet(amb), rng_from(2026))

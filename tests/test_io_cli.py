@@ -31,7 +31,7 @@ from hyperops.models import (
     resolve_probabilities,
     rng_from,
 )
-from hyperops.operators import PRIMITIVE_TABLES, TABLE_LIMIT, lattice_size, primitive_table
+from hyperops.operators import PRIMITIVE_TABLES, TABLE_LIMIT, lattice_size
 from hyperops.pushforward import (
     Distribution,
     complex_product,
@@ -281,8 +281,11 @@ def test_cli_gen_bad_probability_file(tmp_path, capsys, triangle_cx, cmd, text):
     ('{"mode": "per-simplex", "entries": [{"simplex": [1], "p": false}]}', "'p'"),
     ('{"mode": "per-simplex", "entries": [{"simplex": [true], "p": 0.5}]}', "'simplex'"),
     ('{"mode": "per-simplex", "entries": [{"simplex": [1.0], "p": 0.5}]}', "'simplex'"),
+    # one simplex listed twice, in two vertex orders: no entry may win silently
+    ('{"mode": "per-simplex", "entries": [{"simplex": [1, 2], "p": 0.5}, {"simplex": [2, 1], "p": 0.9}]}',
+     "simplex [1, 2] twice"),
 ], ids=["no-p", "scalar-p", "no-simplex", "list", "null-p", "string-p", "string-and-bool-p", "bool-p",
-        "huge-int-p", "string-default", "bool-entry-p", "bool-vertex", "float-vertex"])
+        "huge-int-p", "string-default", "bool-entry-p", "bool-vertex", "float-vertex", "repeated-simplex"])
 def test_cli_malformed_probability_json(tmp_path, capsys, triangle_cx, argv, text, names):
     # one error line that says which key is wrong
     prob = write(tmp_path / "bad.json", text)
@@ -522,7 +525,7 @@ def _exact_builds(amb):
     builds = [lambda: hypergraph_product(amb, 0.5), lambda: point_mass(amb, 0),
               lambda: uniform_distribution(amb), lambda: random_exact(amb, rng_from(1)),
               lambda: empirical_distribution(amb, [0, 1]), lambda: Distribution(amb, [1.0]),
-              lambda: complex_product(amb, probs), lambda: primitive_table(amb, "zero"),
+              lambda: complex_product(amb, probs),
               lambda: list(enumerate_subhypergraphs(amb)), lambda: list(enumerate_subcomplexes(amb))]
     return builds + [lambda build=build: build(amb) for build in PRIMITIVE_TABLES.values()]
 

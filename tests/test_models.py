@@ -54,6 +54,11 @@ def test_probability_assignment_guards(delta2):
         ProbabilityAssignment.from_dims([1.0, 0.5]).resolve(delta2)  # dim 2 missing
     with pytest.raises(ValueError):
         ProbabilityAssignment.from_entries([((7, 8), 0.5)]).resolve(delta2)
+    # [1, 2] and [2, 1] are one simplex: the later p must not win silently
+    with pytest.raises(ValueError, match=r"simplex \[1, 2\] twice"):
+        ProbabilityAssignment.from_entries([((1, 2), 0.5), ((2, 1), 0.9)])
+    with pytest.raises(ValueError, match=r"simplex \[1, 2\] twice"):
+        ProbabilityAssignment(entries=(((2, 1), 0.5), ((1, 2), 0.5)))
     with pytest.raises(ValueError):
         resolve_probabilities(delta2, [0.5] * 3)  # needs 7 entries
 

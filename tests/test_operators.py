@@ -364,7 +364,7 @@ def test_nbd_inverse_identity_witness(delta1):
 
 
 @pytest.mark.parametrize(
-    "name", ["id", "Delta", "delta", "gamma", "Ext", "Int", "Nbd", "NbdInv", "zero"]
+    "name", ["id", "Delta", "delta", "gamma", "Ext", "Int", "Nbd", "NbdInv"]
 )
 def test_tables_match_mask_ops(name, fixtures):
     six_cycle = AmbientComplex([(v, v % 6 + 1) for v in range(1, 7)])  # 12 faces

@@ -397,9 +397,8 @@ def test_stacked_rows_are_the_bytes_of_single_laws(faces):
         probs = np.random.default_rng(seed).random((4, m))
         probs[0] = 0.0
         probs[1, ::2] = 1.0
-        indicator = TableSet(amb)["Delta"] == np.arange(1 << m)
         products = pf._product(amb, probs)
-        staged = pf._staged_product(amb, probs, indicator)
+        staged = pf._staged_product(probs, TableSet(amb))
         closure, interior = closure_transform(amb, probs), interior_transform(amb, probs)
         for row, p in enumerate(probs):
             assert np.array_equal(products[row], hypergraph_product(amb, p).vec)

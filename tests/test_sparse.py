@@ -330,23 +330,23 @@ def test_threshold_schedule():
 
 
 def test_dimension_stats_rows():
-    rows = dimension_stats([5, 7], 0.5, 2, 300, seed=77)
-    again = dimension_stats([5, 7], 0.5, 2, 300, seed=77)
+    rows = dimension_stats([5, 7], lambda n: 0.5, 2, 300, seed=77)
+    again = dimension_stats([5, 7], lambda n: 0.5, 2, 300, seed=77)
     assert rows == again
     assert [r["n"] for r in rows] == [5, 7]
     for row in rows:
         assert set(row) == set(STATS_COLUMNS)
         assert 0.0 <= row["prob_dim_eq_r"] <= row["prob_dim_le_r"] <= 1.0
         assert row["mean_r_faces"] >= 0.0
-    shifted = dimension_stats([7], 0.5, 2, 300, seed=77, streams_from=1)
+    shifted = dimension_stats([7], lambda n: 0.5, 2, 300, seed=77, streams_from=1)
     assert shifted[0] == rows[1]  # stream follows position in the sweep
     with pytest.raises(ValueError):
-        dimension_stats([5], 0.5, 0, 10, seed=0)
+        dimension_stats([5], lambda n: 0.5, 0, 10, seed=0)
 
 
 def test_dimension_stats_against_exhaustive_p1():
     # p1 = 1 forces the complete graph: dimension n-1 always
-    rows = dimension_stats([4], 1.0, 2, 50, seed=1)
+    rows = dimension_stats([4], lambda n: 1.0, 2, 50, seed=1)
     assert rows[0]["prob_dim_le_r"] == 0.0  # K4 has a 4-clique
     assert rows[0]["mean_r_faces"] == pytest.approx(4.0)  # C(4,3) triangles
 

@@ -68,9 +68,10 @@ def test_binary_words_match_pairwise(fixtures, name, text):
     amb = fixtures[name]
     word = parse_expression(text).word
     rng = np.random.default_rng(12)
+    tables = TableSet(amb)
     for a, b in _operand_pairs(amb, rng):
         want = o_push_pairwise(
-            a.vec, b.vec, lambda rows, cols: eval_word_tables(word, amb, [rows, cols])
+            a.vec, b.vec, lambda rows, cols: eval_word_tables(word, tables, [rows, cols])
         )
         _assert_law(push_word(word, a, b), want)
 
@@ -171,7 +172,7 @@ def test_unary_push_is_bit_identical_to_identity_gather(fixtures):
         dist = random_exact(amb, rng)
         ident = np.arange(dist.vec.size, dtype=np.uint32)
         for word in UNARY_WORDS:
-            want = push_table(dist, eval_word_tables(word, amb, [ident]))
+            want = push_table(dist, eval_word_tables(word, TableSet(amb), [ident]))
             assert push_word(word, dist).vec.tobytes() == want.vec.tobytes(), word
 
 
@@ -214,19 +215,16 @@ def test_product_and_marginals_peak_memory():
 def test_each_primitive_table_built_once_per_evaluation(delta2, table_builds):
     word = parse_expression("(Delta.gamma.delta.gamma)^3").word
     idx = np.arange(1 << delta2.num_faces, dtype=np.uint32)
-    eval_word_tables(word, delta2, [idx])
-    assert table_builds == {"Delta": 1, "delta": 1, "gamma": 1}
-    # a set handed in by the caller is filled once and reused
     tables = TableSet(delta2)
-    first = eval_word_tables(word, delta2, [idx], tables)
-    again = eval_word_tables(word, delta2, [idx], tables)
-    assert table_builds == {"Delta": 2, "delta": 2, "gamma": 2}
+    first = eval_word_tables(word, tables, [idx])
+    assert table_builds == {"Delta": 1, "delta": 1, "gamma": 1}
+    # the caller's set is filled once and reused
+    again = eval_word_tables(word, tables, [idx])
+    assert table_builds == {"Delta": 1, "delta": 1, "gamma": 1}
     assert np.array_equal(first, again)
-    with pytest.raises(ValueError, match="different ambient"):
-        eval_word_tables(word, AmbientComplex([(1, 2)]), [idx], tables)
     # Ext is an operator of its own: Ext^3 reads its one table, built once
     table_builds.clear()
-    ext3 = eval_word_tables(parse_expression("Ext^3").word, delta2, [idx])
+    ext3 = eval_word_tables(parse_expression("Ext^3").word, TableSet(delta2), [idx])
     assert table_builds == {"Ext": 1}
     assert np.array_equal(ext3, first)
 

@@ -31,7 +31,7 @@ EXT_INT_VIOLATIONS = {"delta1": 2, "delta2": 18, "p3": 10, "sk1d3": 192}
 
 def test_identities_exhaustive(fixtures):
     for amb in fixtures.values():
-        res = suite_identities(amb)
+        res = suite_identities(TableSet(amb), rng_from(2026))
         assert res.ok
         assert res.total == 7 * (1 << amb.num_faces)
         assert res.summary_line() == f"SUITE identities PASS {res.total}/{res.total}"
@@ -39,7 +39,7 @@ def test_identities_exhaustive(fixtures):
 
 def test_laws_exhaustive(fixtures):
     for amb in fixtures.values():
-        res = suite_laws(amb)
+        res = suite_laws(TableSet(amb), rng_from(2026))
         assert res.ok
         size = 1 << amb.num_faces
         assert res.total == 3 * size * (size + 1) // 2
@@ -47,7 +47,7 @@ def test_laws_exhaustive(fixtures):
 
 def test_theorem1_fails_only_the_printed_ext_int_row(fixtures):
     for name, amb in fixtures.items():
-        res = suite_theorem1(amb, rng_from(2026))
+        res = suite_theorem1(TableSet(amb), rng_from(2026))
         assert not res.ok
         assert len(res.failures) == 1
         assert "all masks" in res.failures[0]
@@ -56,7 +56,7 @@ def test_theorem1_fails_only_the_printed_ext_int_row(fixtures):
 
 def test_theorem1_builds_ext_and_int_once(sk1d3, table_builds):
     # the saturation pushes and every case read the suite's one table set
-    res = suite_theorem1(sk1d3, rng_from(2026))
+    res = suite_theorem1(TableSet(sk1d3), rng_from(2026))
     assert table_builds["Ext"] == table_builds["Int"] == 1
     assert set(table_builds.values()) == {1}
     assert res.total - res.passed == EXT_INT_VIOLATIONS["sk1d3"]
@@ -65,7 +65,7 @@ def test_theorem1_builds_ext_and_int_once(sk1d3, table_builds):
 def test_theorem2_builds_closure_once_per_ambient(delta2, table_builds):
     # _transform_tvs reads Delta, delta and gamma from the suite's set,
     # so the closure table serves all four settings
-    res = suite_theorem2(delta2)
+    res = suite_theorem2(TableSet(delta2), rng_from(2026))
     assert table_builds["Delta"] == 1
     assert set(table_builds.values()) == {1}
     assert (res.passed, res.total) == (16, 20)
@@ -90,12 +90,12 @@ def test_standard_run_builds_each_table_once_per_fixture(table_builds):
 def test_suites_share_a_table_set(sk1d3, table_builds):
     tables = TableSet(sk1d3)
     for name in sorted(SUITES):
-        alone = run_suite(name, sk1d3, rng_from(3))
-        shared = run_suite(name, sk1d3, rng_from(3), tables)
+        alone = run_suite(name, TableSet(sk1d3), rng_from(3))
+        shared = run_suite(name, tables, rng_from(3))
         assert (alone.passed, alone.total, alone.failures) == (shared.passed, shared.total, shared.failures)
     built = dict(table_builds)
     for name in sorted(SUITES):
-        run_suite(name, sk1d3, rng_from(3), tables)
+        run_suite(name, tables, rng_from(3))
     assert table_builds == built  # a filled set builds nothing more
 
 
@@ -103,26 +103,17 @@ def test_suites_reject_ambients_beyond_tables():
     big = AmbientComplex([(1, 2, 3, 4, 5)])  # 31 faces
     for name in SUITES:
         with pytest.raises(ValueError, match="at most|too large"):
-            run_suite(name, big, rng_from(1))
-
-
-@pytest.mark.parametrize("use", [
-    *(lambda amb, tables, name=name: run_suite(name, amb, rng_from(1), tables) for name in sorted(SUITES)),
-], ids=sorted(SUITES))
-def test_table_set_of_another_ambient_rejected(delta1, delta2, use):
-    # the 7-face set would otherwise answer for the 3-face ambient
-    with pytest.raises(ValueError, match="different ambient"):
-        use(delta1, TableSet(delta2))
+            run_suite(name, TableSet(big), rng_from(1))
 
 
 def test_theorem2_known_gaps(delta1, delta2):
-    res = suite_theorem2(delta1)
+    res = suite_theorem2(TableSet(delta1), rng_from(2026))
     assert (res.passed, res.total) == (16, 20)
     assert len(res.failures) == 4
     joined = "\n".join(res.failures)
     assert "closure at p=0.5: TV = 0.28125" in joined
     assert "interior at p=0.5: TV = 0.09375" in joined
-    res = suite_theorem2(delta2)
+    res = suite_theorem2(TableSet(delta2), rng_from(2026))
     assert (res.passed, res.total) == (16, 20)
     for line in res.failures:
         assert line.startswith(("closure", "interior"))
@@ -131,7 +122,7 @@ def test_theorem2_known_gaps(delta1, delta2):
 
 def test_powers_suite(fixtures):
     for amb in fixtures.values():
-        res = suite_powers(amb, rng_from(2026))
+        res = suite_powers(TableSet(amb), rng_from(2026))
         assert res.ok
         assert res.total == (1 << amb.num_faces) - 2 + 32
 
@@ -142,19 +133,19 @@ def test_diameter_suites_reject_disconnected_ambients():
         amb = AmbientComplex(faces)
         for suite in (suite_powers, suite_theorem1):
             with pytest.raises(ValueError, match="finite diameter"):
-                suite(amb, rng_from(2026))
+                suite(TableSet(amb), rng_from(2026))
 
 
 def test_powers_suite_on_one_vertex():
-    res = suite_powers(AmbientComplex([(1,)]), rng_from(2026))
+    res = suite_powers(TableSet(AmbientComplex([(1,)])), rng_from(2026))
     assert (res.ok, res.passed, res.total) == (True, 0, 0)
 
 
 def test_run_suite_dispatch(delta1):
-    res = run_suite("identities", delta1)
+    res = run_suite("identities", TableSet(delta1), rng_from(1))
     assert isinstance(res, SuiteResult)
     with pytest.raises(ValueError):
-        run_suite("bogus", delta1)
+        run_suite("bogus", TableSet(delta1), rng_from(1))
 
 
 def test_run_standard_tags_names():
@@ -204,7 +195,7 @@ def test_stacked_theorem_suites_match_per_law_loops(name, amb, seed):
     for suite, oracle in ((suite_theorem1, oracles.o_suite_theorem1),
                           (suite_theorem2, oracles.o_suite_theorem2)):
         got_rng, want_rng = rng_from(seed), rng_from(seed)
-        res = suite(amb, got_rng, tables)
+        res = suite(tables, got_rng)
         assert (res.passed, res.total, res.failures) == oracle(amb, want_rng, tables), suite.__name__
         assert got_rng.random(4).tolist() == want_rng.random(4).tolist(), suite.__name__
 

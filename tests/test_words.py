@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperops.complexes import AmbientError, Hypergraph, standard_fixtures
-from hyperops.operators import identity_table, interior_mask, neighborhood_inverse_mask
+from hyperops.operators import TableSet, identity_table, interior_mask, neighborhood_inverse_mask
 from hyperops.words import (
     ALIASES,
     Compose,
@@ -24,7 +24,6 @@ from hyperops.words import (
 
 def test_prim_validation():
     Prim("Delta")
-    Prim("zero")
     with pytest.raises(WordError):
         Prim("sigma")
     with pytest.raises(WordError):
@@ -77,7 +76,6 @@ def test_eval_word_guards(delta1, delta2):
 
 def test_zero_and_identity(delta1):
     h = Hypergraph(delta1, 5)
-    assert eval_word(Prim("zero"), h).mask == 0
     assert eval_word(Prim("id"), h).mask == 5
     assert eval_word(Power(Prim("Delta"), 0), h).mask == 5
 
@@ -104,8 +102,9 @@ def test_tables_agree_with_masks(delta2, p3):
     ]
     for amb in (delta2, p3):
         idx = identity_table(amb)
+        tables = TableSet(amb)
         for w in words:
-            vec = eval_word_tables(w, amb, [idx])
+            vec = eval_word_tables(w, tables, [idx])
             for m in range(1 << amb.num_faces):
                 assert int(vec[m]) == eval_word_mask(w, amb, [m]), str(w)
 
@@ -113,7 +112,7 @@ def test_tables_agree_with_masks(delta2, p3):
 def test_binary_tables(delta1):
     idx = identity_table(delta1)
     w = Join(Prim("Delta"), Prim("delta"))
-    grid = eval_word_tables(w, delta1, [idx[:, None], idx[None, :]])
+    grid = eval_word_tables(w, TableSet(delta1), [idx[:, None], idx[None, :]])
     for a in range(8):
         for b in range(8):
             assert int(grid[a, b]) == eval_word_mask(w, delta1, [a, b])

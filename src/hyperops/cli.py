@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: gen-hyper, gen-complex, push, verify, sparse, stats, figure1,
-powers, normalize.  Sampling commands require --seed; fixed flags give
+powers, normalize.  argparse requires --seed of gen-hyper, gen-complex,
+sparse and stats, and push needs one with --samples; fixed flags give
 byte-identical outputs.  File writes are atomic.  Bad input exits 2 with
 one `error:` line: a command returns _fail for a misused flag, and main
 alone turns a raised error into that line.
@@ -51,12 +52,6 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _require_seed(args) -> int | None:
-    if args.seed is None:
-        return _fail("this command samples; provide --seed")
-    return None
-
-
 def _emit(text: str, out: str | None) -> None:
     # the file at --out, written atomically, or stdout
     if out:
@@ -82,9 +77,6 @@ def _draw_masks(amb, probs, rng, samples: int, as_complex: bool) -> list[int]:
 
 
 def cmd_gen(args) -> int:
-    bad = _require_seed(args)
-    if bad is not None:
-        return bad
     amb = hio.read_complex(args.ambient)
     probs = resolve_probabilities(amb, hio.read_probability(args.prob))
     masks = _draw_masks(amb, probs, rng_from(args.seed, args.stream), args.samples,
@@ -118,9 +110,8 @@ def cmd_push(args) -> int:
         vec = resolve_probabilities(amb, hio.read_probability(args.prob))
 
     if args.samples:
-        bad = _require_seed(args)
-        if bad is not None:
-            return bad
+        if args.seed is None:
+            return _fail("push --samples needs --seed")
         if args.hyper:
             return _fail("Monte Carlo mode needs --model/--prob")
         rng = rng_from(args.seed, args.stream)
@@ -167,14 +158,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_sparse(args) -> int:
-    bad = _require_seed(args)
-    if bad is not None:
-        return bad
-    pa = hio.read_probability(args.prob)
+def _per_dim_base(path: str) -> list[float]:
+    # the base vector of the per-dim probability file at path
+    pa = hio.read_probability(path)
     if pa.per_dim is None:
-        return _fail("sparse generation needs a per-dim probability file")
-    base = list(pa.per_dim[: args.n])
+        raise ValueError(f"{path} is a per-simplex probability file; sparse and "
+                         "closure stats need a per-dim one")
+    return list(pa.per_dim)
+
+
+def cmd_sparse(args) -> int:
+    base = _per_dim_base(args.prob)[: args.n]
     rng = rng_from(args.seed, args.stream)
     lines = []
     for _ in range(args.samples):
@@ -193,9 +187,6 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    bad = _require_seed(args)
-    if bad is not None:
-        return bad
     try:
         n_values = [int(tok) for tok in args.n.split(",") if tok]
     except ValueError:
@@ -215,10 +206,7 @@ def cmd_stats(args) -> int:
     else:
         if not args.prob:
             return _fail("closure stats need --prob with a per-dim base vector")
-        pa = hio.read_probability(args.prob)
-        if pa.per_dim is None:
-            return _fail("closure stats need a per-dim probability file")
-        rows = closure_dimension_stats(n_values, list(pa.per_dim), args.r, args.samples, args.seed,
+        rows = closure_dimension_stats(n_values, _per_dim_base(args.prob), args.r, args.samples, args.seed,
                                        streams_from=args.stream)
     _emit(hio.format_stats_csv(rows), args.out)
     return 0
@@ -254,7 +242,7 @@ def cmd_normalize(args) -> int:
 
 
 def _add_sampling_flags(sub):
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (required to sample)")
+    sub.add_argument("--seed", type=int, required=True, help="RNG seed")
     sub.add_argument("--stream", "--streams", dest="stream", type=int, default=0, help="RNG stream id")
 
 
@@ -276,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("phyper", "pcomplex"))
     p.add_argument("--hyper", help=".hg file for a point-mass start")
     p.add_argument("--samples", type=_count, default=0, help="Monte Carlo sample count (0: exact)")
-    _add_sampling_flags(p)
+    # push samples only with --samples, so it checks its own seed
+    p.add_argument("--seed", type=int, help="RNG seed (required with --samples)")
+    p.add_argument("--stream", "--streams", dest="stream", type=int, default=0, help="RNG stream id")
     p.add_argument("--prob", help="probability JSON file (with --model)")
 
     p = sub.add_parser("verify", help="run verification suites")

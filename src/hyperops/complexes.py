@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 
 class AmbientError(ValueError):
-    """Raised for faces outside the ambient complex or mismatched ambients."""
+    """Raised for a malformed face, a face outside the ambient complex, or
+    mismatched ambients."""
 
 
 def _popcount(x: int) -> int:
@@ -30,6 +31,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def simplex(vertices: Iterable[int]) -> tuple[int, ...]:
+    """A face as its ascending vertex tuple.  The one statement of what a
+    face is: a nonempty set of non-negative integer vertex ids, each listed
+    once.  Raises AmbientError for an empty face, a negative id or a
+    repeated vertex."""
+    face = tuple(sorted(vertices))
+    if not face:
+        raise AmbientError("the empty set is not a face")
+    if face[0] < 0:
+        raise AmbientError(f"negative vertex id in {face}")
+    if len(set(face)) != len(face):
+        raise AmbientError(f"repeated vertex in {face}")
+    return face
+
+
 def _nonempty_subsets(vmask: int) -> Iterator[int]:
     # Proper and improper nonempty submasks of a vertex mask.
     sub = vmask
@@ -41,17 +57,12 @@ def _nonempty_subsets(vmask: int) -> Iterator[int]:
 class AmbientComplex:
     """The fixed finite simplicial complex L.
 
-    Constructed from generator faces (iterables of non-negative integer
-    vertex ids) and closed downward eagerly.  The empty set is never a face.
+    Constructed from generator faces (each a simplex) and closed downward
+    eagerly.
     """
 
     def __init__(self, faces: Iterable[Iterable[int]]):
-        gen = [tuple(sorted(set(f))) for f in faces]
-        for f in gen:
-            if not f:
-                raise AmbientError("the empty set is not a face")
-            if any(v < 0 for v in f):
-                raise AmbientError(f"negative vertex id in {f}")
+        gen = [simplex(f) for f in faces]
         labels = sorted({v for f in gen for v in f})
         self.vertex_labels: tuple[int, ...] = tuple(labels)
         self._vbit = {v: i for i, v in enumerate(labels)}
@@ -121,16 +132,17 @@ class AmbientComplex:
         return tuple(self.vertex_labels[b] for b in iter_bits(vm))
 
     def face_index(self, vertices: Iterable[int]) -> int:
-        """Index of the face with the given vertex ids; raises if absent."""
+        """Index of the simplex with the given vertex ids; raises if absent."""
+        face = simplex(vertices)
         vm = 0
-        for v in set(vertices):
+        for v in face:
             b = self._vbit.get(v)
             if b is None:
                 raise AmbientError(f"vertex {v} is not in the ambient complex")
             vm |= 1 << b
         idx = self.index.get(vm)
         if idx is None:
-            raise AmbientError(f"{tuple(sorted(set(vertices)))} is not a face")
+            raise AmbientError(f"{face} is not a face")
         return idx
 
     def faces_by_dim(self, d: int) -> int:
@@ -250,10 +262,15 @@ class Complex(Hypergraph):
             raise AmbientError("face set is not downward closed")
 
 
-def same_ambient(a: Hypergraph, b: Hypergraph) -> AmbientComplex:
-    if a.ambient is not b.ambient:
-        raise AmbientError("operands live in different ambient complexes")
-    return a.ambient
+def same_ambient(*items) -> AmbientComplex:
+    """The one ambient of the items (hypergraphs, distributions, anything
+    with an .ambient); raises AmbientError if two of them differ.  The one
+    shared-ambient check of the package."""
+    amb = items[0].ambient
+    for item in items[1:]:
+        if item.ambient is not amb:
+            raise AmbientError("operands live in different ambient complexes")
+    return amb
 
 
 # ----- standard fixtures ----------------------------------------------------

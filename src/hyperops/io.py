@@ -1,9 +1,11 @@
 """Text file formats.
 
 Complex files (.cx) and hypergraph files (.hg) share one syntax: UTF-8, one
-face per line as ascending space-separated integer vertex labels, '#' starts
-a comment, blank lines ignored.  A .cx is closed downward on load; a .hg is
-taken literally and each face must exist in the ambient it is read against.
+face per line as space-separated integer vertex labels, '#' starts a
+comment, blank lines ignored.  Each face is a simplex (complexes.simplex):
+non-negative labels, each listed once.  A .cx is closed downward on load; a
+.hg is taken literally and each face must exist in the ambient it is read
+against.
 Writers emit faces in canonical order (dimension, then lexicographic) with a
 single trailing newline, so writing what was read from a canonical file
 reproduces it byte for byte.  All writes go through a temp file and rename.
@@ -16,7 +18,7 @@ import io as _io
 import os
 import tempfile
 
-from .complexes import AmbientComplex, Complex, Hypergraph, iter_bits
+from .complexes import AmbientComplex, AmbientError, Hypergraph, iter_bits, simplex
 from .models import ProbabilityAssignment
 from .sparse import STATS_COLUMNS
 
@@ -62,12 +64,11 @@ def _parse_face_lines(path: str) -> list[tuple[int, ...]]:
             if not line:
                 continue
             try:
-                verts = tuple(int(tok) for tok in line.split())
+                faces.append(simplex(int(tok) for tok in line.split()))
+            except AmbientError as e:  # a ValueError, so first
+                raise FileFormatError(f"{path}:{lineno}: {e}") from None
             except ValueError:
                 raise FileFormatError(f"{path}:{lineno}: not an integer face: {line!r}") from None
-            if len(set(verts)) != len(verts):
-                raise FileFormatError(f"{path}:{lineno}: repeated vertex in {line!r}")
-            faces.append(tuple(sorted(verts)))
     return faces
 
 

@@ -179,35 +179,20 @@ def figure_hypergraphs() -> tuple[AmbientComplex, Hypergraph, Hypergraph, Hyperg
 
     h1: closed side-2 subtriangle at corner (1, 2).
     h2: closed side-3 subtriangle at corner (1, 1).
-    h3: h2 with its own perimeter vertices and edges removed; keeps all nine
-        cells, the interior edges and the single interior vertex, and is not
-        downward closed.
+    h3: h2 less the closure of its perimeter edges (its own perimeter
+        vertices and edges); keeps all nine cells, the interior edges and
+        the single interior vertex, and is not downward closed.
     """
     m = 6
     amb = triangulated_triangle(m)
     h1 = _subtriangle_mask(amb, m, 1, 2, 2)
     h2 = _subtriangle_mask(amb, m, 1, 1, 3)
-
-    # Perimeter of the side-3 subtriangle: the lines i = 1, j = 1 and
-    # i + j = 5 within it.
-    corner_i, corner_j, side = 1, 1, 3
-    on_lines = []
-    for idx in range(amb.num_faces):
-        verts = amb.face_vertices(idx)
-        if not (h2 >> idx & 1):
-            continue
-        coords = [triangle_vertex_coords(m, v) for v in verts]
-        if len(coords) > 2:
-            continue
-        for line in (
-            lambda i, j: i == corner_i,
-            lambda i, j: j == corner_j,
-            lambda i, j: i + j == corner_i + corner_j + side,
-        ):
-            if all(line(i, j) for i, j in coords):
-                on_lines.append(idx)
-                break
-    h3 = h2
-    for idx in on_lines:
-        h3 &= ~(1 << idx)
+    # h3 drops the closure of h2's perimeter edges, the edges of h2 that
+    # lie in exactly one of its triangles
+    cells = h2 & amb.faces_by_dim(2)
+    perimeter = 0
+    for i in iter_bits(h2 & amb.faces_by_dim(1)):
+        if (amb.sup_masks[i] & cells).bit_count() == 1:
+            perimeter |= amb.sub_masks[i]
+    h3 = h2 & ~perimeter
     return amb, Hypergraph(amb, h1), Hypergraph(amb, h2), Hypergraph(amb, h3)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
+from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, simplex
 from .operators import clique_faces_mask, complex_indicator, external_faces_mask, lattice_size
 
 
@@ -62,6 +62,10 @@ class ProbabilityAssignment:
     per-dim mode: entry d of ``per_dim`` applies to all d-faces; ambients of
     larger dimension are rejected at resolve time.
     per-simplex mode: explicit entries, anything unlisted gets ``default``.
+    Each entry's face is read by complexes.simplex, so it is stored as its
+    ascending vertex tuple, a repeated vertex raises, and a simplex may be
+    listed once.  resolve places each entry at its face of the ambient
+    (face_index), so a simplex that is not a face of it raises too.
     """
 
     per_dim: tuple[float, ...] | None = None
@@ -71,10 +75,13 @@ class ProbabilityAssignment:
     def __post_init__(self):
         if (self.per_dim is None) == (self.entries is None):
             raise ValueError("exactly one of per_dim / entries must be given")
+        if self.entries is not None:
+            # frozen: the normalized entries replace the given ones once, here
+            object.__setattr__(self, "entries",
+                               tuple((simplex(face), float(p)) for face, p in self.entries))
         check_probabilities(list(self._all_values()))
         seen = set()
         for face, _ in self.entries or ():
-            face = tuple(sorted(face))
             if face in seen:
                 raise ValueError(f"probability entries list the simplex {list(face)} twice")
             seen.add(face)
@@ -101,10 +108,7 @@ class ProbabilityAssignment:
     def from_entries(
         cls, entries: Iterable[tuple[Iterable[int], float]], default: float = 0.0
     ) -> "ProbabilityAssignment":
-        frozen = tuple(
-            (tuple(sorted(set(face))), float(p)) for face, p in entries
-        )
-        return cls(entries=frozen, default=default)
+        return cls(entries=tuple(entries), default=default)
 
     def resolve(self, amb: AmbientComplex) -> np.ndarray:
         """Vector of probabilities in the ambient's canonical face order."""
@@ -119,15 +123,11 @@ class ProbabilityAssignment:
                 out[i] = self.per_dim[d]
             return out
         out[:] = self.default
-        lookup = {face: p for face, p in self.entries}
-        all_faces = {amb.face_vertices(i) for i in range(amb.num_faces)}
-        for face in lookup:
-            # Unknown faces are an error: a per-simplex table is tied to one
-            # ambient and a typo should not silently become ``default``.
-            if face not in all_faces:
-                raise ValueError(f"{face} is not a face of the ambient")
-        for i in range(amb.num_faces):
-            out[i] = lookup.get(amb.face_vertices(i), self.default)
+        for face, p in self.entries:
+            # face_index raises for a face the ambient lacks: a per-simplex
+            # table is tied to one ambient, and a typo should not silently
+            # become ``default``
+            out[amb.face_index(face)] = p
         return out
 
     # JSON wire format (used by the CLI):
@@ -159,7 +159,7 @@ class ProbabilityAssignment:
                 return cls(per_dim=tuple(_json_number(x, "p") for x in _json_list(doc, "p")))
             if mode == "per-simplex":
                 entries = tuple(
-                    (tuple(sorted({_json_of(v, "simplex", int) for v in _json_list(e, "simplex")})),
+                    ([_json_of(v, "simplex", int) for v in _json_list(e, "simplex")],
                      _json_number(e["p"], "p"))
                     for e in _json_list(doc, "entries")
                 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits
+from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, same_ambient
 from .models import check_probabilities, resolve_probabilities, staged_draw
 from .operators import (
     TableSet,
@@ -153,8 +153,7 @@ def empirical_distribution(amb: AmbientComplex, masks: np.ndarray) -> Distributi
 
 
 def total_variation(a: Distribution, b: Distribution) -> float:
-    if a.ambient is not b.ambient:
-        raise ValueError("distributions live on different ambients")
+    same_ambient(a, b)
     return float(_tv(a.vec, b.vec))
 
 
@@ -182,10 +181,7 @@ def push_word(word: Word, *dists: Distribution) -> Distribution:
     """Push the independent coupling of the operands through a word."""
     if not dists:
         raise ValueError("need at least one distribution")
-    amb = dists[0].ambient
-    for d in dists[1:]:
-        if d.ambient is not amb:
-            raise ValueError("distributions live on different ambients")
+    same_ambient(*dists)
     if word.arity() != len(dists):
         raise ValueError(
             f"word has arity {word.arity()}, got {len(dists)} distributions"
@@ -236,8 +232,7 @@ def _convolve(a: Distribution, b: Distribution, upward: bool) -> Distribution:
     Masks that get no mass in exact arithmetic can come out as rounding-level
     values of either sign.
     """
-    if a.ambient is not b.ambient:
-        raise ValueError("distributions live on different ambients")
+    amb = same_ambient(a, b)
     za = a.vec.copy()
     _sum_transform(za, upward, np.add)
     if b is a:
@@ -248,7 +243,7 @@ def _convolve(a: Distribution, b: Distribution, upward: bool) -> Distribution:
         _sum_transform(zb, upward, np.add)
         za *= zb
     _sum_transform(za, upward, np.subtract)
-    return Distribution(a.ambient, za)
+    return Distribution(amb, za)
 
 
 def push_union(a: Distribution, b: Distribution) -> Distribution:
@@ -561,9 +556,7 @@ def complex_union_resample(
     models.staged_draw from k1 | k2 with ext1 & ext2 settled.  The result
     has the law of the staged model with the combined probabilities.
     """
-    amb = k1.ambient
-    if k2.ambient is not amb:
-        raise ValueError("inputs live on different ambients")
+    amb = same_ambient(k1, k2)
     q1 = resolve_probabilities(amb, p1)
     q2 = resolve_probabilities(amb, p2)
     ext1 = external_faces_mask(amb, k1.mask)

@@ -166,9 +166,7 @@ def eval_word_mask(word: Word, amb: AmbientComplex, args: list[int]) -> int:
 def eval_word(word: Word, *args: Hypergraph) -> Hypergraph:
     if not args:
         raise WordError("need at least one argument")
-    amb = args[0].ambient
-    for other in args[1:]:
-        same_ambient(args[0], other)
+    amb = same_ambient(*args)
     mask = eval_word_mask(word, amb, [h.mask for h in args])
     return Hypergraph(amb, mask)
 

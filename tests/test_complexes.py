@@ -11,8 +11,11 @@ from hyperops.complexes import (
     iter_bits,
     path_complex,
     same_ambient,
+    simplex,
     skeleton_complex,
 )
+from hyperops.models import ProbabilityAssignment
+from hyperops.pushforward import uniform_distribution
 
 from oracles import ambient_faces, o_closure, o_maximal, subfaces
 
@@ -132,6 +135,21 @@ def test_same_ambient_guard(delta1, delta2):
         same_ambient(Hypergraph(delta1, 0), Hypergraph(delta2, 0))
     amb = same_ambient(Hypergraph(delta1, 1), Hypergraph(delta1, 2))
     assert amb is delta1
+    with pytest.raises(AmbientError):
+        same_ambient(uniform_distribution(delta1), uniform_distribution(delta2))
+    assert same_ambient(uniform_distribution(delta2), Hypergraph(delta2, 1)) is delta2
+
+
+@pytest.mark.parametrize("make", [
+    lambda amb: simplex([2, 1, 1]),
+    lambda amb: amb.face_index((1, 1, 2)),
+    lambda amb: AmbientComplex([(1, 1, 2)]),
+    lambda amb: ProbabilityAssignment.from_entries([((2, 2, 3), 0.4)]),
+], ids=["simplex", "face_index", "AmbientComplex", "from_entries"])
+def test_repeated_vertex_raises(delta2, make):
+    # a face lists each vertex once: (1, 1, 2) is not read as (1, 2)
+    with pytest.raises(AmbientError, match="repeated vertex"):
+        make(delta2)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -191,12 +192,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_gen_requires_seed(capsys, triangle_cx, half_prob):
-    code, _, err = run_cli(
-        capsys, "gen-hyper", "--ambient", triangle_cx, "--prob", half_prob
-    )
-    assert code == 2
-    assert "seed" in err
+@pytest.mark.parametrize("argv", [
+    ["gen-hyper", "--ambient", "{cx}", "--prob", "{prob}"],
+    ["gen-complex", "--ambient", "{cx}", "--prob", "{prob}"],
+    ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--prob", "{prob}"],
+    ["stats", "--n", "6", "--r", "1", "--samples", "5"],
+], ids=lambda argv: argv[0])
+def test_cli_gen_requires_seed(capsys, triangle_cx, half_prob, argv):
+    # argparse rejects a sampling command without --seed
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cx=triangle_cx, prob=half_prob) for a in argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "required: --seed" in err and "Traceback" not in err
 
 
 def test_cli_gen_hyper_deterministic(capsys, triangle_cx, half_prob):
@@ -284,8 +292,12 @@ def test_cli_gen_bad_probability_file(tmp_path, capsys, triangle_cx, cmd, text):
     # one simplex listed twice, in two vertex orders: no entry may win silently
     ('{"mode": "per-simplex", "entries": [{"simplex": [1, 2], "p": 0.5}, {"simplex": [2, 1], "p": 0.9}]}',
      "simplex [1, 2] twice"),
+    # a simplex lists each vertex once: [1, 1, 2] is not read as [1, 2]
+    ('{"mode": "per-simplex", "entries": [{"simplex": [1, 1, 2], "p": 0.5}]}',
+     "repeated vertex in (1, 1, 2)"),
 ], ids=["no-p", "scalar-p", "no-simplex", "list", "null-p", "string-p", "string-and-bool-p", "bool-p",
-        "huge-int-p", "string-default", "bool-entry-p", "bool-vertex", "float-vertex", "repeated-simplex"])
+        "huge-int-p", "string-default", "bool-entry-p", "bool-vertex", "float-vertex", "repeated-simplex",
+        "repeated-vertex"])
 def test_cli_malformed_probability_json(tmp_path, capsys, triangle_cx, argv, text, names):
     # one error line that says which key is wrong
     prob = write(tmp_path / "bad.json", text)
@@ -442,6 +454,12 @@ def test_cli_push_usage_errors(tmp_path, capsys, triangle_cx, half_prob):
         "--expr", "Delta /\\ delta", "--model", "phyper", "--prob", half_prob,
     )
     assert code == 2 and "unary" in err
+    # push samples only with --samples, so it checks its own --seed
+    code, out, err = run_cli(
+        capsys, "push", "--ambient", triangle_cx, "--expr", "Delta",
+        "--model", "phyper", "--prob", half_prob, "--samples", "5",
+    )
+    assert code == 2 and out == "" and _one_error(err) and "--seed" in err
 
 
 def test_cli_push_rejects_ambients_beyond_tables(tmp_path, capsys, half_prob):
@@ -713,6 +731,38 @@ def test_cli_figure1_and_powers(tmp_path, capsys):
         )
         assert code == 0
         assert out.strip() == expect
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_session() -> list[list[str]]:
+    # the README's self-contained session, one argv per line, with
+    # backslash continuations joined and comments dropped
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("A self-contained session", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+def test_readme_session_runs_as_written(tmp_path, capsys, monkeypatch):
+    # the printf lines write the input files; every hyperops line exits 0
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in _readme_session():
+        if argv[0] == "printf":
+            _, text, redirect, path = argv
+            assert redirect == ">"
+            write(tmp_path / path, text.replace("\\n", "\n"))
+            continue
+        assert argv[0] == "hyperops"
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        ran.append(argv[1])
+        if argv[1] == "powers":
+            assert out == "r=2 t=1\n"
+    assert "powers" in ran  # the block was found
 
 
 def test_cli_powers_degenerate(tmp_path, capsys, triangle_cx):

@@ -97,7 +97,7 @@ from .sparse import (
     dimension_stats,
     threshold_schedule,
 )
-from .verify import SUITES, SuiteResult, run_standard, run_suite
+from .verify import SUITES, SuiteResult, iter_standard, run_suite
 from .words import Compose, Join, Meet, Power, Prim, Word, eval_word, normalize
 
 __version__ = "0.1.0"

@@ -243,7 +243,7 @@ def cmd_normalize(args) -> int:
 
 def _add_sampling_flags(sub):
     sub.add_argument("--seed", type=int, required=True, help="RNG seed")
-    sub.add_argument("--stream", "--streams", dest="stream", type=int, default=0, help="RNG stream id")
+    sub.add_argument("--stream", type=int, default=0, help="RNG stream id")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=0, help="Monte Carlo sample count (0: exact)")
     # push samples only with --samples, so it checks its own seed
     p.add_argument("--seed", type=int, help="RNG seed (required with --samples)")
-    p.add_argument("--stream", "--streams", dest="stream", type=int, default=0, help="RNG stream id")
+    p.add_argument("--stream", type=int, default=0, help="RNG stream id")
     p.add_argument("--prob", help="probability JSON file (with --model)")
 
     p = sub.add_parser("verify", help="run verification suites")

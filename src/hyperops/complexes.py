@@ -19,10 +19,6 @@ class AmbientError(ValueError):
     mismatched ambients."""
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -86,7 +82,7 @@ class AmbientComplex:
         self.num_faces: int = m
         self.full_mask: int = (1 << m) - 1
         self.dims: tuple[int, ...] = tuple(
-            _popcount(vm) - 1 for vm in self.face_vmasks
+            vm.bit_count() - 1 for vm in self.face_vmasks
         )
         self.dim: int = max(self.dims, default=-1)
 
@@ -186,23 +182,6 @@ class AmbientComplex:
                 return False
         return True
 
-    def vertex_faces_mask(self, mask: int) -> int:
-        """Face-index mask of the 0-faces spanned by the faces in ``mask``.
-
-        These are the vertex set V_H viewed as 0-dimensional faces of L,
-        whether or not they belong to ``mask`` themselves.
-        """
-        vm = 0
-        for i in iter_bits(mask):
-            vm |= self.face_vmasks[i]
-        out = 0
-        for b in iter_bits(vm):
-            out |= 1 << self.index[1 << b]
-        return out
-
-    def __len__(self) -> int:
-        return self.num_faces
-
     def __repr__(self) -> str:
         return (
             f"AmbientComplex({self.num_vertices} vertices, "
@@ -234,7 +213,7 @@ class Hypergraph:
 
     @property
     def edge_count(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def vertex_set(self) -> tuple[int, ...]:
         """V_H: all vertex ids occurring in some edge."""

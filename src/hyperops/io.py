@@ -110,7 +110,7 @@ def read_probability(path: str) -> ProbabilityAssignment:
 
 
 def write_probability(path: str, pa: ProbabilityAssignment) -> None:
-    atomic_write(path, pa.to_json() + "\n")
+    atomic_write(path, pa.to_json())
 
 
 def format_faces(faces) -> str:

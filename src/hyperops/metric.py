@@ -133,13 +133,6 @@ def triangle_vertex_id(m: int, i: int, j: int) -> int:
     return i * (m + 1) + j
 
 
-def triangle_vertex_coords(m: int, vid: int) -> tuple[int, int]:
-    i, j = divmod(vid, m + 1)
-    if i < 0 or j < 0 or i + j > m:
-        raise ValueError(f"{vid} is not a vertex id for side {m}")
-    return i, j
-
-
 def triangulated_triangle(m: int) -> AmbientComplex:
     """Equilateral triangle of side m cut into m*m unit triangles.
 

@@ -29,7 +29,6 @@ from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, same_ambi
 from .models import check_probabilities, resolve_probabilities, staged_draw
 from .operators import (
     TableSet,
-    complex_indicator,
     doubling,
     extension_table,
     external_faces_mask,
@@ -327,11 +326,6 @@ def _bit_sums(short: np.ndarray) -> np.ndarray:
     n = short.size.bit_length() - 1
     bits = (np.arange(short.size) >> np.arange(n)[:, None]) & 1
     return (bits * short).sum(axis=1)
-
-
-def support_is_complexes(dist: Distribution) -> bool:
-    """True iff all mass sits on downward-closed sets."""
-    return not np.any((dist.vec > 0.0) & ~complex_indicator(dist.ambient))
 
 
 def closed_form_family(name: str, amb: AmbientComplex, p) -> Distribution:

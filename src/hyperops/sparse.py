@@ -20,6 +20,13 @@ exactly as one uniform per candidate, in lexicographic order, would:
 * algorithm 2 and the staged draw test facets by lexicographic rank, the
   numbering that places a face's word in the stream.
 
+So on the r-skeleton of the simplex on 1..n, whose canonical face order is
+this lexicographic order, the generators are the mask layer's samplers,
+face for face and leaving the same next draw: algorithm 1 is
+sample_hypergraph_masks at the base vector, then sample_complex at the
+closure marginals; algorithm 2 is interior_complex_mask of that hypergraph
+draw.
+
 Nothing here ever enumerates the full simplex on n vertices, and a full
 Bernoulli read in algorithm 2 filters each block's hits by facets as they
 are unranked, so memory stays proportional to the output plus one block of

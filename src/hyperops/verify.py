@@ -52,7 +52,7 @@ from .pushforward import (
 )
 from .words import REWRITE_RULES, eval_word_tables, word_from_names
 
-__all__ = ["SuiteResult", "SUITES", "run_suite", "run_standard", "default_fixtures"]
+__all__ = ["SuiteResult", "SUITES", "run_suite", "iter_standard", "default_fixtures"]
 
 EXACT_TOL = 1e-12
 
@@ -313,8 +313,3 @@ def iter_standard(names=None, seed: int = DEFAULT_SEED) -> Iterator[SuiteResult]
             res = run_suite(name, sets[fix], rng_from(seed))
             res.name = f"{name}:{fix}"
             yield res
-
-
-def run_standard(names=None, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Every result of iter_standard, in order."""
-    return list(iter_standard(names, seed))

@@ -10,10 +10,10 @@ o_hypergraph_pmf multiplies out each mask's product-law mass face by face.
 The last three sections keep the former loops of the mask and sampling
 layer (per pair, per candidate and per face, one uniform at a time, and
 the double-per-pair graph sampler), of the exact layer (the staged
-subcomplex enumeration and the pair sweep of the distribution laws) and of
-the Theorem 1 and 2 suites (one law at a time).  The package computes the
-same outputs without them, and the differential tests require exact
-equality, consumed uniforms included.
+subcomplex enumeration, the vertex span of one mask and the pair sweep of
+the distribution laws) and of the Theorem 1 and 2 suites (one law at a
+time).  The package computes the same outputs without them, and the
+differential tests require exact equality, consumed uniforms included.
 """
 
 from itertools import chain, combinations, compress, islice
@@ -531,6 +531,20 @@ def o_enumerate_subcomplexes(amb):
                 grown.append(base | add)
         partial = grown
     return sorted(set(partial))
+
+
+def o_vertex_faces_mask(amb, mask):
+    """Face-index mask of the 0-faces spanned by the faces in mask, whether
+    or not they belong to mask themselves."""
+    from hyperops.complexes import iter_bits
+
+    vm = 0
+    for i in iter_bits(mask):
+        vm |= amb.face_vmasks[i]
+    out = 0
+    for b in iter_bits(vm):
+        out |= 1 << amb.index[1 << b]
+    return out
 
 
 def o_pair_laws(ct, dt, gt):

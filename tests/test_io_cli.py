@@ -114,10 +114,17 @@ def test_write_complex_accepts_closed_hypergraph(tmp_path, delta2):
 
 
 def test_probability_round_trip(tmp_path):
-    out = str(tmp_path / "p.json")
-    pa = ProbabilityAssignment.from_dims([1.0, 0.5, 0.25])
-    write_probability(out, pa)
-    assert read_probability(out) == pa
+    # the file holds to_json() as it is, and reading it then writing it
+    # again reproduces it byte for byte
+    cases = [ProbabilityAssignment.from_dims([1.0, 0.5, 0.25]),
+             ProbabilityAssignment.from_entries([((1, 2), 0.4)], default=0.1)]
+    for i, pa in enumerate(cases):
+        first, second = tmp_path / f"{i}a.json", tmp_path / f"{i}b.json"
+        write_probability(str(first), pa)
+        assert read_probability(str(first)) == pa
+        assert first.read_bytes() == pa.to_json().encode()
+        write_probability(str(second), read_probability(str(first)))
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_atomic_write_leaves_no_droppings(tmp_path):
@@ -665,8 +672,13 @@ def test_cli_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
-@pytest.mark.parametrize("argv", [["push", "--ambient", "t.cx", "--expr", "Delta", "--exact"],
-                                  ["verify", "--exhaustive"]])
+@pytest.mark.parametrize("argv", [
+    ["push", "--ambient", "t.cx", "--expr", "Delta", "--exact"],
+    ["verify", "--exhaustive"],
+    # --stream has one spelling
+    ["gen-hyper", "--ambient", "t.cx", "--prob", "p.json", "--seed", "1", "--streams", "2"],
+    ["push", "--ambient", "t.cx", "--expr", "Delta", "--streams", "2"],
+])
 def test_cli_removed_noop_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

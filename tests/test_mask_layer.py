@@ -1,11 +1,14 @@
-"""The mask and sampling layer against its former loops (tests/oracles.py).
+"""The mask and sampling layer against its former loops (tests/oracles.py),
+and the sparse generators against the mask-layer samplers.
 
 Every comparison is exact: same words, same relation masks, same diameter,
 same faces in the same order, and the same number of uniforms consumed.
 """
 
+import itertools
 import random
 import tracemalloc
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -17,7 +20,9 @@ from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.io import write_probability
 from hyperops.kernels import clique_census, sample_graph_block, sample_graph_words
 from hyperops.metric import diameter, triangulated_triangle
-from hyperops.models import ProbabilityAssignment, rng_from
+from hyperops.models import ProbabilityAssignment, rng_from, sample_complex, sample_hypergraph_masks
+from hyperops.operators import interior_complex_mask
+from hyperops.pushforward import complex_product, marginals
 
 import oracles
 
@@ -375,6 +380,75 @@ def test_algorithm2_full_read_holds_one_block_of_hits(monkeypatch):
         tracemalloc.stop()
     assert seeks == [] and len(faces) > 0
     assert peak < 8 << 20
+
+
+# ----- the sparse generators are the mask-layer samplers ------------------------
+
+# (n, r, p, seeking): r = 0..3 with p entries of 0 and 1, and a 10,700-face
+# shape whose every Philox draw of algorithm 2 seeks in `seeking` dimensions
+IDENTITY_CASES = [
+    (1, 0, [1.0], 0),
+    (5, 0, [1.0], 0),
+    (4, 1, [1.0, 0.5], 0),
+    (6, 1, [1.0, 0.0], 0),
+    (6, 1, [1.0, 1.0], 0),
+    (5, 2, [1.0, 0.5, 0.5], 0),
+    (6, 2, [1.0, 1.0, 0.3], 0),
+    (7, 2, [1.0, 0.6, 0.0], 0),
+    (4, 3, [1.0, 1.0, 1.0, 1.0], 0),
+    (6, 3, [1.0, 0.7, 1.0, 0.4], 0),
+    (7, 3, [1.0, 0.5, 0.5, 1.0], 0),
+    (7, 3, [1.0, 0.8, 0.9], 0),  # padded: no tetrahedron is ever drawn
+    (40, 2, [1.0, 0.05, 0.5], 1),
+]
+
+
+@lru_cache(maxsize=None)
+def _skeleton(n, r):
+    # the r-skeleton of the simplex on 1..n, built from its r-faces alone
+    return AmbientComplex(itertools.combinations(range(1, n + 1), r + 1))
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("n, r, p, seeking", IDENTITY_CASES)
+def test_generators_are_mask_layer_draws(monkeypatch, n, r, p, seeking, bitgen):
+    # On the r-skeleton, algorithm 1 is sample_hypergraph_masks at the base
+    # vector then sample_complex at the closure marginals, and algorithm 2
+    # is interior_complex_mask of the same hypergraph draw: the same faces
+    # and the same next draw.
+    amb = _skeleton(n, r)
+    dd = sparse.derived_dims(n, p)
+    base = ProbabilityAssignment.from_dims(dd.base[: r + 1])
+    closure = ProbabilityAssignment.from_dims(dd.closure_marginals[: r + 1])
+    for seed in range(3):  # at n = 40, a draw of each part holds ~5000 faces
+        got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
+        got = sparse.algorithm1_truncated(n, p, r, got_rng)
+        hyper = sample_hypergraph_masks(amb, base, want_rng, 1)[0]
+        cx = sample_complex(amb, closure, want_rng).mask
+        assert got.hyper_faces == tuple(amb.faces_of_mask(hyper)), seed
+        assert got.complex_faces == tuple(amb.faces_of_mask(cx)), seed
+        assert _same_stream_state(got_rng, want_rng), seed
+    seeks = _count_seeks(monkeypatch)
+    for seed in range(10):
+        got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
+        got = sparse.algorithm2_truncated(n, p, r, got_rng)
+        hyper = sample_hypergraph_masks(amb, base, want_rng, 1)[0]
+        assert got == tuple(amb.faces_of_mask(interior_complex_mask(amb, hyper))), seed
+        assert _same_stream_state(got_rng, want_rng), seed
+    assert len(seeks) == (10 * seeking if bitgen is np.random.Philox else 0)
+    assert sum(seeks) > 0 or not seeks
+
+
+def test_staged_triangle_marginal_at_closure_marginals():
+    # The staged law on the 2-skeleton of the simplex on 4 vertices, at the
+    # closure marginals p' of n = 4: a triangle's coin comes after its three
+    # edges, so its marginal is p'_2 (p'_1)^3; an edge's is p'_1.  Every
+    # term is dyadic (p' = 1, 15/16, 3/4), so the sums are exact.
+    amb = _skeleton(4, 2)
+    closure = sparse.derived_dims(4, [1.0, 0.5, 0.5, 0.5]).closure_marginals
+    got = marginals(complex_product(amb, ProbabilityAssignment.from_dims(closure[:3])))
+    want = [1.0, closure[1], closure[2] * closure[1] ** 3]
+    assert got.tolist() == [want[d] for d in amb.dims]
 
 
 def _dims_schedule(n):

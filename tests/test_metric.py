@@ -10,7 +10,6 @@ from hyperops.metric import (
     eccentricity,
     figure_hypergraphs,
     minimal_powers,
-    triangle_vertex_coords,
     triangle_vertex_id,
     triangulated_triangle,
 )
@@ -156,11 +155,8 @@ def test_t_r_within_one_exhaustive(fixtures):
 def test_triangle_vertex_ids():
     assert triangle_vertex_id(2, 0, 0) == 0
     assert triangle_vertex_id(2, 1, 1) == 4
-    assert triangle_vertex_coords(2, 4) == (1, 1)
     with pytest.raises(ValueError):
         triangle_vertex_id(2, 2, 1)
-    with pytest.raises(ValueError):
-        triangle_vertex_coords(2, 5)  # (1, 2) lies outside side 2
 
 
 def test_triangulated_triangle_counts():

@@ -160,17 +160,6 @@ def test_rng_keys_are_64_bit_words():
             rng_from(seed, stream)
 
 
-def test_sample_hypergraph_marginals(delta2):
-    n = 100_000
-    pa = ProbabilityAssignment.from_dims([1.0, 0.5, 0.25])
-    probs = pa.resolve(delta2)
-    masks = sample_hypergraph_batch(delta2, pa, rng_from(3, 0), n)
-    for i in range(delta2.num_faces):
-        hit = float(((masks >> np.uint32(i)) & 1).mean())
-        sigma = np.sqrt(probs[i] * (1 - probs[i]) / n)
-        assert abs(hit - probs[i]) <= 4 * sigma + 1e-9, i
-
-
 def test_sample_complex_matches_pmf(delta1):
     # exhaustive law check on the five subcomplexes of the 1-simplex
     n = 100_000
@@ -185,22 +174,6 @@ def test_sample_complex_matches_pmf(delta1):
         got = counts.get(m, 0) / n
         sigma = np.sqrt(want * (1 - want) / n)
         assert abs(got - want) <= 4 * sigma + 1e-9, m
-
-
-def test_batch_samplers_agree_with_scalar_law(p3):
-    # same law, different stream layout; compare empirical masks to pmf
-    n = 50_000
-    pa = ProbabilityAssignment.constant(0.5)
-    masks = sample_complex_batch(p3, pa, rng_from(5, 1), n)
-    counts = np.bincount(masks, minlength=1 << p3.num_faces)
-    for m in enumerate_subcomplexes(p3):
-        want = pmf_complex(p3, pa, m)
-        got = counts[m] / n
-        sigma = np.sqrt(want * (1 - want) / n)
-        assert abs(got - want) <= 4 * sigma + 1e-9, m
-    # non-complexes never appear
-    legal = set(enumerate_subcomplexes(p3))
-    assert all(c == 0 for m, c in enumerate(counts) if m not in legal)
 
 
 def test_sample_complex_always_closed(sk1d3):

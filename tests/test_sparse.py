@@ -1,7 +1,5 @@
-import itertools
 import math
 
-import numpy as np
 import pytest
 
 from hyperops.complexes import Hypergraph, full_complex, skeleton_complex
@@ -9,7 +7,6 @@ from hyperops.models import ProbabilityAssignment, rng_from
 from hyperops.operators import interior_complex_table
 from hyperops.pushforward import (
     complex_product,
-    empirical_distribution,
     hypergraph_product,
     push_table,
     restrict_distribution,
@@ -89,13 +86,6 @@ def test_derived_dims_match_exact_pushforward_marginals():
 # ----- truncated algorithms -------------------------------------------------------
 
 
-def faces_to_mask(amb, faces):
-    mask = 0
-    for f in faces:
-        mask |= 1 << amb.face_index(f)
-    return mask
-
-
 def test_truncated_laws_equal_restricted_laws():
     # cutting at r = 1 on n = 3: the three governing laws restrict exactly to
     # the 1-skeleton sublattice
@@ -137,43 +127,6 @@ def test_truncated_laws_equal_restricted_laws():
         )
         < 1e-12
     )
-
-
-def test_algorithm1_truncated_law_small():
-    # empirical joint laws of both parts at n = 3, r = 1 against the exact
-    # sublattice laws
-    amb = full_complex(3)
-    sk1 = skeleton_complex(amb, 1)
-    dd = derived_dims(3, HALF3)
-    n_draws = 30_000
-    rng = rng_from(30, 0)
-    hyper_masks = np.empty(n_draws, dtype=np.int64)
-    cx_masks = np.empty(n_draws, dtype=np.int64)
-    for i in range(n_draws):
-        s = algorithm1_truncated(3, HALF3, 1, rng)
-        hyper_masks[i] = faces_to_mask(sk1, s.hyper_faces)
-        cx_masks[i] = faces_to_mask(sk1, s.complex_faces)
-    want_h = hypergraph_product(sk1, ProbabilityAssignment.from_dims(HALF3[:2]))
-    assert total_variation(empirical_distribution(sk1, hyper_masks), want_h) < 0.03
-    want_c = complex_product(
-        sk1, ProbabilityAssignment.from_dims(dd.closure_marginals[:2])
-    )
-    assert total_variation(empirical_distribution(sk1, cx_masks), want_c) < 0.03
-
-
-def test_algorithm2_truncated_law_small():
-    amb = full_complex(3)
-    sk1 = skeleton_complex(amb, 1)
-    n_draws = 30_000
-    rng = rng_from(31, 0)
-    masks = np.empty(n_draws, dtype=np.int64)
-    for i in range(n_draws):
-        masks[i] = faces_to_mask(sk1, algorithm2_truncated(3, HALF3, 1, rng))
-    want = push_table(
-        hypergraph_product(sk1, ProbabilityAssignment.from_dims(HALF3[:2])),
-        interior_complex_table(sk1),
-    )
-    assert total_variation(empirical_distribution(sk1, masks), want) < 0.03
 
 
 def test_truncated_samples_deterministic():
@@ -219,57 +172,6 @@ def test_truncated_r_bounds():
         algorithm1_truncated(3, HALF3, 3, rng_from(0))
     with pytest.raises(ValueError):
         algorithm2_truncated(3, HALF3, -1, rng_from(0))
-
-
-def test_algorithm1_marginals_n4():
-    # per-face marginals at n = 4, r = 2; the staged 2-face needs its three
-    # edges before its own coin, so its marginal is p'_2 * (p'_1)^3
-    n_draws = 20_000
-    dd = derived_dims(4, HALF4)
-    rng = rng_from(44, 0)
-    edge_hits = 0
-    tri_hits = 0
-    cx_edge_hits = 0
-    cx_tri_hits = 0
-    for _ in range(n_draws):
-        s = algorithm1_truncated(4, HALF4, 2, rng)
-        hyper = set(s.hyper_faces)
-        cx = set(s.complex_faces)
-        edge_hits += (1, 2) in hyper
-        tri_hits += (1, 2, 3) in hyper
-        cx_edge_hits += (1, 2) in cx
-        cx_tri_hits += (1, 2, 3) in cx
-
-    def within4(hits, want):
-        got = hits / n_draws
-        sigma = math.sqrt(want * (1 - want) / n_draws)
-        return abs(got - want) <= 4 * sigma + 1e-9
-
-    assert within4(edge_hits, 0.5)
-    assert within4(tri_hits, 0.5)
-    assert within4(cx_edge_hits, dd.closure_marginals[1])
-    want_tri = dd.closure_marginals[2] * dd.closure_marginals[1] ** 3
-    assert within4(cx_tri_hits, want_tri)
-
-
-def test_algorithm2_marginals_n4():
-    n_draws = 20_000
-    dd = derived_dims(4, HALF4)
-    rng = rng_from(45, 0)
-    vertex_hits = edge_hits = tri_hits = 0
-    for _ in range(n_draws):
-        kept = set(algorithm2_truncated(4, HALF4, 2, rng))
-        vertex_hits += (1,) in kept
-        edge_hits += (1, 2) in kept
-        tri_hits += (1, 2, 3) in kept
-    assert vertex_hits == n_draws  # p''_0 = 1
-    for hits, want in [
-        (edge_hits, dd.interior_marginals[1]),
-        (tri_hits, dd.interior_marginals[2]),
-    ]:
-        got = hits / n_draws
-        sigma = math.sqrt(want * (1 - want) / n_draws)
-        assert abs(got - want) <= 4 * sigma + 1e-9
 
 
 # ----- clique complexes -----------------------------------------------------------

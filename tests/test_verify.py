@@ -12,7 +12,7 @@ from hyperops.verify import (
     SUITES,
     SuiteResult,
     default_fixtures,
-    run_standard,
+    iter_standard,
     run_suite,
     suite_identities,
     suite_laws,
@@ -82,7 +82,7 @@ def test_verify_ambient_builds_each_table_at_most_once(tmp_path, capsys, table_b
 
 
 def test_standard_run_builds_each_table_once_per_fixture(table_builds):
-    results = run_standard(seed=2026)
+    results = list(iter_standard(seed=2026))
     assert len(results) == sum(len(default_fixtures(name)) for name in SUITES)
     assert max(table_builds.values()) <= len(standard_fixtures())
 
@@ -149,7 +149,7 @@ def test_run_suite_dispatch(delta1):
 
 
 def test_run_standard_tags_names():
-    results = run_standard(["identities", "powers"], seed=2026)
+    results = list(iter_standard(["identities", "powers"], seed=2026))
     names = [r.name for r in results]
     assert names == [
         f"identities:{f}" for f in default_fixtures("identities")

@@ -5,6 +5,11 @@ vertex bitmasks and a sub-hypergraph of the ambient complex L is a single
 bitmask over L's canonical face order.  The canonical order is lexicographic
 by (dimension, ascending vertex tuple) and is the iteration order everywhere,
 including the sub-hypergraph index used by the exact distribution code.
+
+Each face relation of the ambient is one mask per face, and `_join` is the
+one OR of a relation over a face set, which every mask-layer operator reads.
+Closedness is stated here once, as the closure's fixed point: a face set is
+a complex exactly when the join of its sub masks is itself.
 """
 
 from __future__ import annotations
@@ -25,6 +30,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _join(rel, h: int) -> int:
+    """The OR of rel[i] over the set bits i of h: the one join of a
+    relation (one mask per face) over a face set."""
+    out = 0
+    bits = bin(h)[:1:-1]  # bits[i] is bit i of h
+    i = bits.find("1")
+    while i >= 0:
+        out |= rel[i]
+        i = bits.find("1", i + 1)
+    return out
 
 
 def simplex(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -176,11 +193,9 @@ class AmbientComplex:
         return [self.face_vertices(i) for i in iter_bits(mask)]
 
     def is_complex_mask(self, mask: int) -> bool:
-        """True iff the face set is downward closed within the ambient."""
-        for i in iter_bits(mask):
-            if self.sub_masks[i] & ~mask:
-                return False
-        return True
+        """True iff the face set is downward closed within the ambient: a
+        fixed point of the closure, the join of the sub masks."""
+        return _join(self.sub_masks, mask) == mask
 
     def __repr__(self) -> str:
         return (
@@ -217,9 +232,7 @@ class Hypergraph:
 
     def vertex_set(self) -> tuple[int, ...]:
         """V_H: all vertex ids occurring in some edge."""
-        vm = 0
-        for i in iter_bits(self.mask):
-            vm |= self.ambient.face_vmasks[i]
+        vm = _join(self.ambient.face_vmasks, self.mask)
         return tuple(self.ambient.vertex_labels[b] for b in iter_bits(vm))
 
     def __contains__(self, vertices) -> bool:

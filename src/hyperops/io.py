@@ -72,11 +72,6 @@ def _parse_face_lines(path: str) -> list[tuple[int, ...]]:
     return faces
 
 
-def _face_lines(faces) -> str:
-    ordered = sorted(set(faces), key=lambda f: (len(f), f))
-    return "".join(" ".join(str(v) for v in face) + "\n" for face in ordered)
-
-
 def read_complex(path: str) -> AmbientComplex:
     faces = _parse_face_lines(path)
     if not faces:
@@ -87,12 +82,10 @@ def read_complex(path: str) -> AmbientComplex:
 def write_complex(path: str, cx) -> None:
     """Write an ambient complex, or a Hypergraph that is downward closed."""
     if isinstance(cx, AmbientComplex):
-        faces = [cx.face_vertices(i) for i in range(cx.num_faces)]
-    else:
-        if not cx.is_complex:
-            raise FileFormatError("face set is not downward closed; write it as a .hg")
-        faces = list(cx.faces())
-    atomic_write(path, _face_lines(faces))
+        cx = Hypergraph(cx, cx.full_mask)
+    elif not cx.is_complex:
+        raise FileFormatError("face set is not downward closed; write it as a .hg")
+    write_hypergraph(path, cx)
 
 
 def read_hypergraph(path: str, ambient: AmbientComplex) -> Hypergraph:
@@ -101,7 +94,9 @@ def read_hypergraph(path: str, ambient: AmbientComplex) -> Hypergraph:
 
 
 def write_hypergraph(path: str, h: Hypergraph) -> None:
-    atomic_write(path, _face_lines(h.faces()))
+    """Write the faces of h, each on the line of its ambient face text."""
+    text = h.ambient.face_text
+    atomic_write(path, "".join([text[i] + "\n" for i in iter_bits(h.mask)]))
 
 
 def read_probability(path: str) -> ProbabilityAssignment:

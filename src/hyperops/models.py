@@ -266,7 +266,7 @@ def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n:
     for start in range(0, n, per_block):
         hits = rng.random((min(per_block, n - start), probs.size)) < probs
         raw = np.packbits(hits, axis=1, bitorder="little").tobytes()
-        masks.extend(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
+        masks.extend(int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(hits)))
     return masks
 
 
@@ -310,9 +310,8 @@ def sample_complex(amb: AmbientComplex, p, rng: np.random.Generator) -> Complex:
 
 def pmf_complex(amb: AmbientComplex, p, mask: int) -> float:
     """Mass of a downward-closed face set: present faces times absent
-    external faces."""
-    if not amb.is_complex_mask(mask):
-        raise ValueError("pmf_complex is defined on complexes only")
+    external faces.  external_faces_mask raises ValueError for a face set
+    that is not closed."""
     probs = resolve_probabilities(amb, p)
     out = 1.0
     for i in iter_bits(mask):

@@ -8,8 +8,9 @@ The six non-trivial primitives come from three face relations of the
 ambient, each stored as one mask per face: `sub_masks` (faces contained in
 face i), `sup_masks` (faces containing it) and `meet_masks` (faces sharing a
 vertex with it).  The join J_rel(h) of a relation is the OR of rel[i] over
-the faces i of h; it maps the empty set to itself and distributes over
-union.  Closure, extension and neighborhood are joins:
+the faces i of h (complexes._join, which also states closedness); it maps
+the empty set to itself and distributes over union.  Closure, extension
+and neighborhood are joins:
 
     Delta = J_sub      Ext = J_sub(maximal & J_sup)      Nbd = J_sub . J_meet
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import AmbientComplex, Hypergraph, Complex, same_ambient
+from .complexes import AmbientComplex, Hypergraph, Complex, _join, same_ambient
 
 # Above this many faces a 2**m table no longer fits; callers must use the
 # single-mask functions instead.  Up to it, every mask fits a uint32 entry.
@@ -40,17 +41,6 @@ TABLE_LIMIT = 20
 
 
 # ----- single-mask operators ------------------------------------------------
-
-
-def _join(rel, h: int) -> int:
-    """The OR of rel[i] over the set bits i of h."""
-    out = 0
-    bits = bin(h)[:1:-1]  # bits[i] is bit i of h
-    i = bits.find("1")
-    while i >= 0:
-        out |= rel[i]
-        i = bits.find("1", i + 1)
-    return out
 
 
 def _sups(amb: AmbientComplex, h: int) -> int:

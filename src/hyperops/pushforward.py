@@ -39,6 +39,9 @@ from .operators import (
 )
 from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
 
+# the tolerance of every exact comparison, in this module and in verify
+EXACT_TOL = 1e-12
+
 
 @dataclass
 class Distribution:
@@ -511,7 +514,7 @@ def containment_probabilities(dist: Distribution, k: int) -> dict:
         "containments_hold": violations == 0,
         "prob_closure_recovered": recovered,
         "lower_bound": bound,
-        "inequality_holds": recovered >= bound - 1e-12,
+        "inequality_holds": recovered >= bound - EXACT_TOL,
     }
 
 

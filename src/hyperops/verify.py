@@ -39,6 +39,7 @@ from .metric import diameter, minimal_powers
 from .models import rng_from
 from .operators import TableSet, fixed_points
 from .pushforward import (
+    EXACT_TOL,
     Distribution,
     _half_l1,
     _push_power,
@@ -53,8 +54,6 @@ from .pushforward import (
 from .words import REWRITE_RULES, eval_word_tables, word_from_names
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "iter_standard", "default_fixtures"]
-
-EXACT_TOL = 1e-12
 
 # seed of the sampled checks when none is given
 DEFAULT_SEED = 2026

@@ -6,10 +6,12 @@ word of arity a and a word of arity b to a word of arity a+b: the two operand
 lists are concatenated, each side is evaluated on its own arguments, and the
 results are unioned or intersected.  Composition requires a unary outer word.
 
-`normalize` rewrites pure unary chains of Delta/delta/gamma with the monoid
-relations until no rule applies; every rule strictly shortens the chain, so
-this terminates.  Normalization is syntactic; tests confirm extensional
-equality against the original word, the code never assumes it.
+One tree walk, `_walk`, evaluates a word on masks or on tables and reads
+out the chain that `normalize` rewrites.  `normalize` rewrites pure unary
+chains of Delta/delta/gamma with the monoid relations until no rule
+applies; every rule strictly shortens the chain, so this terminates.
+Normalization is syntactic; tests confirm extensional equality against
+the original word, the code never assumes it.
 """
 
 from __future__ import annotations
@@ -189,16 +191,12 @@ def eval_word_tables(word: Word, tables: TableSet, args: list[np.ndarray]) -> np
 
 
 def _flatten_chain(word: Word) -> list[str]:
-    # Unary words only; Compose/Power expand, aliases expand to generators.
-    if isinstance(word, Prim):
-        if word.name in ALIASES:
-            return list(ALIASES[word.name])
-        return [word.name]
-    if isinstance(word, Compose):
-        return _flatten_chain(word.outer) + _flatten_chain(word.inner)
-    if isinstance(word, Power):
-        return _flatten_chain(word.base) * word.k
-    raise WordError("normalization applies to unary composition words only")
+    """The names of a unary word in application order, aliases expanded to
+    generators.  A unary word holds no join or meet, so the walk meets
+    only primitives, and each prepends its names to the chain so far."""
+    if word.arity() != 1:
+        raise WordError("normalization applies to unary composition words only")
+    return _walk(word, [[]], lambda name, chain: [*ALIASES.get(name, (name,)), *chain])
 
 
 # Rewrites in application order: a chain [f, g] denotes f.g, i.e. g applied

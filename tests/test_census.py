@@ -12,10 +12,10 @@ from collections import Counter
 
 import pytest
 
-from hyperops.complexes import AmbientComplex
+from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.metric import diameter
 from hyperops.models import rng_from
-from hyperops.operators import TableSet
+from hyperops.operators import TableSet, complex_indicator
 from hyperops.verify import SUITES
 
 
@@ -59,6 +59,15 @@ def test_class_counts():
 def facets(amb):
     # test id: the maximal faces, e.g. "12-13-4"
     return "-".join("".join(map(str, f)) for f in amb.faces_of_mask(amb.maximal_mask))
+
+
+@pytest.mark.parametrize("amb", [*standard_fixtures().values(), *(amb for _, amb in CLASSES)],
+                         ids=[*standard_fixtures(), *(facets(amb) for _, amb in CLASSES)])
+def test_is_complex_mask_is_the_closure_fixed_point(amb):
+    # the mask layer's closedness test, on every mask, against the fixed
+    # points of the table layer's closure
+    got = [amb.is_complex_mask(mask) for mask in range(amb.full_mask + 1)]
+    assert got == complex_indicator(amb).tolist()
 
 
 @pytest.mark.parametrize("n, amb", CONNECTED, ids=[facets(amb) for _, amb in CONNECTED])

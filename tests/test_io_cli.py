@@ -97,6 +97,20 @@ def test_hypergraph_round_trip(tmp_path, delta2):
     assert back.mask == h.mask
 
 
+def test_writers_emit_numeric_canonical_bytes(tmp_path):
+    # shuffled lines, a repeated face, and labels whose text order (10 < 2)
+    # is not their numeric order: both writers put faces by size, then by
+    # vertex numbers, each once
+    amb = read_complex(write(tmp_path / "t.cx", "10 2\n3\n2 3 10\n2\n10 2\n"))
+    out = str(tmp_path / "copy.cx")
+    write_complex(out, amb)
+    assert open(out, encoding="utf-8").read() == "2\n3\n10\n2 3\n2 10\n3 10\n2 3 10\n"
+    h = read_hypergraph(write(tmp_path / "h.hg", "2 3 10\n10\n10 2\n10\n"), amb)
+    out = str(tmp_path / "copy.hg")
+    write_hypergraph(out, h)
+    assert open(out, encoding="utf-8").read() == "10\n2 10\n2 3 10\n"
+
+
 def test_hypergraph_must_fit_ambient(tmp_path, delta2):
     src = write(tmp_path / "h.hg", "4 5\n")
     with pytest.raises(ValueError):
@@ -668,8 +682,9 @@ def test_cli_stats_stdout_equals_out_file(tmp_path, capsys, half_prob):
 
 
 def test_cli_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
-    assert code == 2 and "unknown suite" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

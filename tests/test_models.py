@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperops import models
-from hyperops.complexes import full_complex, standard_fixtures
+from hyperops.complexes import AmbientComplex, full_complex, standard_fixtures
 from hyperops.metric import figure_hypergraphs, triangulated_triangle
 from hyperops.models import (
     ProbabilityAssignment,
@@ -303,3 +303,16 @@ def test_batch_sizes_and_empty_runs(delta2):
     empty = sample_hypergraph_batch(delta2, pa, rng, 0)
     assert empty.dtype == np.uint32 and empty.shape == (0,)
     assert _same_next_draw(rng, rng_from(8))
+
+
+def test_samplers_on_an_ambient_without_faces():
+    # the empty ambient is valid: every draw is the empty mask, and no
+    # draw reads the stream
+    amb = AmbientComplex([])
+    rng = rng_from(1)
+    assert sample_hypergraph_masks(amb, [], rng, 3) == [0, 0, 0]
+    assert sample_hypergraph(amb, [], rng).mask == 0
+    batch = sample_hypergraph_batch(amb, [], rng, 3)
+    assert batch.dtype == np.uint32 and batch.tolist() == [0, 0, 0]
+    assert sample_complex(amb, [], rng).mask == 0
+    assert _same_next_draw(rng, rng_from(1))

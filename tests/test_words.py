@@ -164,6 +164,19 @@ def test_normalize_rejects_binary():
         normalize(Join(Prim("gamma"), Prim("gamma")))
 
 
+@pytest.mark.parametrize("word", [
+    Meet(Prim("gamma"), Prim("gamma")),
+    Compose(Prim("gamma"), Join(Prim("Delta"), Prim("delta"))),
+    Compose(Prim("gamma"), Meet(Prim("Delta"), Prim("delta"))),
+    Compose(Power(Prim("Ext"), 2), Compose(Prim("gamma"), Join(Prim("Delta"), Prim("id")))),
+], ids=str)
+def test_normalize_rejects_a_binary_word_below_the_top(word):
+    # a join or meet anywhere makes the word binary, and the chain walk
+    # would meet it; the arity check stops it first
+    with pytest.raises(WordError, match="unary composition words only"):
+        normalize(word)
+
+
 NAME_POOL = ("Delta", "delta", "gamma", "Ext", "Int", "id")
 
 

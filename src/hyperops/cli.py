@@ -87,7 +87,7 @@ def cmd_gen(args) -> int:
 
 def _print_distribution(dist) -> None:
     amb = dist.ambient
-    support = np.flatnonzero(dist.vec)
+    support = np.flatnonzero(dist.vec != 0)  # what a float scan selects, faster
     sys.stdout.writelines(f"{p:.12e}  {hio.format_mask(amb, mask)}\n"
                           for mask, p in zip(support.tolist(), dist.vec[support].tolist()))
 

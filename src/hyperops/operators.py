@@ -26,7 +26,9 @@ exact distribution code uses to push measures through operators in bulk.
 and enumeration calls it before it allocates, and the CLI calls it up front.
 A join's table is one doubling over the face bits of its single-face
 images; the table of gamma . J . gamma is J's table XORed with L and read
-backwards, since mask L - X is 2^m - 1 - X.
+backwards, since mask L - X is 2^m - 1 - X.  A composition of joins is a
+join, so a word over the join primitives in `JOINS` has a table of the
+same form: one doubling over the word's single-face images.
 """
 
 from __future__ import annotations
@@ -230,6 +232,11 @@ def doubling(first, atoms, op) -> np.ndarray:
         half = 1 << b
         op(out[..., :half], atoms[..., b, None], out=out[..., half : 2 * half])
     return out
+
+
+# The primitives that map the empty set to itself and distribute over
+# union: each is a join, and so is every composition of them.
+JOINS = frozenset({"id", "Delta", "Ext", "Nbd"})
 
 
 def _join_table(amb: AmbientComplex, join) -> np.ndarray:

@@ -28,7 +28,9 @@ import numpy as np
 from .complexes import AmbientComplex, Hypergraph, Complex, iter_bits, same_ambient
 from .models import check_probabilities, resolve_probabilities, staged_draw
 from .operators import (
+    JOINS,
     TableSet,
+    _join_table,
     doubling,
     extension_table,
     external_faces_mask,
@@ -37,7 +39,16 @@ from .operators import (
     interior_table,
     lattice_size,
 )
-from .words import Compose, Join, Meet, Word, WordError, eval_word_tables
+from .words import (
+    Compose,
+    Join,
+    Meet,
+    Word,
+    WordError,
+    eval_word_mask,
+    eval_word_tables,
+    primitive_names,
+)
 
 # the tolerance of every exact comparison, in this module and in verify
 EXACT_TOL = 1e-12
@@ -64,7 +75,8 @@ class Distribution:
         return float(self.vec[mask])
 
     def support(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.vec)]
+        # the boolean scan selects what a float scan would, faster
+        return np.flatnonzero(self.vec != 0).tolist()
 
 
 def point_mass(amb: AmbientComplex, mask: int) -> Distribution:
@@ -197,13 +209,7 @@ def _push(word: Word, dists: list[Distribution]) -> Distribution:
     # Operands of a join or meet are independent, so each side is pushed on
     # its own and the two laws are combined by a subset convolution.
     if word.arity() == 1:
-        # The operand slice(None) reads the first primitive's table whole,
-        # with no gather; only a zeroth power applies no primitive.
-        amb = dists[0].ambient
-        table = eval_word_tables(word, TableSet(amb), [slice(None)])
-        if isinstance(table, slice):
-            table = identity_table(amb)
-        return push_table(dists[0], table)
+        return push_table(dists[0], _unary_table(word, dists[0].ambient))
     if isinstance(word, (Join, Meet)):
         na = word.left.arity()
         lhs = _push(word.left, dists[:na])
@@ -212,6 +218,19 @@ def _push(word: Word, dists: list[Distribution]) -> Distribution:
     if isinstance(word, Compose):
         return _push(word.outer, [_push(word.inner, dists)])
     raise WordError(f"cannot push through {word!r}")
+
+
+def _unary_table(word: Word, amb: AmbientComplex) -> np.ndarray:
+    # the image of every mask in order under a unary word
+    if primitive_names(word) <= JOINS:
+        # a composition of joins is a join: one doubling over the word's
+        # single-face images, with no table gathered
+        return _join_table(amb, lambda amb, h: eval_word_mask(word, amb, [h]))
+    # The operand slice(None) reads the first table whole and gamma on a
+    # slice reverses it, so nothing is gathered before the first table is
+    # read; a word of complements alone ends in a slice.
+    table = eval_word_tables(word, TableSet(amb), [slice(None)])
+    return identity_table(amb)[table] if isinstance(table, slice) else table
 
 
 def _sum_transform(vec: np.ndarray, upward: bool, op) -> None:

@@ -18,7 +18,8 @@ laws of each theorem1 check, drawn in one call (the bytes and the stream
 of 20 random_exact calls), and the four settings of theorem2 with their
 product laws and closed-form families.  Limits, masses and TVs are taken
 over the rows.  Every push is still one push_table, push_union or
-push_intersection call on one law.
+push_intersection call on one law, and a saturation chain of d pushes is
+one push through the chain's table composed d times.
 
 Every suite takes a TableSet, its one handle on the ambient (read as
 `tables.ambient`), and a generator for its sampled checks.  The run owns
@@ -42,12 +43,12 @@ from .pushforward import (
     EXACT_TOL,
     Distribution,
     _half_l1,
-    _push_power,
     _random_laws,
     _saturation,
     _transform_tvs,
     contained,
     containment_cases,
+    push_table,
     recovery_cases,
     vertex_supported,
 )
@@ -146,11 +147,15 @@ def suite_theorem1(tables: TableSet, rng: np.random.Generator) -> SuiteResult:
             failures.append(f"{label}: {cases - good} of {cases} cases fail")
 
     def saturated(laws: np.ndarray, table: np.ndarray, stay: int, end: int) -> int:
-        # laws whose chain of d pushes ends at its limit; each row's end law
-        # is subtracted in place from that row of the limits
+        # laws whose chain of d pushes ends at its limit: each row is pushed
+        # once through the chain's table, table^d, and its end law is
+        # subtracted in place from that row of the limits
+        power = tables["id"]
+        for _ in range(d):
+            power = table[power]
         gaps = _saturation(laws, stay, end)
         for row, vec in enumerate(laws):
-            np.subtract(_push_power(Distribution(amb, vec), table, d).vec, gaps[row], out=gaps[row])
+            np.subtract(push_table(Distribution(amb, vec), power).vec, gaps[row], out=gaps[row])
         return int(np.count_nonzero(_half_l1(gaps) < EXACT_TOL))
 
     # saturation at the diameter: 20 random exact laws, rows of one array

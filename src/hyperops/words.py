@@ -177,14 +177,31 @@ def eval_word_tables(word: Word, tables: TableSet, args: list[np.ndarray]) -> np
     """Vectorized evaluation over arrays of masks (broadcast together) of
     the ambient `tables.ambient`.  An operand of slice(None) stands for
     every mask in order, so a primitive applied to it returns a view of its
-    table, with no gather.
+    table, with no gather.  Gamma maps mask X to 2^m - 1 - X, so gamma on
+    every mask in order is every mask in reverse order: on a slice it
+    returns the reversed slice and reads no table, and a word of
+    complements alone returns a slice.
 
     Primitives are read from `tables`, which the caller owns and may share
     between calls, so each primitive's table is built at most once per set,
     however often the word uses it.
     """
     _check_arity(word, args)
-    return _walk(word, list(args), lambda name, x: tables[name][x])
+    return _walk(word, list(args), lambda name, x: _read_table(tables, name, x))
+
+
+def _read_table(tables: TableSet, name: str, x):
+    if name == "gamma" and isinstance(x, slice):
+        # slice(None) reverses to slice(None, None, -1) and back
+        return slice(None, None, None if x.step else -1)
+    return tables[name][x]
+
+
+def primitive_names(word: Word) -> frozenset[str]:
+    """The primitives a unary word applies."""
+    if word.arity() != 1:
+        raise WordError("primitive_names applies to unary words only")
+    return _walk(word, [frozenset()], lambda name, names: names | {name})
 
 
 # ----- normalization ----------------------------------------------------------

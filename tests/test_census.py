@@ -10,13 +10,16 @@ The oracle is the enumeration itself; nothing is sampled.
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.metric import diameter
 from hyperops.models import rng_from
 from hyperops.operators import TableSet, complex_indicator
+from hyperops.pushforward import _unary_table
 from hyperops.verify import SUITES
+from hyperops.words import eval_word_tables, word_from_names
 
 
 def complex_classes(n):
@@ -87,3 +90,15 @@ def test_suites_fail_only_the_printed_claims(n, amb):
 def test_disconnected_classes_have_no_diameter(n, amb, suite):
     with pytest.raises(ValueError, match="finite diameter"):
         SUITES[suite](TableSet(amb), rng_from(2026))
+
+
+@pytest.mark.parametrize("amb", [amb for _, amb in CLASSES], ids=[facets(amb) for _, amb in CLASSES])
+def test_join_word_tables_match_the_gathers(amb):
+    # a word over the join primitives is itself a join: its table, one
+    # doubling over single-face images, equals the composed gathers
+    idx = np.arange(1 << amb.num_faces, dtype=np.uint32)
+    for length in range(1, 4):
+        for names in itertools.product(["id", "Delta", "Ext", "Nbd"], repeat=length):
+            word = word_from_names(list(names))
+            got = _unary_table(word, amb)
+            assert np.array_equal(got, eval_word_tables(word, TableSet(amb), [idx])), word

@@ -14,8 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hyperops import pushforward
+from hyperops.cli import _print_distribution
 from hyperops.complexes import AmbientComplex
 from hyperops.expr import parse_expression
+from hyperops.io import format_mask
 from hyperops.metric import triangulated_triangle
 from hyperops.models import pmf_complex
 from hyperops.operators import TableSet
@@ -157,11 +160,16 @@ def test_hypergraph_product_is_bit_identical_to_fold(fixtures):
             assert hypergraph_product(amb, probs).vec.tobytes() == o_hypergraph_pmf(probs).tobytes()
 
 
-# Every primitive, a power, a zeroth power, and compositions whose first
-# primitive's table is a reversed view (delta and Int are complement duals).
+# Every primitive, a power, a zeroth power, compositions whose first
+# primitive's table is a reversed view (delta and Int are complement duals),
+# compositions of joins, whose table is one doubling, and words that apply
+# gamma first, which reverses the order of the masks without a gather.
 UNARY_WORDS = [Prim(name) for name in PRIMITIVES] + [
     Power(Prim("Ext"), 3), Power(Prim("Ext"), 0),
-    Compose(Prim("Ext"), Prim("delta")), Compose(Prim("Delta"), Prim("Int"))]
+    Compose(Prim("Ext"), Prim("delta")), Compose(Prim("Delta"), Prim("Int"))] + [
+    parse_expression(text).word for text in (
+        "Delta.Ext", "Ext.Nbd", "Nbd^2", "Ext^4", "id.Ext",
+        "gamma^2", "gamma^3", "Int.gamma", "Delta.gamma", "Ext.delta.gamma")]
 
 
 def test_unary_push_is_bit_identical_to_identity_gather(fixtures):
@@ -227,6 +235,35 @@ def test_each_primitive_table_built_once_per_evaluation(delta2, table_builds):
     ext3 = eval_word_tables(parse_expression("Ext^3").word, TableSet(delta2), [idx])
     assert table_builds == {"Ext": 1}
     assert np.array_equal(ext3, first)
+
+
+def test_push_of_int_gamma_builds_only_int(delta2, table_builds):
+    # gamma on every mask in order is a reversed read of Int's table
+    push_word(parse_expression("Int.gamma").word, random_exact(delta2, np.random.default_rng(30)))
+    assert table_builds == {"Int": 1}
+
+
+def test_push_of_a_join_word_builds_no_table(delta2, table_builds, monkeypatch):
+    # Ext^3 is a join: its table is one doubling over single-face images
+    def refuse(*args):
+        raise AssertionError("a join word read through eval_word_tables")
+
+    monkeypatch.setattr(pushforward, "eval_word_tables", refuse)
+    push_word(parse_expression("Ext^3").word, random_exact(delta2, np.random.default_rng(31)))
+    assert not table_builds
+
+
+def test_support_matches_the_float_scan(delta2, capsys):
+    # -0.0 is zero; subnormals and NaN are not
+    vec = np.zeros(1 << delta2.num_faces)
+    vec[[1, 3, 4, 6, 9, 20]] = [-0.0, 5e-324, 0.25, np.nan, 0.5, 0.25]
+    dist = Distribution(delta2, vec)
+    want = np.flatnonzero(vec).tolist()
+    assert want == [3, 4, 6, 9, 20]
+    assert dist.support() == want
+    _print_distribution(dist)
+    assert capsys.readouterr().out == "".join(
+        f"{vec[mask]:.12e}  {format_mask(delta2, mask)}\n" for mask in want)
 
 
 def _chain_spelling(text):

@@ -3,11 +3,12 @@ distribution pushforwards, and sparse random generation.
 
 The lattice of sub-hypergraphs of a finite ambient complex carries the
 closure, interior-complex, complement, extension, interior, and neighborhood
-operators; exact probability distributions on that lattice push forward
-through any operator word; product (Bernoulli) and staged (dimension-by-
-dimension) random models come with closed-form transform vectors; and the
-truncated generators scale the random models to vertex counts where the
-lattice itself is out of reach.
+operators, applied through their mask functions in `hyperops.operators` or
+through a word (`eval_word`, `words.eval_word_mask`); exact probability
+distributions on that lattice push forward through any operator word;
+product (Bernoulli) and staged (dimension-by-dimension) random models come
+with closed-form transform vectors; and the truncated generators scale the
+random models to vertex counts where the lattice itself is out of reach.
 """
 
 from .complexes import (
@@ -52,19 +53,6 @@ from .models import (
     sample_hypergraph,
     sample_hypergraph_batch,
     sample_hypergraph_masks,
-)
-from .operators import (
-    closed_star,
-    closure,
-    complement,
-    extension,
-    external_faces,
-    interior,
-    interior_complex,
-    intersection,
-    neighborhood,
-    neighborhood_inverse,
-    union,
 )
 from .pushforward import (
     Distribution,

@@ -1,8 +1,10 @@
 """The operator algebra on sub-hypergraphs of a fixed ambient complex.
 
 Unary operators: closure, interior-complex, complement, extension, interior,
-neighborhood and its adjoint.  Binary operators: union, intersection.  All
-operate on face-index bitmasks; thin wrappers accept Hypergraph values.
+neighborhood and its adjoint, each one function on face-index bitmasks.
+These mask functions and the word evaluators of `words` (`eval_word`,
+`eval_word_mask`), which also give union and intersection as the join and
+meet of maps, are the one way to apply an operator.
 
 The six non-trivial primitives come from three face relations of the
 ambient, each stored as one mask per face: `sub_masks` (faces contained in
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import AmbientComplex, Hypergraph, Complex, _join, same_ambient
+from .complexes import AmbientComplex, _join
 
 # Above this many faces a 2**m table no longer fits; callers must use the
 # single-mask functions instead.  Up to it, every mask fits a uint32 entry.
@@ -146,55 +148,6 @@ def clique_faces_mask(amb: AmbientComplex, y: int, d: int) -> int:
     faces and the union resampler all read it.
     """
     return amb.faces_by_dim(d) & ~_sups(amb, amb.skeleton_mask(d - 1) & ~y)
-
-
-# ----- Hypergraph-level wrappers ---------------------------------------------
-
-
-def closure(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, closure_mask(h.ambient, h.mask))
-
-
-def interior_complex(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, interior_complex_mask(h.ambient, h.mask))
-
-
-def complement(h: Hypergraph) -> Hypergraph:
-    return Hypergraph(h.ambient, complement_mask(h.ambient, h.mask))
-
-
-def extension(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, extension_mask(h.ambient, h.mask))
-
-
-def interior(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, interior_mask(h.ambient, h.mask))
-
-
-def neighborhood(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, neighborhood_mask(h.ambient, h.mask))
-
-
-def neighborhood_inverse(h: Hypergraph) -> Complex:
-    return Complex(h.ambient, neighborhood_inverse_mask(h.ambient, h.mask))
-
-
-def union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    same_ambient(a, b)
-    return Hypergraph(a.ambient, a.mask | b.mask)
-
-
-def intersection(a: Hypergraph, b: Hypergraph) -> Hypergraph:
-    same_ambient(a, b)
-    return Hypergraph(a.ambient, a.mask & b.mask)
-
-
-def closed_star(amb: AmbientComplex, vertex: int) -> Complex:
-    return Complex(amb, closed_star_mask(amb, vertex))
-
-
-def external_faces(y: Hypergraph) -> Hypergraph:
-    return Hypergraph(y.ambient, external_faces_mask(y.ambient, y.mask))
 
 
 # ----- full lookup tables ----------------------------------------------------

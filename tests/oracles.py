@@ -169,15 +169,6 @@ def o_derived_interior(n, p, k):
     return keep
 
 
-def powerset_faces(ambient):
-    """Every sub-hypergraph, as frozensets; exponential, keep |L| small."""
-    faces = sorted(ambient, key=lambda s: (len(s), sorted(s)))
-    for bits in range(1 << len(faces)):
-        yield Faces(
-            faces[i] for i in range(len(faces)) if (bits >> i) & 1
-        )
-
-
 def mask_to_faces(amb, mask):
     """Bridge: package mask -> oracle face set."""
     return Faces(
@@ -199,10 +190,6 @@ def ambient_faces(amb):
     return Faces(
         Face(amb.face_vertices(i)) for i in range(amb.num_faces)
     )
-
-
-def chains_equal(*args):
-    return all(a == args[0] for a in args[1:])
 
 
 def o_push_pairwise(a, b, op):

@@ -102,3 +102,17 @@ def test_join_word_tables_match_the_gathers(amb):
             word = word_from_names(list(names))
             got = _unary_table(word, amb)
             assert np.array_equal(got, eval_word_tables(word, TableSet(amb), [idx])), word
+
+
+@pytest.mark.parametrize("amb", [*standard_fixtures().values(), *(amb for _, amb in CLASSES)],
+                         ids=[*standard_fixtures(), *(facets(amb) for _, amb in CLASSES)])
+def test_operators_map_every_mask_to_a_complex(amb):
+    # the six closing primitives send every mask, closed or not, to a
+    # subcomplex; id and gamma do not once the ambient has an edge, the
+    # first dimension with a mask that is not closed
+    closed = complex_indicator(amb)
+    tables = TableSet(amb)
+    for name in ("Delta", "delta", "Ext", "Int", "Nbd", "NbdInv"):
+        assert closed[tables[name]].all(), name
+    for name in ("gamma", "id"):
+        assert closed[tables[name]].all() == (amb.dim == 0), name

@@ -10,27 +10,18 @@ from hyperops.metric import figure_hypergraphs, triangulated_triangle
 from hyperops.operators import (
     PRIMITIVE_MASK_OPS,
     clique_faces_mask,
-    closed_star,
-    closure,
+    closed_star_mask,
     closure_mask,
-    complement,
     complement_mask,
-    extension,
     extension_mask,
-    external_faces,
     external_faces_mask,
-    interior,
-    interior_complex,
     interior_complex_mask,
     interior_mask,
-    intersection,
-    neighborhood,
-    neighborhood_inverse,
     neighborhood_mask,
     neighborhood_inverse_mask,
     primitive_table,
-    union,
 )
+from hyperops.words import Join, Meet, Prim, eval_word
 
 from oracles import (
     ambient_faces,
@@ -53,58 +44,69 @@ def hg(amb, faces):
     return Hypergraph.from_faces(amb, faces)
 
 
-def face_set(h):
-    return {tuple(f) for f in h.faces()}
+def mk(amb, faces):
+    return amb.mask_from_faces(faces)
+
+
+def face_set(amb, mask):
+    return set(amb.faces_of_mask(mask))
 
 
 # ----- frozen input/output pairs ---------------------------------------------
 
 
 def test_closure_examples(delta1, delta2):
-    assert face_set(closure(hg(delta1, [(1, 2)]))) == {(1,), (2,), (1, 2)}
-    assert closure(Hypergraph(delta1, 0)).mask == 0
-    assert closure(hg(delta2, [(1, 2, 3)])).mask == delta2.full_mask
+    assert face_set(delta1, closure_mask(delta1, mk(delta1, [(1, 2)]))) == {(1,), (2,), (1, 2)}
+    assert closure_mask(delta1, 0) == 0
+    assert closure_mask(delta2, mk(delta2, [(1, 2, 3)])) == delta2.full_mask
 
 
 def test_interior_complex_examples(delta1, delta2):
-    assert interior_complex(hg(delta1, [(1, 2)])).mask == 0
-    h = hg(delta1, [(1,), (2,), (1, 2)])
-    assert interior_complex(h).mask == h.mask
-    h2 = hg(delta2, [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)])
-    assert face_set(interior_complex(h2)) == {(1,), (2,), (3,), (1, 2), (2, 3)}
+    assert interior_complex_mask(delta1, mk(delta1, [(1, 2)])) == 0
+    h = mk(delta1, [(1,), (2,), (1, 2)])
+    assert interior_complex_mask(delta1, h) == h
+    h2 = mk(delta2, [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)])
+    assert face_set(delta2, interior_complex_mask(delta2, h2)) == {(1,), (2,), (3,), (1, 2), (2, 3)}
 
 
 def test_complement_examples(delta1):
-    assert complement(Hypergraph(delta1, 0)).mask == delta1.full_mask
-    assert complement(Hypergraph(delta1, delta1.full_mask)).mask == 0
-    assert face_set(complement(hg(delta1, [(1,), (1, 2)]))) == {(2,)}
+    assert complement_mask(delta1, 0) == delta1.full_mask
+    assert complement_mask(delta1, delta1.full_mask) == 0
+    assert face_set(delta1, complement_mask(delta1, mk(delta1, [(1,), (1, 2)]))) == {(2,)}
 
 
 def test_extension_examples(p3):
-    assert extension(hg(p3, [(2,)])).mask == p3.full_mask
-    assert extension(Hypergraph(p3, 0)).mask == 0
-    assert face_set(extension(hg(p3, [(1,)]))) == {(1,), (2,), (1, 2)}
+    assert extension_mask(p3, mk(p3, [(2,)])) == p3.full_mask
+    assert extension_mask(p3, 0) == 0
+    assert face_set(p3, extension_mask(p3, mk(p3, [(1,)]))) == {(1,), (2,), (1, 2)}
 
 
 def test_interior_examples(p3, delta2):
-    assert interior(Hypergraph(p3, p3.full_mask)).mask == p3.full_mask
-    assert face_set(interior(hg(p3, [(1,), (2,), (1, 2)]))) == {(1,)}
-    h = hg(delta2, [(1,), (2,), (3,), (1, 2), (2, 3)])
-    assert interior(h).mask == 0
+    assert interior_mask(p3, p3.full_mask) == p3.full_mask
+    assert face_set(p3, interior_mask(p3, mk(p3, [(1,), (2,), (1, 2)]))) == {(1,)}
+    h = mk(delta2, [(1,), (2,), (3,), (1, 2), (2, 3)])
+    assert interior_mask(delta2, h) == 0
 
 
-def test_union_intersection_examples(delta1):
+def test_union_intersection_examples(delta1, delta2):
+    # union and intersection are the join and meet of two identities
+    union = Join(Prim("id"), Prim("id"))
+    intersection = Meet(Prim("id"), Prim("id"))
     h = hg(delta1, [(1,), (1, 2)])
-    assert union(h, Hypergraph(delta1, 0)).mask == h.mask
-    assert intersection(h, Hypergraph(delta1, delta1.full_mask)).mask == h.mask
-    got = union(hg(delta1, [(1,)]), hg(delta1, [(2,)]))
-    assert face_set(got) == {(1,), (2,)}
+    assert eval_word(union, h, Hypergraph(delta1, 0)).mask == h.mask
+    assert eval_word(intersection, h, Hypergraph(delta1, delta1.full_mask)).mask == h.mask
+    got = eval_word(union, hg(delta1, [(1,)]), hg(delta1, [(2,)]))
+    assert set(got.faces()) == {(1,), (2,)}
+    h2 = hg(delta2, [(1, 2), (3,)])
+    assert eval_word(union, h2, h2).mask == h2.mask
+    not_h2 = Hypergraph(delta2, complement_mask(delta2, h2.mask))
+    assert eval_word(intersection, h2, not_h2).mask == 0
 
 
 def test_external_faces_examples(delta1):
-    assert face_set(external_faces(Hypergraph(delta1, 0))) == {(1,), (2,)}
-    assert external_faces(Hypergraph(delta1, delta1.full_mask)).mask == 0
-    assert face_set(external_faces(hg(delta1, [(1,), (2,)]))) == {(1, 2)}
+    assert face_set(delta1, external_faces_mask(delta1, 0)) == {(1,), (2,)}
+    assert external_faces_mask(delta1, delta1.full_mask) == 0
+    assert face_set(delta1, external_faces_mask(delta1, mk(delta1, [(1,), (2,)]))) == {(1, 2)}
 
 
 def test_external_faces_needs_complex(delta1):
@@ -121,12 +123,11 @@ def test_clique_examples(delta2):
 
 
 def test_closed_star(delta2):
-    st1 = closed_star(delta2, 1)
-    assert st1.mask == delta2.full_mask
+    assert closed_star_mask(delta2, 1) == delta2.full_mask
     faces = ambient_faces(delta2)
     for v in (1, 2, 3):
         want = faces_to_mask(delta2, o_closed_star(faces, v))
-        assert closed_star(delta2, v).mask == want
+        assert closed_star_mask(delta2, v) == want
 
 
 # ----- relations (i)-(vii), exhaustive on the fixtures -------------------------
@@ -386,13 +387,3 @@ def test_table_limit_enforced():
     assert big.num_faces == 31
     with pytest.raises(ValueError):
         primitive_table(big, "Delta")
-
-
-def test_wrappers_return_complexes(delta2):
-    h = hg(delta2, [(1, 2), (3,)])
-    for fn in (closure, interior_complex, extension, interior, neighborhood,
-               neighborhood_inverse):
-        out = fn(h)
-        assert out.is_complex
-    assert union(h, h).mask == h.mask
-    assert intersection(h, complement(h)).mask == 0

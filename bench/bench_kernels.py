@@ -62,7 +62,8 @@ def timed(fn, repeats=3):
 
 
 def _block_sizes(n, samples):
-    per_block = max(1, _BLOCK_UNIFORMS // max(n * (n - 1) // 2, 1))
+    # graphs whose adjacency rows fill at most _BLOCK_UNIFORMS words
+    per_block = max(1, _BLOCK_UNIFORMS // max(n * ((n + 63) >> 6), 1))
     return [min(per_block, samples - start) for start in range(0, samples, per_block)]
 
 
@@ -130,7 +131,7 @@ def bench_staged(n):
     closure = _derived_cached(n, _base_tuple(n, SPARSE_BASE)).closure_marginals
 
     def run():
-        return len(_staged_complex_faces(n, closure, SPARSE_R, rng_from(1)))
+        return sum(len(layer) for layer in _staged_complex_faces(n, closure, SPARSE_R, rng_from(1)))
 
     return run
 
@@ -138,7 +139,7 @@ def bench_staged(n):
 def bench_algorithm2(n, samples, base=SPARSE_BASE, r=SPARSE_R):
     def run():
         rng = rng_from(1)
-        return sum(len(algorithm2_truncated(n, base, r, rng)) for _ in range(samples))
+        return sum(len(layer) for _ in range(samples) for layer in algorithm2_truncated(n, base, r, rng))
 
     return run
 

@@ -28,9 +28,9 @@ from .models import (
 )
 from .operators import TableSet, lattice_size
 from .pushforward import (
+    _unary_table,
     closed_form_family,
     complex_product,
-    empirical_distribution,
     hypergraph_product,
     point_mass,
     push_word,
@@ -44,7 +44,7 @@ from .sparse import (
     threshold_schedule,
 )
 from .verify import DEFAULT_SEED, SUITES, iter_standard, run_suite
-from .words import Prim, eval_word_mask, normalize
+from .words import Prim, normalize
 
 
 def _fail(message: str) -> int:
@@ -85,11 +85,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _print_distribution(dist) -> None:
-    amb = dist.ambient
-    support = np.flatnonzero(dist.vec != 0)  # what a float scan selects, faster
+def _print_distribution(amb, support: list[int], probs: np.ndarray) -> None:
+    # one line per mask of the support, ascending: its probability, its faces
     sys.stdout.writelines(f"{p:.12e}  {hio.format_mask(amb, mask)}\n"
-                          for mask, p in zip(support.tolist(), dist.vec[support].tolist()))
+                          for mask, p in zip(support, probs.tolist()))
 
 
 def cmd_push(args) -> int:
@@ -116,19 +115,22 @@ def cmd_push(args) -> int:
             return _fail("Monte Carlo mode needs --model/--prob")
         rng = rng_from(args.seed, args.stream)
         drawn = _draw_masks(amb, vec, rng, args.samples, args.model == "pcomplex")
-        image = {mask: eval_word_mask(word, amb, [mask]) for mask in set(drawn)}
-        dist = empirical_distribution(amb, [image[mask] for mask in drawn])
-    elif args.hyper:
+        # the drawn masks' images through the word's table, counted
+        support, counts = np.unique(_unary_table(word, amb)[drawn], return_counts=True)
+        _print_distribution(amb, support.tolist(), counts / args.samples)
+        return 0
+    if args.hyper:
         dist = push_word(word, point_mass(amb, start))
     else:
         base = complex_product(amb, vec) if args.model == "pcomplex" else hypergraph_product(amb, vec)
         dist = push_word(word, base)
 
-    _print_distribution(dist)
+    support = dist.support()
+    _print_distribution(amb, support, dist.vec[support])
 
     # closed-form family line for the three primitive transforms of a
     # product draw; informational, the suites assert the true parts
-    if not args.samples and not args.hyper and args.model == "phyper":
+    if not args.hyper and args.model == "phyper":
         reduced = normalize(word)
         if isinstance(reduced, Prim) and reduced.name in ("Delta", "delta", "gamma"):
             family = closed_form_family(reduced.name, amb, vec)
@@ -171,14 +173,10 @@ def cmd_sparse(args) -> int:
     for _ in range(args.samples):
         if args.algorithm == 1:
             sample = algorithm1_truncated(args.n, base, args.r, rng)
-            lines.append(
-                hio.format_faces(sample.hyper_faces)
-                + " | "
-                + hio.format_faces(sample.complex_faces)
-            )
+            lines.append(hio.format_layers(sample.hyper_faces) + " | "
+                         + hio.format_layers(sample.complex_faces))
         else:
-            faces = algorithm2_truncated(args.n, base, args.r, rng)
-            lines.append(hio.format_faces(faces))
+            lines.append(hio.format_layers(algorithm2_truncated(args.n, base, args.r, rng)))
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

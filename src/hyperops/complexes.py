@@ -14,6 +14,7 @@ a complex exactly when the join of its sub masks is itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -59,14 +60,6 @@ def simplex(vertices: Iterable[int]) -> tuple[int, ...]:
     return face
 
 
-def _nonempty_subsets(vmask: int) -> Iterator[int]:
-    # Proper and improper nonempty submasks of a vertex mask.
-    sub = vmask
-    while sub:
-        yield sub
-        sub = (sub - 1) & vmask
-
-
 class AmbientComplex:
     """The fixed finite simplicial complex L.
 
@@ -78,49 +71,46 @@ class AmbientComplex:
         gen = [simplex(f) for f in faces]
         labels = sorted({v for f in gen for v in f})
         self.vertex_labels: tuple[int, ...] = tuple(labels)
-        self._vbit = {v: i for i, v in enumerate(labels)}
+        self._vbit = {v: 1 << i for i, v in enumerate(labels)}
 
-        # Downward closure over vertex bitmasks.
-        closed: set[int] = set()
+        # Downward closure: every nonempty subset of a generator, as its
+        # vertex tuple, grouped by size.  Tuples of one size sort in
+        # lexicographic order, so the canonical order needs no sort key.
+        closed: dict[int, set[tuple[int, ...]]] = {}
         for f in gen:
-            vmask = 0
-            for v in f:
-                vmask |= 1 << self._vbit[v]
-            for sub in _nonempty_subsets(vmask):
-                closed.add(sub)
-
-        def key(vm: int) -> tuple:
-            verts = tuple(labels[b] for b in iter_bits(vm))
-            return (len(verts), verts)
-
-        self.face_vmasks: tuple[int, ...] = tuple(sorted(closed, key=key))
+            for k in range(1, len(f) + 1):
+                closed.setdefault(k, set()).update(itertools.combinations(f, k))
+        faces = [f for k in sorted(closed) for f in sorted(closed[k])]
+        self.face_vmasks: tuple[int, ...] = tuple(sum(map(self._vbit.__getitem__, f)) for f in faces)
         self.index: dict[int, int] = {vm: i for i, vm in enumerate(self.face_vmasks)}
         m = len(self.face_vmasks)
         self.num_faces: int = m
         self.full_mask: int = (1 << m) - 1
-        self.dims: tuple[int, ...] = tuple(
-            vm.bit_count() - 1 for vm in self.face_vmasks
-        )
+        self.dims: tuple[int, ...] = tuple(len(f) - 1 for f in faces)
         self.dim: int = max(self.dims, default=-1)
 
         # Relation masks over face indices: faces contained in / containing /
         # meeting each face.  Faces come in order of dimension and the set
         # is downward closed, so each facet vi ^ (1 << v) is already
         # indexed, and the sub mask is the face's own bit joined with its
-        # facets' sub masks.  The sup masks transpose the sub masks, and a
-        # face meets exactly the faces in the vertex stars of its vertices.
+        # facets' sub masks.  Likewise the sup mask is the face's own bit
+        # joined with its cofacets' sup masks: one pass in reverse order
+        # ORs each face's finished sup mask into its facets'.  A face meets
+        # exactly the faces in the vertex stars of its vertices.
         index = self.index
+        facets: list[list[int]] = [[] for _ in range(m)]
         sub = [0] * m
         for i, vi in enumerate(self.face_vmasks):
             down = 1 << i
             if vi & (vi - 1):
-                for v in iter_bits(vi):
-                    down |= sub[index[vi ^ (1 << v)]]
+                facets[i] = [index[vi ^ (1 << v)] for v in iter_bits(vi)]
+                for j in facets[i]:
+                    down |= sub[j]
             sub[i] = down
-        sup = [0] * m
-        for i, down in enumerate(sub):
-            for j in iter_bits(down):
-                sup[j] |= 1 << i
+        sup = [1 << i for i in range(m)]
+        for i in range(m - 1, -1, -1):
+            for j in facets[i]:
+                sup[j] |= sup[i]
         star = [sup[index[1 << v]] for v in range(len(labels))]
         meet = [0] * m
         for i, vi in enumerate(self.face_vmasks):
@@ -152,7 +142,7 @@ class AmbientComplex:
             b = self._vbit.get(v)
             if b is None:
                 raise AmbientError(f"vertex {v} is not in the ambient complex")
-            vm |= 1 << b
+            vm |= b
         idx = self.index.get(vm)
         if idx is None:
             raise AmbientError(f"{face} is not a face")

@@ -18,6 +18,8 @@ import io as _io
 import os
 import tempfile
 
+import numpy as np
+
 from .complexes import AmbientComplex, AmbientError, Hypergraph, iter_bits, simplex
 from .models import ProbabilityAssignment
 from .sparse import STATS_COLUMNS
@@ -32,6 +34,7 @@ __all__ = [
     "read_probability",
     "write_probability",
     "format_faces",
+    "format_layers",
     "format_mask",
     "write_samples",
     "format_stats_csv",
@@ -114,6 +117,27 @@ def format_faces(faces) -> str:
     if not ordered:
         return "-"
     return ", ".join(" ".join(str(v) for v in face) for face in ordered)
+
+
+def format_layers(layers) -> str:
+    """format_faces of faces held as vertex arrays: one integer array of
+    shape (faces, d + 1) per dimension d, in ascending d, each row a face's
+    ascending non-negative vertex ids and the rows in lexicographic order.
+    That is the canonical order, so nothing is sorted: each layer's lines
+    are built column by column from a lookup of vertex label texts."""
+    layers = [verts for verts in layers if verts.shape[0]]
+    if not layers:
+        return "-"
+    top = max(int(verts.max()) for verts in layers)
+    label = np.array([str(v) for v in range(top + 1)])
+    spaced = np.strings.add(label, " ")
+    parts = []
+    for verts in layers:
+        text = label[verts[:, -1]]
+        for col in range(verts.shape[1] - 2, -1, -1):
+            text = np.strings.add(spaced[verts[:, col]], text)
+        parts.append(", ".join(text.tolist()))
+    return ", ".join(parts)
 
 
 def format_mask(amb: AmbientComplex, mask: int) -> str:

@@ -228,16 +228,19 @@ def clique_complex_in(graph: Hypergraph, ambient: AmbientComplex) -> Complex:
 class TruncatedSample:
     """One truncated draw: the hyperedge part and the staged complex part.
 
-    Faces are ascending vertex tuples labelled 1..n, every one of dimension
-    at most r.  Plain tuples, not Hypergraph/Complex objects: at the sizes
+    Each part holds one int64 vertex array per dimension d = 0..r, of shape
+    (faces, d + 1): a row is a face's ascending vertices labelled 1..n, and
+    rows come in lexicographic order, so the parts list their faces in
+    canonical order.  Arrays, not Hypergraph/Complex objects: at the sizes
     this generator targets, materializing an ambient complex would defeat
-    the O(output) memory contract.
+    the O(output) memory contract.  Arrays have no single truth value, so
+    compare samples layer by layer, not with ==.
     """
 
     n: int
     r: int
-    hyper_faces: tuple[tuple[int, ...], ...]
-    complex_faces: tuple[tuple[int, ...], ...]
+    hyper_faces: tuple[np.ndarray, ...]
+    complex_faces: tuple[np.ndarray, ...]
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -348,10 +351,6 @@ def _philox_words_at(bitgen: np.random.Philox, ranks: np.ndarray, total: int) ->
     return words
 
 
-def _face_tuples(layers) -> list[tuple[int, ...]]:
-    return [face for verts in layers for face in map(tuple, verts.tolist())]
-
-
 def _facets_kept(keys: np.ndarray, faces: np.ndarray, n, binom, tested=None) -> np.ndarray:
     # Bool per row of faces (d + 1 vertices): the facets without v_0, v_1,
     # .., v_{tested - 1} (1 <= tested <= d + 1, all by default) have their
@@ -418,11 +417,12 @@ def _sibling_pairs(layer: np.ndarray) -> int:
     return int((sizes * (sizes - 1)).sum()) // 2
 
 
-def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
+def _staged_complex_faces(n, closure_p, r, rng) -> list[np.ndarray]:
     # Stage-by-dimension draw: a (d+1)-subset is a candidate once all of its
     # d-subsets were kept, and gets one uniform at closure_p[d], all of a
     # stage's uniforms in one call.  Candidates come in lexicographic
-    # order (_candidates), so the stream layout is reproducible.
+    # order (_candidates), so the stream layout is reproducible.  Returns
+    # the kept layer of each dimension d = 0..r.
     binom = _binomial_tables(n, r)
     layer = np.arange(1, n + 1, dtype=np.int64)[rng.random(n) < closure_p[0], None]
     layers = [layer]
@@ -430,7 +430,7 @@ def _staged_complex_faces(n, closure_p, r, rng) -> list[tuple[int, ...]]:
         cands = _candidates(layer, n, binom)
         layer = cands[rng.random(cands.shape[0]) < closure_p[d]]
         layers.append(layer)
-    return _face_tuples(layers)
+    return layers
 
 
 def algorithm1_truncated(n: int, p, r: int, rng) -> TruncatedSample:
@@ -442,18 +442,19 @@ def algorithm1_truncated(n: int, p, r: int, rng) -> TruncatedSample:
     joint law.  The complex part is a stage-by-dimension draw with the full-n
     closure marginals; stages never look above the current dimension, so the
     cut is exact there too.  The two parts are independent.  The hypergraph
-    part consumes its uniforms first.
+    part consumes its uniforms first.  Each part is one int64 vertex array
+    per dimension 0..r, rows in lexicographic order (TruncatedSample).
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     base = _base_tuple(n, p)
     dd = _derived_cached(n, base)
-    hyper = _face_tuples(_bernoulli_faces(n, base, r, rng))
+    hyper = _bernoulli_faces(n, base, r, rng)
     cx = _staged_complex_faces(n, dd.closure_marginals, r, rng)
     return TruncatedSample(n=n, r=r, hyper_faces=tuple(hyper), complex_faces=tuple(cx))
 
 
-def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
+def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[np.ndarray, ...]:
     """Draw the dimension-<=r part of the simplicial part of a Bernoulli
     hypergraph.
 
@@ -469,6 +470,9 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
     (_philox_words_at): the same faces, and the same generator state after
     the call.  A dimension read whole filters each block's hits by facets
     as they are unranked, so it never holds more than one block of them.
+
+    Returns the kept faces as one int64 vertex array per dimension d = 0..r,
+    of shape (faces, d + 1), rows in lexicographic order.
     """
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
@@ -489,7 +493,7 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[tuple[int, ...], ...]:
                 block[_facets_kept(keys, block, n, binom)]
                 for block in _bernoulli_layer(n, d + 1, base[d], bitgen, binom)
             ]))
-    return tuple(_face_tuples(kept))
+    return tuple(kept)
 
 
 def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
@@ -500,9 +504,11 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
     dimension exactly r iff additionally some (r+1)-clique exists, and its
     r-face count is the (r+1)-clique count.  Each n gets its own generator
     stream, so rows are reproducible independently of the sweep order.
-    Graphs are drawn and censused in blocks of about _BLOCK_UNIFORMS pair
-    uniforms; the stream is read in the same order whatever the block size.
-    schedule is a callable from n to the edge probability (threshold_schedule).
+    Graphs are drawn and censused in batches whose adjacency rows fill at
+    most _BLOCK_UNIFORMS 64-bit words: _BLOCK_UNIFORMS // (n * ceil(n/64))
+    graphs, at least one.  The stream is read in the same order whatever
+    the batch size.  schedule is a callable from n to the edge probability
+    (threshold_schedule).
 
     Returns one dict per n with keys matching STATS_COLUMNS.
     """
@@ -514,7 +520,7 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
         p1 = schedule(n)
         le = eq = 0
         total_faces = 0
-        per_block = max(1, _BLOCK_UNIFORMS // max(n * (n - 1) // 2, 1))
+        per_block = max(1, _BLOCK_UNIFORMS // max(n * ((n + 63) >> 6), 1))
         for start in range(0, samples, per_block):
             block = sample_graph_block(n, p1, rng, min(per_block, samples - start))
             counts, exists = clique_census(block, r + 1, r + 2)

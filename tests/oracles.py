@@ -186,6 +186,18 @@ def faces_to_mask(amb, faces):
     return mask
 
 
+def layer_faces(layers, r):
+    """Bridge: a truncated generator's vertex arrays -> its faces as tuples
+    of Python ints, in row order.  There must be one int64 array per
+    dimension d = 0..r, with d + 1 columns."""
+    assert len(layers) == r + 1, (len(layers), r)
+    faces = []
+    for d, verts in enumerate(layers):
+        assert verts.dtype == np.int64 and verts.ndim == 2 and verts.shape[1] == d + 1, (d, verts.dtype, verts.shape)
+        faces.extend(map(tuple, verts.tolist()))
+    return tuple(faces)
+
+
 def ambient_faces(amb):
     return Faces(
         Face(amb.face_vertices(i)) for i in range(amb.num_faces)

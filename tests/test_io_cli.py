@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hyperops import cli
@@ -13,6 +14,7 @@ from hyperops.io import (
     FileFormatError,
     atomic_write,
     format_faces,
+    format_layers,
     format_mask,
     format_stats_csv,
     read_complex,
@@ -24,13 +26,16 @@ from hyperops.io import (
     write_samples,
     write_stats_csv,
 )
-from hyperops.metric import figure_hypergraphs
+from hyperops.expr import parse_expression
+from hyperops.metric import figure_hypergraphs, triangulated_triangle
 from hyperops.models import (
     ProbabilityAssignment,
     enumerate_subcomplexes,
     enumerate_subhypergraphs,
     resolve_probabilities,
     rng_from,
+    sample_complex,
+    sample_hypergraph_masks,
 )
 from hyperops.operators import PRIMITIVE_TABLES, TABLE_LIMIT, lattice_size
 from hyperops.pushforward import (
@@ -43,9 +48,16 @@ from hyperops.pushforward import (
     uniform_distribution,
     verify_transforms,
 )
-from hyperops.sparse import closure_dimension_stats, dimension_stats, threshold_schedule
+from hyperops.sparse import (
+    algorithm1_truncated,
+    algorithm2_truncated,
+    closure_dimension_stats,
+    dimension_stats,
+    threshold_schedule,
+)
+from hyperops.words import eval_word_mask
 
-from oracles import o_sample_complex, o_sample_hypergraph
+from oracles import layer_faces, o_sample_complex, o_sample_hypergraph
 
 TRIANGLE = "1\n2\n3\n1 2\n1 3\n2 3\n1 2 3\n"
 
@@ -152,6 +164,35 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
 def test_format_faces():
     assert format_faces([]) == "-"
     assert format_faces([(2, 3), (1,), (1, 2, 3)]) == "1, 2 3, 1 2 3"
+
+
+def _layers(faces, r):
+    # the faces of dimension <= r as one int64 vertex array per dimension
+    return [np.array([f for f in faces if len(f) == d + 1], dtype=np.int64).reshape(-1, d + 1)
+            for d in range(r + 1)]
+
+
+@pytest.mark.parametrize("faces, r", [
+    ([], 0),
+    ([], 3),
+    ([(1,), (5,), (12,)], 0),
+    ([(1,), (2,), (1, 2), (1, 2, 3)], 2),
+    ([(3,), (2, 3, 4)], 2),  # an empty middle layer
+    ([(1, 2), (7, 10)], 3),  # empty layers below and above
+    ([(0, 9, 10, 100), (99, 100, 101, 1000)], 3),  # the top layer alone
+])
+def test_format_layers_matches_format_faces(faces, r):
+    assert format_layers(_layers(faces, r)) == format_faces(faces)
+
+
+def test_format_layers_matches_format_faces_on_random_layers():
+    rnd = random.Random(5)
+    for _ in range(50):
+        r = rnd.randint(0, 3)
+        # within a size, sorted tuples come in lexicographic order
+        faces = sorted({tuple(sorted(rnd.sample(range(1, 131), d + 1)))
+                        for d in range(r + 1) for _ in range(rnd.randint(0, 30))})
+        assert format_layers(_layers(faces, r)) == format_faces(faces)
 
 
 def test_format_mask_matches_format_faces():
@@ -454,6 +495,34 @@ def test_cli_push_monte_carlo(capsys, triangle_cx, half_prob):
     assert out1 == out2
     total = sum(float(line.split("  ", 1)[0]) for line in out1.splitlines())
     assert total == pytest.approx(1.0)
+
+
+PUSH_SAMPLE_AMBIENTS = ["delta1", "delta2", "p3", "sk1d3", "t2"]
+
+
+@pytest.mark.parametrize("model", ["phyper", "pcomplex"])
+@pytest.mark.parametrize("name", PUSH_SAMPLE_AMBIENTS)
+def test_cli_push_samples_match_empirical_law_of_images(tmp_path, capsys, mixed_prob, name, model):
+    # the oracle draws the same masks, evaluates the word on each drawn
+    # mask and prints the support of the empirical vector of the images
+    cx = str(tmp_path / "a.cx")
+    write_complex(cx, triangulated_triangle(2) if name == "t2" else standard_fixtures()[name])
+    amb = read_complex(cx)
+    probs = resolve_probabilities(amb, read_probability(mixed_prob))
+    for expr in ("Delta", "Int.gamma", "gamma", "Ext^2", "id"):
+        word = parse_expression(expr).word
+        rng = rng_from(5, 1)
+        if model == "pcomplex":
+            drawn = [sample_complex(amb, probs, rng).mask for _ in range(300)]
+        else:
+            drawn = sample_hypergraph_masks(amb, probs, rng, 300)
+        vec = empirical_distribution(amb, [eval_word_mask(word, amb, [mask]) for mask in drawn]).vec
+        want = "".join(f"{vec[mask]:.12e}  {format_mask(amb, mask)}\n"
+                       for mask in np.flatnonzero(vec).tolist())
+        code, out, err = run_cli(capsys, "push", "--ambient", cx, "--model", model, "--prob", mixed_prob,
+                                 "--expr", expr, "--samples", "300", "--seed", "5", "--stream", "1")
+        assert code == 0, err
+        assert out == want, (name, model, expr)
 
 
 def test_cli_push_usage_errors(tmp_path, capsys, triangle_cx, half_prob):
@@ -814,6 +883,28 @@ def test_cli_sparse_output_shapes(capsys, tmp_path, half_prob):
     )
     assert code == 0
     assert len(open(tmp_path / "s.txt").read().splitlines()) == 3
+
+
+@pytest.mark.parametrize("algorithm, n, r, p", [(1, 30, 2, [1.0, 0.2, 0.05]), (2, 30, 2, [1.0, 0.3, 0.5]),
+                                                (1, 12, 0, [1.0]), (2, 120, 3, [1.0, 0.1, 0.5, 0.5])])
+def test_cli_sparse_prints_format_faces_of_each_draw(capsys, tmp_path, algorithm, n, r, p):
+    # stdout equals format_faces of each draw's face tuples, with the two
+    # parts of an algorithm-1 draw joined by " | "
+    prob = str(tmp_path / "p.json")
+    write_probability(prob, ProbabilityAssignment.from_dims(p))
+    rng = rng_from(11, 2)
+    want = []
+    for _ in range(4):
+        if algorithm == 1:
+            s = algorithm1_truncated(n, p, r, rng)
+            parts = (s.hyper_faces, s.complex_faces)
+        else:
+            parts = (algorithm2_truncated(n, p, r, rng),)
+        want.append(" | ".join(format_faces(layer_faces(part, r)) for part in parts) + "\n")
+    code, out, err = run_cli(capsys, "sparse", "--algorithm", str(algorithm), "--n", str(n), "--r", str(r),
+                             "--prob", prob, "--seed", "11", "--stream", "2", "--samples", "4")
+    assert code == 0, err
+    assert out == "".join(want)
 
 
 def test_cli_stats_csv(capsys, tmp_path, half_prob):

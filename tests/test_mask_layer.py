@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hyperops import sparse
+from hyperops import kernels, sparse
 from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.io import write_probability
@@ -92,6 +92,23 @@ def test_graph_block_matches_successive_draws(n):
             for g in range(graphs):
                 assert np.array_equal(got[g], oracles.o_sample_graph_words(n, p, want_rng)), (n, p, g)
             assert _same_stream_state(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("n, graphs, chunk", [(260, 3, None), (9, 5, 7), (70, 4, 1000)])
+def test_graph_block_reads_words_in_chunks(monkeypatch, n, graphs, chunk):
+    # Raw words are read and scattered in chunks of _BLOCK_UNIFORMS, which
+    # end inside graphs: n = 260 has 33,670 pairs, more than one chunk at
+    # the default size, and the smaller sizes split every graph.
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_UNIFORMS", chunk)
+    assert graphs * comb(n, 2) > 2 * kernels._BLOCK_UNIFORMS
+    for p in (0.05, 0.5):
+        got_rng, want_rng = rng_from(n, 13), rng_from(n, 13)
+        got = sample_graph_block(n, p, got_rng, graphs)
+        assert got.shape == (graphs, n, (n + 63) >> 6)
+        for g in range(graphs):
+            assert np.array_equal(got[g], oracles.o_sample_graph_words(n, p, want_rng)), (n, p, g)
+        assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 80])
@@ -212,9 +229,7 @@ def test_bernoulli_faces_match_stream(n, r, p, bitgen):
         return
     layers = sparse._bernoulli_faces(n, base, r, got_rng)
     assert [(v.dtype, v.shape[1]) for v in layers] == [(np.int64, d + 1) for d in range(r + 1)]
-    got = sparse._face_tuples(layers)
-    assert got == oracles.o_bernoulli_faces(n, base, r, want_rng)
-    assert all(type(v) is int for face in got for v in face)
+    assert oracles.layer_faces(layers, r) == tuple(oracles.o_bernoulli_faces(n, base, r, want_rng))
     assert _same_stream_state(got_rng, want_rng)
 
 
@@ -226,8 +241,7 @@ def test_staged_faces_match_candidate_loop(n, r, p, bitgen):
     for stage_p in (closure, base, (1.0,) * n, (0.7,) * n):
         got_rng, want_rng = _case_rng(bitgen, n, 3), _case_rng(bitgen, n, 3)
         got = sparse._staged_complex_faces(n, stage_p, r, got_rng)
-        assert got == oracles.o_staged_complex_faces(n, stage_p, r, want_rng)
-        assert all(type(v) is int for face in got for v in face)
+        assert oracles.layer_faces(got, r) == tuple(oracles.o_staged_complex_faces(n, stage_p, r, want_rng))
         assert _same_stream_state(got_rng, want_rng)
 
 
@@ -244,13 +258,14 @@ def test_generators_match_loops(n, r, p, bitgen):
     got1 = sparse.algorithm1_truncated(n, p, r, got_rng)
     hyper = oracles.o_bernoulli_faces(n, base, r, want_rng)
     cx = oracles.o_staged_complex_faces(n, closure, r, want_rng)
-    assert got1 == sparse.TruncatedSample(n=n, r=r, hyper_faces=tuple(hyper), complex_faces=tuple(cx))
+    assert (got1.n, got1.r) == (n, r)
+    assert oracles.layer_faces(got1.hyper_faces, r) == tuple(hyper)
+    assert oracles.layer_faces(got1.complex_faces, r) == tuple(cx)
     assert _same_stream_state(got_rng, want_rng)
     for seed in range(6, 10):
         got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
         got2 = sparse.algorithm2_truncated(n, p, r, got_rng)
-        assert got2 == oracles.o_algorithm2_truncated(n, p, r, want_rng)
-        assert all(type(v) is int for face in got2 for v in face)
+        assert oracles.layer_faces(got2, r) == oracles.o_algorithm2_truncated(n, p, r, want_rng)
         assert _same_stream_state(got_rng, want_rng)
 
 
@@ -344,7 +359,7 @@ def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
             got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
             for _ in range(2):
                 got = sparse.algorithm2_truncated(n, p, r, got_rng)
-                assert got == oracles.o_algorithm2_truncated(n, p, r, want_rng)
+                assert oracles.layer_faces(got, r) == oracles.o_algorithm2_truncated(n, p, r, want_rng)
                 assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
     # every draw seeks in dimensions 2..r, and each of them meets candidates
     assert len(seeks) == 30 * (r - 1)
@@ -362,7 +377,7 @@ def test_algorithm2_full_read_matches_loop_across_blocks(monkeypatch):
         key = SEEK_KEYS[pre % len(SEEK_KEYS)]
         got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
         got = sparse.algorithm2_truncated(40, p, r, got_rng)
-        assert got == oracles.o_algorithm2_truncated(40, p, r, want_rng)
+        assert oracles.layer_faces(got, r) == oracles.o_algorithm2_truncated(40, p, r, want_rng)
         assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
     assert seeks == []
 
@@ -378,7 +393,7 @@ def test_algorithm2_full_read_holds_one_block_of_hits(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seeks == [] and len(faces) > 0
+    assert seeks == [] and len(oracles.layer_faces(faces, 3)) > 0
     assert peak < 8 << 20
 
 
@@ -425,15 +440,15 @@ def test_generators_are_mask_layer_draws(monkeypatch, n, r, p, seeking, bitgen):
         got = sparse.algorithm1_truncated(n, p, r, got_rng)
         hyper = sample_hypergraph_masks(amb, base, want_rng, 1)[0]
         cx = sample_complex(amb, closure, want_rng).mask
-        assert got.hyper_faces == tuple(amb.faces_of_mask(hyper)), seed
-        assert got.complex_faces == tuple(amb.faces_of_mask(cx)), seed
+        assert oracles.layer_faces(got.hyper_faces, r) == tuple(amb.faces_of_mask(hyper)), seed
+        assert oracles.layer_faces(got.complex_faces, r) == tuple(amb.faces_of_mask(cx)), seed
         assert _same_stream_state(got_rng, want_rng), seed
     seeks = _count_seeks(monkeypatch)
     for seed in range(10):
         got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
         got = sparse.algorithm2_truncated(n, p, r, got_rng)
         hyper = sample_hypergraph_masks(amb, base, want_rng, 1)[0]
-        assert got == tuple(amb.faces_of_mask(interior_complex_mask(amb, hyper))), seed
+        assert oracles.layer_faces(got, r) == tuple(amb.faces_of_mask(interior_complex_mask(amb, hyper))), seed
         assert _same_stream_state(got_rng, want_rng), seed
     assert len(seeks) == (10 * seeking if bitgen is np.random.Philox else 0)
     assert sum(seeks) > 0 or not seeks
@@ -457,8 +472,11 @@ def _dims_schedule(n):
 
 @pytest.mark.parametrize("block_uniforms", [sparse._BLOCK_UNIFORMS, 1000])
 def test_dimension_stats_match_graph_loop(monkeypatch, block_uniforms):
-    # 131 samples fill no whole number of blocks: 13 graphs a block at n = 70
-    # by default; 1 at n = 70, 5 at n = 20 and 333 at n = 3 with the small one.
+    # A block holds the graphs whose adjacency rows fill _BLOCK_UNIFORMS
+    # words, n * ceil(n / 64) each: by default all 131 samples fit in one
+    # block at every n (234 graphs a block at n = 70); with the small size,
+    # 131 samples fill no whole number of blocks: 7 graphs a block at
+    # n = 70, 50 at n = 20, 333 at n = 3 and 1000 at n = 1.
     monkeypatch.setattr(sparse, "_BLOCK_UNIFORMS", block_uniforms)
     for r in (1, 2):
         got = sparse.dimension_stats([1, 3, 20, 70], _dims_schedule, r, 131, seed=12)

@@ -25,7 +25,7 @@ from hyperops.sparse import (
     threshold_schedule,
 )
 
-from oracles import o_derived_closure, o_derived_interior
+from oracles import layer_faces, o_derived_closure, o_derived_interior
 
 HALF3 = [1.0, 0.5, 0.5]
 HALF4 = [1.0, 0.5, 0.5, 0.5]
@@ -129,33 +129,38 @@ def test_truncated_laws_equal_restricted_laws():
     )
 
 
+def _sample_faces(s):
+    # (n, r, hyperedge faces, complex faces) of a truncated sample
+    return s.n, s.r, layer_faces(s.hyper_faces, s.r), layer_faces(s.complex_faces, s.r)
+
+
 def test_truncated_samples_deterministic():
-    a = algorithm1_truncated(6, HALF4, 2, rng_from(40, 1))
-    b = algorithm1_truncated(6, HALF4, 2, rng_from(40, 1))
+    a = _sample_faces(algorithm1_truncated(6, HALF4, 2, rng_from(40, 1)))
+    b = _sample_faces(algorithm1_truncated(6, HALF4, 2, rng_from(40, 1)))
     assert a == b
-    c = algorithm1_truncated(6, HALF4, 2, rng_from(40, 2))
-    assert a != c or a.hyper_faces == c.hyper_faces  # different stream, new draw
-    x = algorithm2_truncated(6, HALF4, 2, rng_from(41, 0))
-    y = algorithm2_truncated(6, HALF4, 2, rng_from(41, 0))
+    c = _sample_faces(algorithm1_truncated(6, HALF4, 2, rng_from(40, 2)))
+    assert a != c or a[2] == c[2]  # different stream, new draw
+    x = layer_faces(algorithm2_truncated(6, HALF4, 2, rng_from(41, 0)), 2)
+    y = layer_faces(algorithm2_truncated(6, HALF4, 2, rng_from(41, 0)), 2)
     assert x == y
 
 
 def test_truncated_sample_shape_contracts():
-    s = algorithm1_truncated(7, HALF4, 2, rng_from(42, 0))
-    assert s.n == 7 and s.r == 2
-    for f in s.hyper_faces + s.complex_faces:
+    n, r, hyper, cx = _sample_faces(algorithm1_truncated(7, HALF4, 2, rng_from(42, 0)))
+    assert n == 7 and r == 2
+    for f in hyper + cx:
         assert len(f) <= 3
         assert list(f) == sorted(f)
         assert all(1 <= v <= 7 for v in f)
     # staged part is downward closed within itself
-    kept = set(s.complex_faces)
-    for f in s.complex_faces:
+    kept = set(cx)
+    for f in cx:
         for i in range(len(f)):
             sub = f[:i] + f[i + 1 :]
             if sub:
                 assert sub in kept
     # simplicial part of a draw is downward closed too
-    t = algorithm2_truncated(7, HALF4, 2, rng_from(42, 1))
+    t = layer_faces(algorithm2_truncated(7, HALF4, 2, rng_from(42, 1)), 2)
     kept = set(t)
     for f in t:
         for i in range(len(f)):
@@ -165,9 +170,9 @@ def test_truncated_sample_shape_contracts():
 
 
 def test_truncated_r_bounds():
-    s = algorithm1_truncated(3, HALF3, 0, rng_from(43, 0))
-    assert s.hyper_faces == ((1,), (2,), (3,))  # p_0 = 1 keeps every vertex
-    assert s.complex_faces == ((1,), (2,), (3,))
+    _, _, hyper, cx = _sample_faces(algorithm1_truncated(3, HALF3, 0, rng_from(43, 0)))
+    assert hyper == ((1,), (2,), (3,))  # p_0 = 1 keeps every vertex
+    assert cx == ((1,), (2,), (3,))
     with pytest.raises(ValueError):
         algorithm1_truncated(3, HALF3, 3, rng_from(0))
     with pytest.raises(ValueError):

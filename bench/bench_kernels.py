@@ -28,7 +28,7 @@ import numpy as np
 from hyperops.complexes import standard_fixtures
 from hyperops.kernels import clique_census, pair_laws, sample_graph_block
 from hyperops.metric import triangulated_triangle
-from hyperops.models import rng_from
+from hyperops.models import _block_cut, rng_from
 from hyperops.operators import (
     PRIMITIVE_MASK_OPS,
     closure_table,
@@ -36,7 +36,6 @@ from hyperops.operators import (
     interior_complex_table,
 )
 from hyperops.sparse import (
-    _BLOCK_UNIFORMS,
     _base_tuple,
     _bernoulli_faces,
     _derived_cached,
@@ -62,9 +61,9 @@ def timed(fn, repeats=3):
 
 
 def _block_sizes(n, samples):
-    # graphs whose adjacency rows fill at most _BLOCK_UNIFORMS words
-    per_block = max(1, _BLOCK_UNIFORMS // max(n * ((n + 63) >> 6), 1))
-    return [min(per_block, samples - start) for start in range(0, samples, per_block)]
+    # the graph batches of sparse.dimension_stats: models._block_cut over
+    # graphs of n * ceil(n/64) adjacency words each
+    return [size for _, size in _block_cut(samples, n * ((n + 63) >> 6))]
 
 
 def _sample_blocks(n, samples):

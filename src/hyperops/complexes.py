@@ -1,10 +1,12 @@
 """Core combinatorial types: simplices, ambient complexes, sub-hypergraphs.
 
-Everything downstream is subset-lattice arithmetic, so faces are stored as
+Everything downstream is subset-lattice arithmetic, so faces are indexed by
 vertex bitmasks and a sub-hypergraph of the ambient complex L is a single
 bitmask over L's canonical face order.  The canonical order is lexicographic
 by (dimension, ascending vertex tuple) and is the iteration order everywhere,
 including the sub-hypergraph index used by the exact distribution code.
+L keeps each face's vertex tuple too, which every read of a face's vertices
+takes; iter_bits is the one walk of a mask's set bits.
 
 Each face relation of the ambient is one mask per face, and `_join` is the
 one OR of a relation over a face set, which every mask-layer operator reads.
@@ -26,22 +28,21 @@ class AmbientError(ValueError):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the set bit positions of ``mask`` in ascending order.  The int
+    is read once, as text, so a walk costs O(bit length) in all."""
+    bits = bin(mask)[:1:-1]  # bits[i] is bit i of mask
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def _join(rel, h: int) -> int:
-    """The OR of rel[i] over the set bits i of h: the one join of a
-    relation (one mask per face) over a face set."""
+    """The OR of rel[i] over the set bits i of h (iter_bits): the one join
+    of a relation (one mask per face) over a face set."""
     out = 0
-    bits = bin(h)[:1:-1]  # bits[i] is bit i of h
-    i = bits.find("1")
-    while i >= 0:
+    for i in iter_bits(h):
         out |= rel[i]
-        i = bits.find("1", i + 1)
     return out
 
 
@@ -81,6 +82,7 @@ class AmbientComplex:
             for k in range(1, len(f) + 1):
                 closed.setdefault(k, set()).update(itertools.combinations(f, k))
         faces = [f for k in sorted(closed) for f in sorted(closed[k])]
+        self._face_vertices: tuple[tuple[int, ...], ...] = tuple(faces)
         self.face_vmasks: tuple[int, ...] = tuple(sum(map(self._vbit.__getitem__, f)) for f in faces)
         self.index: dict[int, int] = {vm: i for i, vm in enumerate(self.face_vmasks)}
         m = len(self.face_vmasks)
@@ -91,19 +93,19 @@ class AmbientComplex:
 
         # Relation masks over face indices: faces contained in / containing /
         # meeting each face.  Faces come in order of dimension and the set
-        # is downward closed, so each facet vi ^ (1 << v) is already
+        # is downward closed, so each facet vi ^ vbit[v] is already
         # indexed, and the sub mask is the face's own bit joined with its
         # facets' sub masks.  Likewise the sup mask is the face's own bit
         # joined with its cofacets' sup masks: one pass in reverse order
         # ORs each face's finished sup mask into its facets'.  A face meets
         # exactly the faces in the vertex stars of its vertices.
-        index = self.index
+        index, vbit = self.index, self._vbit
         facets: list[list[int]] = [[] for _ in range(m)]
         sub = [0] * m
-        for i, vi in enumerate(self.face_vmasks):
+        for i, (f, vi) in enumerate(zip(faces, self.face_vmasks)):
             down = 1 << i
-            if vi & (vi - 1):
-                facets[i] = [index[vi ^ (1 << v)] for v in iter_bits(vi)]
+            if len(f) > 1:
+                facets[i] = [index[vi ^ vbit[v]] for v in f]
                 for j in facets[i]:
                     down |= sub[j]
             sub[i] = down
@@ -111,10 +113,10 @@ class AmbientComplex:
         for i in range(m - 1, -1, -1):
             for j in facets[i]:
                 sup[j] |= sup[i]
-        star = [sup[index[1 << v]] for v in range(len(labels))]
+        star = {v: sup[index[b]] for v, b in vbit.items()}
         meet = [0] * m
-        for i, vi in enumerate(self.face_vmasks):
-            for v in iter_bits(vi):
+        for i, f in enumerate(faces):
+            for v in f:
                 meet[i] |= star[v]
         self.sub_masks: tuple[int, ...] = tuple(sub)
         self.sup_masks: tuple[int, ...] = tuple(sup)
@@ -131,8 +133,7 @@ class AmbientComplex:
 
     def face_vertices(self, i: int) -> tuple[int, ...]:
         """Vertex ids of face ``i`` in ascending order."""
-        vm = self.face_vmasks[i]
-        return tuple(self.vertex_labels[b] for b in iter_bits(vm))
+        return self._face_vertices[i]
 
     def face_index(self, vertices: Iterable[int]) -> int:
         """Index of the simplex with the given vertex ids; raises if absent."""
@@ -176,11 +177,11 @@ class AmbientComplex:
     @cached_property
     def face_text(self) -> tuple[str, ...]:
         """Each face's vertex ids joined by spaces, canonical order."""
-        return tuple(" ".join(map(str, self.face_vertices(i))) for i in range(self.num_faces))
+        return tuple(" ".join(map(str, f)) for f in self._face_vertices)
 
     def faces_of_mask(self, mask: int) -> list[tuple[int, ...]]:
         """Vertex tuples of the faces in ``mask``, canonical order."""
-        return [self.face_vertices(i) for i in iter_bits(mask)]
+        return list(map(self._face_vertices.__getitem__, iter_bits(mask)))
 
     def is_complex_mask(self, mask: int) -> bool:
         """True iff the face set is downward closed within the ambient: a
@@ -222,8 +223,7 @@ class Hypergraph:
 
     def vertex_set(self) -> tuple[int, ...]:
         """V_H: all vertex ids occurring in some edge."""
-        vm = _join(self.ambient.face_vmasks, self.mask)
-        return tuple(self.ambient.vertex_labels[b] for b in iter_bits(vm))
+        return tuple(sorted({v for face in self.faces() for v in face}))
 
     def __contains__(self, vertices) -> bool:
         try:
@@ -276,8 +276,7 @@ def path_complex(num_vertices: int) -> AmbientComplex:
 
 def skeleton_complex(base: AmbientComplex, r: int) -> AmbientComplex:
     """The r-skeleton of ``base`` as a new ambient complex."""
-    faces = [base.face_vertices(i) for i in iter_bits(base.skeleton_mask(r))]
-    return AmbientComplex(faces)
+    return AmbientComplex(base.faces_of_mask(base.skeleton_mask(r)))
 
 
 def standard_fixtures() -> dict[str, AmbientComplex]:

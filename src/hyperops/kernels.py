@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import _BLOCK_UNIFORMS, _bernoulli_hits, _raw_words, check_probabilities
+from .models import _coin_hits, _raw_words, check_probabilities
 from .operators import doubling
 
 
@@ -53,18 +53,17 @@ def sample_graph_block(n: int, p: float, rng: np.random.Generator, graphs: int) 
     """`graphs` Erdos-Renyi draws as uint64 adjacency bitset rows, shape
     (graphs, n, ceil(n/64)).
 
-    One coin per pair, one raw word each (models._bernoulli_hits: the hits
-    and the stream of rng.random(graphs * n(n-1)/2) < p); graph g reads the
-    g-th slice of n(n-1)/2 of them in row-major pair order (0,1), (0,2),
-    ..., the order of np.triu_indices.  The words are read in chunks of at
-    most _BLOCK_UNIFORMS, each scattered into the block's rows before the
-    next is read, so a chunk may end inside a graph.  A raw stream yields
-    the same words in one call as in many, so a fixed (seed, stream) pins
-    each graph however the draws are grouped into blocks and chunks.  Bit j
-    of row i sits at bit j & 63 of word j >> 6; each hit adds its two bits
-    into the rows, and the bits added to one word are distinct, so adding
-    them ORs them.  The bit generator must make a double from one raw word
-    (every numpy one but MT19937).
+    One coin per pair, one raw word each (models._coin_hits: the hits and
+    the stream of rng.random(graphs * n(n-1)/2) < p); graph g reads the g-th
+    slice of n(n-1)/2 of them in row-major pair order (0,1), (0,2), ..., the
+    order of np.triu_indices.  Each chunk of that coin read is scattered
+    into the rows before the next is read, so a chunk may end inside a
+    graph.  A raw stream yields the same words in one call as in many, so a
+    fixed (seed, stream) pins each graph however the draws are grouped into
+    blocks and chunks.  Bit j of row i sits at bit j & 63 of word j >> 6;
+    each hit adds its two bits into the rows, and the bits added to one word
+    are distinct, so adding them ORs them.  The bit generator must make a
+    double from one raw word (every numpy one but MT19937).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -72,11 +71,9 @@ def sample_graph_block(n: int, p: float, rng: np.random.Generator, graphs: int) 
     bitgen = _raw_words(rng)
     nwords = (n + 63) >> 6
     pairs = n * (n - 1) // 2
-    total = graphs * pairs
     lo, lo_bit, hi, hi_bit = _pair_slots(n)
     words = np.zeros(graphs * n * nwords, dtype=np.uint64)
-    for start in range(0, total, _BLOCK_UNIFORMS):
-        hit = start + _bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), q)
+    for hit in _coin_hits(bitgen, graphs * pairs, q):
         g, pair = np.divmod(hit, pairs)
         first = g * (n * nwords)
         np.add.at(words, first + lo[pair], lo_bit[pair])

@@ -61,9 +61,10 @@ def diameter(amb: AmbientComplex) -> int:
     n = amb.num_vertices
     if n <= 1:
         return 1
+    pos = {v: k for k, v in enumerate(amb.vertex_labels)}
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in iter_bits(amb.faces_by_dim(1)):
-        a, b = iter_bits(amb.face_vmasks[i])
+        a, b = map(pos.__getitem__, amb.face_vertices(i))
         adj[a].append(b)
         adj[b].append(a)
     full = (1 << n) - 1

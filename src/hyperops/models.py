@@ -18,13 +18,14 @@ Every probability, of an assignment, a vector or a graph model, passes
 check_probabilities, the one range check.
 
 Sampling is reproducible: a (seed, stream) pair pins the generator, and
-draws consume uniforms in canonical face order.  Hypergraph draws of a
-whole run come from one draw of (draws, faces) uniforms, in blocks of
-about _BLOCK_UNIFORMS; a staged draw takes one call per dimension over the
-faces whose boundary it kept.  Either reads the stream exactly as one
-uniform at a time would, so a run and its one-at-a-time loop agree draw
-for draw and leave the same next draw.  The uint32 batch samplers are
-views of these: sample_hypergraph_batch is sample_hypergraph_masks and
+draws consume uniforms in canonical face order.  Hypergraph draws of a whole
+run come from one draw of (draws, faces) uniforms, in the blocks of
+_block_cut, the one block cut, which also cuts sparse's graph batches and
+the coin read _coin_hits; a staged draw takes one call per dimension over
+the faces whose boundary it kept.  Either reads the stream exactly as one
+uniform at a time would, so a run and its one-at-a-time loop agree draw for
+draw and leave the same next draw.  The uint32 batch samplers are views of
+these: sample_hypergraph_batch is sample_hypergraph_masks and
 sample_complex_batch is n sample_complex draws, stream included.
 """
 
@@ -218,6 +219,14 @@ def resolve_probabilities(amb: AmbientComplex, p) -> np.ndarray:
 _BLOCK_UNIFORMS = 1 << 15
 
 
+def _block_cut(rows: int, width: int = 1) -> Iterator[tuple[int, int]]:
+    """(start, size) of each block of `rows` rows of `width` uniforms: at
+    most _BLOCK_UNIFORMS uniforms a block, at least one row, lazily."""
+    per_block = max(1, _BLOCK_UNIFORMS // max(width, 1))
+    for start in range(0, rows, per_block):
+        yield start, min(per_block, rows - start)
+
+
 def _raw_words(rng) -> np.random.BitGenerator:
     # These bit generators make each double (w >> 11) * 2^-53 of one raw
     # word w; MT19937 builds it from two 32-bit draws instead.  (Named here,
@@ -243,11 +252,11 @@ def _word_hits(words: np.ndarray, q: float) -> np.ndarray:
     return words <= np.uint64(cut - 1)
 
 
-def _bernoulli_hits(bitgen: np.random.BitGenerator, count: int, q: float) -> np.ndarray:
-    """Indices of the hits among `count` coins of probability q, one raw
-    word each: the same hits, and the same stream, as
-    rng.random(count) < q."""
-    return _word_hits(bitgen.random_raw(count), q).nonzero()[0]
+def _coin_hits(bitgen: np.random.BitGenerator, count: int, q: float) -> Iterator[np.ndarray]:
+    """Per block of _block_cut, the hit indices (from the first coin) of
+    `count` raw-word coins: the hits and stream of rng.random(count) < q."""
+    for start, size in _block_cut(count):
+        yield start + _word_hits(bitgen.random_raw(size), q).nonzero()[0]
 
 
 def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n: int) -> list[int]:
@@ -255,16 +264,15 @@ def sample_hypergraph_masks(amb: AmbientComplex, p, rng: np.random.Generator, n:
 
     One uniform per face and draw, in canonical face order: the same stream,
     and the same masks, as n calls to sample_hypergraph.  The draws come in
-    (block, faces) arrays of about _BLOCK_UNIFORMS uniforms; rng.random
-    fills them row-major, so the stream is read exactly as by n successive
+    (block, faces) arrays cut by _block_cut; rng.random fills them
+    row-major, so the stream is read exactly as by n successive
     rng.random(m) calls, whatever the block size.
     """
     probs = resolve_probabilities(amb, p)
     width = (amb.num_faces + 7) // 8
-    per_block = max(1, _BLOCK_UNIFORMS // max(probs.size, 1))
     masks = []
-    for start in range(0, n, per_block):
-        hits = rng.random((min(per_block, n - start), probs.size)) < probs
+    for _, size in _block_cut(n, probs.size):
+        hits = rng.random((size, probs.size)) < probs
         raw = np.packbits(hits, axis=1, bitorder="little").tobytes()
         masks.extend(int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(hits)))
     return masks

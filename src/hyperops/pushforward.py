@@ -548,9 +548,9 @@ def restrict_distribution(dist: Distribution, sub: AmbientComplex) -> Distributi
     atoms = np.zeros(amb.num_faces, dtype=np.int64)
     for b, i in enumerate(src_idx):
         atoms[i] = 1 << b
-    small = doubling(np.int64(0), atoms, np.bitwise_or)
-    vec = np.bincount(small, weights=dist.vec, minlength=1 << sub.num_faces)
-    return Distribution(sub, vec)
+    pushed = push_table(dist, doubling(np.int64(0), atoms, np.bitwise_or))
+    # the first 2^k entries, copied so the full-lattice push can be freed
+    return Distribution(sub, pushed.vec[: 1 << sub.num_faces].copy())
 
 
 # ----- union resampler ------------------------------------------------------------
@@ -577,12 +577,9 @@ def complex_union_resample(
     q2 = resolve_probabilities(amb, p2)
     ext1 = external_faces_mask(amb, k1.mask)
     ext2 = external_faces_mask(amb, k2.mask)
-    thresholds = np.where(_face_flags(amb, ext1), q2,
-                          np.where(_face_flags(amb, ext2), q1, 1.0 - (1.0 - q1) * (1.0 - q2)))
+    # ext1 & ext2 is settled, so which side is set last does not matter
+    thresholds = 1.0 - (1.0 - q1) * (1.0 - q2)
+    for ext, q in ((ext2, q1), (ext1, q2)):
+        faces = list(iter_bits(ext))
+        thresholds[faces] = q[faces]
     return Complex(amb, staged_draw(amb, k1.mask | k2.mask, thresholds, ext1 & ext2, rng))
-
-
-def _face_flags(amb: AmbientComplex, mask: int) -> np.ndarray:
-    # bool per face: bit i of mask
-    raw = np.frombuffer(mask.to_bytes(amb.num_faces // 8 + 1, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=amb.num_faces, bitorder="little").view(bool)

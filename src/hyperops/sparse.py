@@ -47,7 +47,7 @@ import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import _BLOCK_UNIFORMS, _bernoulli_hits, _raw_words, _word_hits, check_probabilities, rng_from
+from .models import _BLOCK_UNIFORMS, _block_cut, _coin_hits, _raw_words, _word_hits, check_probabilities, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -114,20 +114,24 @@ def derived_dims(n: int, p) -> DerivedDims:
     return _derived_cached(n, _base_tuple(n, p))
 
 
+def _log_no_hit(coins) -> float:
+    """log P(no coin hits) over (count, q) coin groups, q > 0 (callers drop
+    q = 0 before computing a count): sum count * log1p(-q), -inf at q = 1."""
+    total = 0.0
+    for count, q in coins:
+        if q == 1.0:
+            return -math.inf
+        total += count * math.log1p(-q)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _derived_cached(n: int, base: tuple[float, ...]) -> DerivedDims:
     closure = []
     interior = []
     for k in range(n):
-        log_miss = 0.0
-        for i in range(n - k):
-            q = base[k + i]
-            if q == 0.0:
-                continue
-            if q == 1.0:
-                log_miss = -math.inf
-                break
-            log_miss += math.comb(n - k - 1, i) * math.log1p(-q)
+        log_miss = _log_no_hit((math.comb(n - k - 1, i), base[k + i])
+                               for i in range(n - k) if base[k + i] > 0.0)
         closure.append(1.0 - math.exp(log_miss))
 
         log_keep = 0.0
@@ -272,17 +276,17 @@ def _binomial_tables(n, r) -> dict[int, np.ndarray]:
 
 def _bernoulli_layer(n, k, q, bitgen, binom):
     # One draw per k-subset of 1..n, in lexicographic order; the count
-    # depends only on (n, k), never on the outcomes.  The raw words are cut
-    # as _bernoulli_hits does: the same hits, the same stream.  Only the
+    # depends only on (n, k), never on the outcomes.  The raw words are
+    # read by models._coin_hits: the same hits, the same stream.  Only the
     # hits become faces: a hit's lexicographic rank is unranked through the
     # combinatorial number system.  With x = C(n, k) - 1 - rank, for
     # j = k..1 the largest c with C(c, j) <= x gives the next vertex n - c,
     # and x drops by C(c, j).  Yields an int64 (hits, k) vertex array per
-    # block of _BLOCK_UNIFORMS words, rows in lex order; each block's words
-    # are read when it is asked for, so the caller consumes every block.
+    # block of the coin read, rows in lex order; each block's words are
+    # read when it is asked for, so the caller consumes every block.
     total = math.comb(n, k)
-    for start in range(0, total, _BLOCK_UNIFORMS):
-        x = total - 1 - start - _bernoulli_hits(bitgen, min(total - start, _BLOCK_UNIFORMS), q)
+    for hits in _coin_hits(bitgen, total, q):
+        x = total - 1 - hits
         verts = np.empty((x.size, k), dtype=np.int64)
         for pos, j in enumerate(range(k, 0, -1)):
             c = binom[j].searchsorted(x, "right") - 1
@@ -504,11 +508,10 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
     dimension exactly r iff additionally some (r+1)-clique exists, and its
     r-face count is the (r+1)-clique count.  Each n gets its own generator
     stream, so rows are reproducible independently of the sweep order.
-    Graphs are drawn and censused in batches whose adjacency rows fill at
-    most _BLOCK_UNIFORMS 64-bit words: _BLOCK_UNIFORMS // (n * ceil(n/64))
-    graphs, at least one.  The stream is read in the same order whatever
-    the batch size.  schedule is a callable from n to the edge probability
-    (threshold_schedule).
+    Graphs are drawn and censused in the batches of models._block_cut, a
+    graph's adjacency rows being n * ceil(n/64) 64-bit words.  The stream
+    is read in the same order whatever the batch size.  schedule is a
+    callable from n to the edge probability (threshold_schedule).
 
     Returns one dict per n with keys matching STATS_COLUMNS.
     """
@@ -520,9 +523,8 @@ def dimension_stats(n_values, schedule, r, samples, seed, *, streams_from=0):
         p1 = schedule(n)
         le = eq = 0
         total_faces = 0
-        per_block = max(1, _BLOCK_UNIFORMS // max(n * ((n + 63) >> 6), 1))
-        for start in range(0, samples, per_block):
-            block = sample_graph_block(n, p1, rng, min(per_block, samples - start))
+        for _, size in _block_cut(samples, n * ((n + 63) >> 6)):
+            block = sample_graph_block(n, p1, rng, size)
             counts, exists = clique_census(block, r + 1, r + 2)
             le += int(np.count_nonzero(~exists))
             eq += int(np.count_nonzero(~exists & (counts > 0)))
@@ -549,18 +551,14 @@ def closure_dimension_stats(n_values, base_template, r, samples, seed, *, stream
     for offset, n in enumerate(n_values):
         rng = rng_from(seed, stream=streams_from + offset)
         base = _base_tuple(n, list(base_template)[:n])
-        log_le = 0.0
-        for k in range(r + 1, n):
-            if base[k] == 1.0:
-                log_le = -math.inf
-                break
-            if base[k] > 0.0:
-                log_le += math.comb(n, k + 1) * math.log1p(-base[k])
-        p_le = math.exp(log_le)
+        def p_no_edge(dims):  # P(no hyperedge of a dimension in dims)
+            return math.exp(_log_no_hit((math.comb(n, k + 1), base[k]) for k in dims if base[k] > 0.0))
+
+        p_le = p_no_edge(range(r + 1, n))
         if r >= n:
             p_le_below, mean_r_faces = p_le, 0.0
         else:
-            p_le_below = 0.0 if base[r] == 1.0 else p_le * math.exp(math.comb(n, r + 1) * math.log1p(-base[r]))
+            p_le_below = p_le * p_no_edge((r,))
             mean_r_faces = math.comb(n, r + 1) * _derived_cached(n, base).closure_marginals[r]
         us = rng.random(samples)
         le = int(np.count_nonzero(us < p_le))

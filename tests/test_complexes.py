@@ -1,5 +1,8 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperops.complexes import (
@@ -14,6 +17,7 @@ from hyperops.complexes import (
     simplex,
     skeleton_complex,
 )
+from hyperops.metric import triangle_vertex_id, triangulated_triangle
 from hyperops.models import ProbabilityAssignment
 from hyperops.pushforward import uniform_distribution
 
@@ -178,11 +182,22 @@ def test_ambient_is_downward_closed(amb):
             assert j <= i or len(sub) == len(amb.face_vertices(i))
 
 
+# Two long masks past the table limit: a half-dense one on the 10,700-face
+# 2-skeleton of the simplex on 40 vertices, and a 13-face vertex star on
+# the side-50 triangle, whose bits lie far above bit 0.
+_SKELETON_40 = AmbientComplex(itertools.combinations(range(1, 41), 3))
+_SIDE_50 = triangulated_triangle(50)
+
+
 @given(small_ambients(), st.integers(min_value=0))
+@example(_SKELETON_40, random.Random(5).getrandbits(_SKELETON_40.num_faces))
+@example(_SIDE_50, _SIDE_50.sup_masks[_SIDE_50.face_index([triangle_vertex_id(50, 25, 12)])])
 @settings(max_examples=60, deadline=None)
 def test_mask_face_round_trip(amb, bits):
     mask = bits % (amb.full_mask + 1)
     assert amb.mask_from_faces(amb.faces_of_mask(mask)) == mask
+    # iter_bits yields each set bit once, in ascending order
+    assert list(iter_bits(mask)) == [i for i in range(amb.num_faces) if mask >> i & 1]
 
 
 @given(small_ambients(), st.integers(min_value=0))

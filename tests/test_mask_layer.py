@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hyperops import kernels, sparse
+from hyperops import models, sparse
 from hyperops.cli import main
 from hyperops.complexes import AmbientComplex, standard_fixtures
 from hyperops.io import write_probability
@@ -96,12 +96,13 @@ def test_graph_block_matches_successive_draws(n):
 
 @pytest.mark.parametrize("n, graphs, chunk", [(260, 3, None), (9, 5, 7), (70, 4, 1000)])
 def test_graph_block_reads_words_in_chunks(monkeypatch, n, graphs, chunk):
-    # Raw words are read and scattered in chunks of _BLOCK_UNIFORMS, which
-    # end inside graphs: n = 260 has 33,670 pairs, more than one chunk at
-    # the default size, and the smaller sizes split every graph.
+    # Raw words are read and scattered in the chunks of the coin read,
+    # models._coin_hits, cut at models._BLOCK_UNIFORMS words, which end
+    # inside graphs: n = 260 has 33,670 pairs, more than one chunk at the
+    # default size, and the smaller sizes split every graph.
     if chunk is not None:
-        monkeypatch.setattr(kernels, "_BLOCK_UNIFORMS", chunk)
-    assert graphs * comb(n, 2) > 2 * kernels._BLOCK_UNIFORMS
+        monkeypatch.setattr(models, "_BLOCK_UNIFORMS", chunk)
+    assert graphs * comb(n, 2) > 2 * models._BLOCK_UNIFORMS
     for p in (0.05, 0.5):
         got_rng, want_rng = rng_from(n, 13), rng_from(n, 13)
         got = sample_graph_block(n, p, got_rng, graphs)
@@ -470,14 +471,15 @@ def _dims_schedule(n):
     return {1: 0.5, 3: 0.7, 20: 0.25, 70: 0.1}[n]
 
 
-@pytest.mark.parametrize("block_uniforms", [sparse._BLOCK_UNIFORMS, 1000])
+@pytest.mark.parametrize("block_uniforms", [models._BLOCK_UNIFORMS, 1000])
 def test_dimension_stats_match_graph_loop(monkeypatch, block_uniforms):
-    # A block holds the graphs whose adjacency rows fill _BLOCK_UNIFORMS
-    # words, n * ceil(n / 64) each: by default all 131 samples fit in one
-    # block at every n (234 graphs a block at n = 70); with the small size,
-    # 131 samples fill no whole number of blocks: 7 graphs a block at
-    # n = 70, 50 at n = 20, 333 at n = 3 and 1000 at n = 1.
-    monkeypatch.setattr(sparse, "_BLOCK_UNIFORMS", block_uniforms)
+    # A block of models._block_cut holds the graphs whose adjacency rows
+    # fill models._BLOCK_UNIFORMS words, n * ceil(n / 64) each: by default
+    # all 131 samples fit in one block at every n (234 graphs a block at
+    # n = 70); with the small size, 131 samples fill no whole number of
+    # blocks: 7 graphs a block at n = 70, 50 at n = 20, 333 at n = 3 and
+    # 1000 at n = 1.  The same size cuts the coin read of each block.
+    monkeypatch.setattr(models, "_BLOCK_UNIFORMS", block_uniforms)
     for r in (1, 2):
         got = sparse.dimension_stats([1, 3, 20, 70], _dims_schedule, r, 131, seed=12)
         assert got == oracles.o_dimension_stats([1, 3, 20, 70], _dims_schedule, r, 131, seed=12)

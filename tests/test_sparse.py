@@ -271,6 +271,10 @@ def test_closure_dimension_stats_exact_columns():
     sigma = math.sqrt(p_le * (1 - p_le) / samples)
     assert abs(row["prob_dim_le_r"] - p_le) <= 4 * sigma + 1e-9
     assert row["prob_dim_eq_r"] <= row["prob_dim_le_r"]
+    # dim == 2 also needs one of the C(5, 3) 2-faces to be a hyperedge
+    p_eq = p_le * (1 - (1 - 0.5) ** math.comb(5, 3))
+    sigma_eq = math.sqrt(p_eq * (1 - p_eq) / samples)
+    assert abs(row["prob_dim_eq_r"] - p_eq) <= 4 * sigma_eq + 1e-9
 
 
 def test_counting_bound_is_report_only():

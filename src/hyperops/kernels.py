@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import _coin_hits, _raw_words, check_probabilities
+from .models import _coin_hits, _cumulative_cut, _raw_words, check_probabilities
 from .operators import doubling
 
 
@@ -141,9 +141,7 @@ def clique_census(block: np.ndarray, count_size: int, exist_size: int) -> tuple[
         live = np.flatnonzero(pc)
         if live.size == 0:
             return
-        ends = np.cumsum(pc[live])
-        cuts = np.searchsorted(ends, np.arange(_LEVEL_ROWS, int(ends[-1]), _LEVEL_ROWS), "right")
-        for piece in np.split(live, cuts):
+        for piece in np.split(live, _cumulative_cut(pc[live], _LEVEL_ROWS)):
             if piece.size == 0:
                 continue
             # set bits of the piece, row by row in ascending order; a flat

@@ -21,8 +21,10 @@ Sampling is reproducible: a (seed, stream) pair pins the generator, and
 draws consume uniforms in canonical face order.  Hypergraph draws of a whole
 run come from one draw of (draws, faces) uniforms, in the blocks of
 _block_cut, the one block cut, which also cuts sparse's graph batches and
-the coin read _coin_hits; a staged draw takes one call per dimension over
-the faces whose boundary it kept.  Either reads the stream exactly as one
+the coin read _coin_hits (_cumulative_cut is its form for rows of uneven
+size: sparse's candidate blocks and the census levels of kernels); a
+staged draw takes one call per dimension over the faces whose boundary it
+kept.  Either reads the stream exactly as one
 uniform at a time would, so a run and its one-at-a-time loop agree draw for
 draw and leave the same next draw.  The uint32 batch samplers are views of
 these: sample_hypergraph_batch is sample_hypergraph_masks and
@@ -225,6 +227,14 @@ def _block_cut(rows: int, width: int = 1) -> Iterator[tuple[int, int]]:
     per_block = max(1, _BLOCK_UNIFORMS // max(width, 1))
     for start in range(0, rows, per_block):
         yield start, min(per_block, rows - start)
+
+
+def _cumulative_cut(counts: np.ndarray, bound: int) -> list[int]:
+    """Where to cut rows of `counts` items into blocks: at each row whose
+    running total passes a multiple of bound.  A block's rows after its
+    first hold fewer than bound items; a row of more may leave empty blocks."""
+    ends = np.cumsum(counts)
+    return np.searchsorted(ends, np.arange(bound, ends[-1] if ends.size else 0, bound), "right").tolist()
 
 
 def _raw_words(rng) -> np.random.BitGenerator:

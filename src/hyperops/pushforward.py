@@ -355,7 +355,9 @@ def closed_form_family(name: str, amb: AmbientComplex, p) -> Distribution:
     primitive `name` (Theorem 2): the product law at complement_transform for
     gamma, the staged law at closure_transform or interior_transform for
     Delta or delta, on the fixed points of the closure table.  The staged two
-    match the image's marginals, its joint law only in degenerate cases."""
+    match the image only in degenerate cases, marginals included: the
+    transform vector is the image's marginals (marginal_gaps), but the
+    staged law keeps face i with q_i only once its boundary is kept."""
     return Distribution(amb, _family(name, resolve_probabilities(amb, p), TableSet(amb)))
 
 
@@ -373,9 +375,9 @@ def verify_transforms(amb: AmbientComplex, p) -> dict[str, float]:
 
     complement / closure / interior: the gamma, Delta and delta pushes of a
     product draw against closed_form_family.  The last two hold only for
-    degenerate assignments; the per-face marginals always agree
-    (see marginal_gaps), but the joint law of a closed-up product draw is
-    not a staged law in general, so nonzero values here are expected.
+    degenerate assignments: the pushes' marginals are the transform vectors
+    (see marginal_gaps), but the staged family at those vectors falls short
+    of them from dimension 1 up, so nonzero values here are expected.
     intersection / union: two independent product draws combined, against
     the product law at intersection_transform / union_transform.  This is
     row 0 of _transform_tvs.

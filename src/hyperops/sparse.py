@@ -9,16 +9,16 @@ exactly as one uniform per candidate, in lexicographic order, would:
 * the Bernoulli draw gives every face one raw 64-bit word, drawn in
   fixed-size blocks and compared with the exact integer cut of its
   probability, and turns only the hits into faces, by unranking;
-* the staged draw builds each stage's candidates as sibling pairs of the
-  kept layer and draws all their uniforms in one call;
+* above the vertices, a stage's candidates are the faces whose facets the
+  layer below kept.  They are built from sibling pairs of that layer, in
+  blocks of about _BLOCK_UNIFORMS pairs, and their facets are tested by
+  lexicographic rank, the numbering that places a face's word in the
+  stream;
+* the staged draw draws each block's uniforms before it builds the next;
 * algorithm 2 keeps a face iff its word hits and all its facets were
-  kept.  On Philox, a dimension whose candidates (the sibling pairs of the
-  kept layer with every facet kept) are few reads only their words, by
-  lexicographic rank, and leaves the generator at the same stream
-  position, counter and buffer as the full Bernoulli draw; other
-  dimensions and other bit generators take the full draw;
-* algorithm 2 and the staged draw test facets by lexicographic rank, the
-  numbering that places a face's word in the stream.
+  kept.  Above the edges it reads only its candidates' words, at their
+  ranks, and leaves the generator where reading every word would: on
+  Philox, with the same counter, buffer and buffer_pos.
 
 So on the r-skeleton of the simplex on 1..n, whose canonical face order is
 this lexicographic order, the generators are the mask layer's samplers,
@@ -27,12 +27,10 @@ sample_hypergraph_masks at the base vector, then sample_complex at the
 closure marginals; algorithm 2 is interior_complex_mask of that hypergraph
 draw.
 
-Nothing here ever enumerates the full simplex on n vertices, and a full
-Bernoulli read in algorithm 2 filters each block's hits by facets as they
-are unranked, so memory stays proportional to the output plus one block of
-hits (and, where candidates are built, the sibling pairs of the kept layer
-they come from).  The raw-word cut needs a bit generator whose doubles come
-from one 64-bit word: every numpy bit generator but MT19937.
+Nothing here ever enumerates the full simplex on n vertices, so memory
+stays proportional to the output plus one block of hits or candidates.
+The raw-word cut needs a bit generator whose doubles come from one 64-bit
+word: every numpy bit generator but MT19937.
 """
 
 from __future__ import annotations
@@ -42,12 +40,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .complexes import AmbientComplex, Complex, Hypergraph
 from .kernels import clique_census, sample_graph_block
-from .models import _BLOCK_UNIFORMS, _block_cut, _coin_hits, _raw_words, _word_hits, check_probabilities, rng_from
+from . import models
+from .models import _block_cut, _coin_hits, _cumulative_cut, _raw_words, _word_hits, check_probabilities, rng_from
 
 __all__ = [
     "DerivedDims",
@@ -249,14 +249,9 @@ class TruncatedSample:
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Algorithm 2 on Philox reads only its candidates' words in a dimension of
-# at least _SEEK_MIN_WORDS faces (fewer are read whole in less time than
-# the candidates take to build) whose candidates are bounded by
-# 1/_SEEK_SHARE of them.  A gap of _SEEK_GAP words or more between two
-# candidates is jumped with one advance(), which costs about as much as
-# random_raw takes for 500 words (numpy 2.4 on a 2-vCPU Xeon).
-_SEEK_MIN_WORDS = 1 << 12
-_SEEK_SHARE = 32
+# _words_at jumps a gap of _SEEK_GAP words or more on Philox with one
+# advance(), which costs about as much as random_raw takes for 500 words
+# (numpy 2.4 on a 2-vCPU Xeon).
 _SEEK_GAP = 512
 
 
@@ -311,65 +306,73 @@ def _bernoulli_faces(n, base, r, rng) -> list[np.ndarray]:
             for d in range(r + 1)]
 
 
-def _philox_words_at(bitgen: np.random.Philox, ranks: np.ndarray, total: int) -> np.ndarray:
-    # The words at the ascending positions `ranks` among the next `total`
-    # raw words, leaving the generator exactly where random_raw(total)
-    # would: the same counter, buffer and buffer_pos.  Philox computes each
-    # 4-word block from the key and the block's counter alone, and
-    # advance(b) adds b to the counter and empties the buffer, so a gap of
-    # _SEEK_GAP words or more is jumped and a shorter one read through.
-    # Reads never cross a multiple of _BLOCK_UNIFORMS, so none is longer
-    # than a dense read's.  `used` counts the words of the buffered block
+def _words_at(bitgen: np.random.BitGenerator, rank_blocks, total: int) -> Iterator[np.ndarray]:
+    # The words at each rank array's positions among the next `total` raw
+    # words (ranks ascend within and across arrays).  Once rank_blocks ends
+    # the generator is where random_raw(total) leaves it: on Philox, the
+    # same counter, buffer and buffer_pos.  Philox computes each 4-word
+    # block from the key and the block's counter alone, and advance(b) adds
+    # b to the counter and empties the buffer, so a gap of _SEEK_GAP words
+    # or more is jumped; other bit generators read through it in _block_cut
+    # pieces.  The ranks of one read share a block of _BLOCK_UNIFORMS, so
+    # with the short gap before them it takes under _BLOCK_UNIFORMS +
+    # _SEEK_GAP words.  `used` counts the words of Philox's buffered block
     # already read (4: none left).
+    philox = isinstance(bitgen, np.random.Philox)
     state = bitgen.state
-    used = state["buffer_pos"]
-    words = np.empty(ranks.size, dtype=np.uint64)
-    head = np.ones(ranks.size, dtype=bool)
-    head[1:] = (np.diff(ranks) >= _SEEK_GAP) | (np.diff(ranks // _BLOCK_UNIFORMS) != 0)
-    starts = np.flatnonzero(head).tolist()
+    used = state["buffer_pos"] if philox else 4
     pos = 0
-    for lo, hi in zip(starts, starts[1:] + [ranks.size]):
-        first, last = int(ranks[lo]), int(ranks[hi - 1])
-        gap = first - pos
-        if gap >= _SEEK_GAP:
-            blocks, gap = divmod(gap - (4 - used), 4)
+
+    def skip(gap):
+        # Move `gap` words on but for the few returned, which the next read
+        # takes: after a jump at least one, so that the buffer holds the
+        # block a full read would.
+        nonlocal used
+        if gap < _SEEK_GAP:
+            return gap
+        if philox:
+            blocks, rest = divmod(gap - (4 - used) - 1, 4)
             bitgen.advance(blocks)
             used = 4
-        span = bitgen.random_raw(gap + last - first + 1)
-        words[lo:hi] = span[ranks[lo:hi] - (first - gap)]
-        used = (used + span.size - 1) % 4 + 1
-        pos = last + 1
-    rest = total - pos
-    if rest > 4 - used:
-        # land on the block the full read ends in, then read its used words
-        blocks, rest = divmod(rest - (4 - used) - 1, 4)
-        bitgen.advance(blocks)
-        rest += 1
-    if rest:
-        bitgen.random_raw(rest)
+            return rest + 1
+        for _, size in _block_cut(gap):
+            bitgen.random_raw(size)
+        return 0
+
+    for ranks in rank_blocks:
+        words = np.empty(ranks.size, dtype=np.uint64)
+        head = np.ones(ranks.size, dtype=bool)
+        head[1:] = (np.diff(ranks) >= _SEEK_GAP) | (np.diff(ranks // models._BLOCK_UNIFORMS) != 0)
+        starts = np.flatnonzero(head).tolist()
+        for lo, hi in zip(starts, starts[1:] + [ranks.size]):
+            first, last = int(ranks[lo]), int(ranks[hi - 1])
+            gap = skip(first - pos)
+            span = bitgen.random_raw(gap + last - first + 1)
+            words[lo:hi] = span[ranks[lo:hi] - (first - gap)]
+            used = (used + span.size - 1) % 4 + 1
+            pos = last + 1
+        yield words
+    bitgen.random_raw(skip(total - pos))
     if state["has_uint32"]:
         # advance() also drops the cached 32-bit half, which a raw read keeps
         now = bitgen.state
         now["has_uint32"], now["uinteger"] = state["has_uint32"], state["uinteger"]
         bitgen.state = now
-    return words
 
 
-def _facets_kept(keys: np.ndarray, faces: np.ndarray, n, binom, tested=None) -> np.ndarray:
-    # Bool per row of faces (d + 1 vertices): the facets without v_0, v_1,
-    # .., v_{tested - 1} (1 <= tested <= d + 1, all by default) have their
-    # lex ranks among keys, the ascending _lex_ranks of a lex-sorted layer
-    # of d-faces.  The facet without v_i differs from the one without
-    # v_{i-1} only at position i - 1, which holds v_{i-1} in place of v_i,
-    # so its rank adds C(n - v_i, d - i + 1) - C(n - v_{i-1}, d - i + 1).
+def _facets_kept(keys: np.ndarray, faces: np.ndarray, n, binom) -> np.ndarray:
+    # Bool per row of faces (d + 1 vertices, d >= 2) built from two rows of
+    # a layer of d-faces (_candidate_blocks): do its other facets, those
+    # without v_0, .., v_{d-2}, have their lex ranks among keys, the
+    # ascending _lex_ranks of that layer?  The facet without v_i differs
+    # from the one without v_{i-1} only at position i - 1, which holds
+    # v_{i-1} in place of v_i, so its rank adds
+    # C(n - v_i, d - i + 1) - C(n - v_{i-1}, d - i + 1).
     d = faces.shape[1] - 1
-    tested = d + 1 if tested is None else tested
-    if keys.size == 0:
-        return np.zeros(faces.shape[0], dtype=bool)
     c = n - faces
     facet = _lex_ranks(faces[:, 1:], n, binom)
     keep = _in_sorted(keys, facet)
-    for i in range(1, tested):
+    for i in range(1, d - 1):
         facet += binom[d - i + 1][c[:, i]] - binom[d - i + 1][c[:, i - 1]]
         keep &= _in_sorted(keys, facet)
     return keep
@@ -380,59 +383,46 @@ def _in_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return keys[pos] == x
 
 
-def _sibling_runs(layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Start row and length of each run of rows of the lex-sorted layer that
-    # agree on all but their last vertex.
+def _candidate_blocks(layer: np.ndarray, n, binom) -> Iterator[np.ndarray]:
+    # The (d + 1)-faces whose facets all lie in the lex-sorted layer of
+    # d-faces, in lex order: at least one array, one per block of layer rows
+    # holding about _BLOCK_UNIFORMS sibling pairs (models._cumulative_cut).
+    # Rows a < b of one sibling run (rows that agree on all but their last
+    # vertex) give the face row a + (last vertex of b), in lex order.  Every
+    # such face arises once this way, from its facets without v_d and
+    # v_{d-1}, and is kept when its other facets (an edge has none) are rows.
     rows = layer.shape[0]
     head = np.ones(rows, dtype=bool)
     head[1:] = (layer[1:, :-1] != layer[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(head)
-    return starts, np.diff(np.append(starts, rows))
-
-
-def _sibling_extensions(layer: np.ndarray) -> np.ndarray:
-    # Rows a < b of one sibling run give the face row a + (last vertex of
-    # b); in (a, b) order these come out in lex order.  Every (d + 1)-face
-    # whose facets all lie in the layer arises once this way, from its
-    # facets without v_d and v_{d-1}.
-    rows = layer.shape[0]
-    starts, sizes = _sibling_runs(layer)
-    later = np.repeat(starts + sizes, sizes) - np.arange(rows) - 1
-    left = np.repeat(np.arange(rows), later)
-    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
-    return np.concatenate([layer[left], layer[right, -1:]], axis=1)
-
-
-def _candidates(layer: np.ndarray, n, binom) -> np.ndarray:
-    # The (d + 1)-faces, in lex order, whose facets all lie in the
-    # lex-sorted layer of d-faces: the sibling extensions (which hold the
-    # facets without v_d and v_{d-1}) whose other d - 1 facets are rows too.
-    cands = _sibling_extensions(layer)
-    d = layer.shape[1]
-    if d > 1:
-        cands = cands[_facets_kept(_lex_ranks(layer, n, binom), cands, n, binom, tested=d - 1)]
-    return cands
-
-
-def _sibling_pairs(layer: np.ndarray) -> int:
-    # Row count of _sibling_extensions(layer), without building it: a
-    # bound on the next dimension's candidates.
-    sizes = _sibling_runs(layer)[1]
-    return int((sizes * (sizes - 1)).sum()) // 2
+    sizes = np.diff(np.append(starts, rows))
+    later = np.repeat(starts + sizes, sizes) - np.arange(rows) - 1  # the pairs (a, b) of each row a
+    keys = _lex_ranks(layer, n, binom)
+    cuts = _cumulative_cut(later, models._BLOCK_UNIFORMS)
+    for lo, hi in zip([0, *cuts], [*cuts, rows]):
+        pairs = later[lo:hi]
+        left = np.repeat(np.arange(lo, hi), pairs)
+        right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        cands = np.concatenate([layer[left], layer[right, -1:]], axis=1)
+        if layer.shape[1] > 1:
+            # np.compress takes rows several times faster than a boolean index
+            cands = np.compress(_facets_kept(keys, cands, n, binom), cands, axis=0)
+        yield cands
 
 
 def _staged_complex_faces(n, closure_p, r, rng) -> list[np.ndarray]:
     # Stage-by-dimension draw: a (d+1)-subset is a candidate once all of its
-    # d-subsets were kept, and gets one uniform at closure_p[d], all of a
-    # stage's uniforms in one call.  Candidates come in lexicographic
-    # order (_candidates), so the stream layout is reproducible.  Returns
-    # the kept layer of each dimension d = 0..r.
+    # d-subsets were kept, and gets one uniform at closure_p[d].  Candidates
+    # come in lexicographic order, a block at a time (_candidate_blocks),
+    # and each block's uniforms are drawn before the next block is built:
+    # the same doubles as one call over the stage.  Returns the kept layer
+    # of each dimension d = 0..r.
     binom = _binomial_tables(n, r)
     layer = np.arange(1, n + 1, dtype=np.int64)[rng.random(n) < closure_p[0], None]
     layers = [layer]
     for d in range(1, r + 1):
-        cands = _candidates(layer, n, binom)
-        layer = cands[rng.random(cands.shape[0]) < closure_p[d]]
+        layer = np.concatenate([cands[rng.random(cands.shape[0]) < closure_p[d]]
+                                for cands in _candidate_blocks(layer, n, binom)])
         layers.append(layer)
     return layers
 
@@ -466,14 +456,14 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[np.ndarray, ...]:
     nonempty subsets are hyperedges, and those subsets also have dimension
     <= r, so drawing the hypergraph only up to r is exact.  Membership is
     decided by facet recursion: keep a face iff it was drawn and all of its
-    facets were kept (tested by lex rank, see _facets_kept).
+    facets were kept.
 
     The stream is read as one raw word per face, in lexicographic order per
-    dimension, but on Philox a dimension with few candidates (the faces
-    whose facets were all kept) reads only their words and jumps the rest
-    (_philox_words_at): the same faces, and the same generator state after
-    the call.  A dimension read whole filters each block's hits by facets
-    as they are unranked, so it never holds more than one block of them.
+    dimension.  p_0 = 1 keeps every vertex, so the edges are the Bernoulli
+    draw itself.  Above them only a candidate, a face whose facets were all
+    kept, can be kept: each dimension builds its candidates in blocks
+    (_candidate_blocks) and reads only their words, at their lex ranks
+    (_words_at), leaving the generator where reading every word would.
 
     Returns the kept faces as one int64 vertex array per dimension d = 0..r,
     of shape (faces, d + 1), rows in lexicographic order.
@@ -481,22 +471,15 @@ def algorithm2_truncated(n: int, p, r: int, rng) -> tuple[np.ndarray, ...]:
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
     base = _base_tuple(n, p)
-    bitgen = _raw_words(rng)
     binom = _binomial_tables(n, r)
-    philox = isinstance(bitgen, np.random.Philox)
-    kept = [np.concatenate(list(_bernoulli_layer(n, 1, base[0], bitgen, binom)))]
-    for d in range(1, r + 1):
-        layer, total = kept[-1], math.comb(n, d + 1)
-        if philox and total >= _SEEK_MIN_WORDS and _SEEK_SHARE * _sibling_pairs(layer) <= total:
-            cands = _candidates(layer, n, binom)
-            words = _philox_words_at(bitgen, _lex_ranks(cands, n, binom), total)
-            kept.append(cands[_word_hits(words, base[d])])
-        else:
-            keys = _lex_ranks(layer, n, binom)
-            kept.append(np.concatenate([
-                block[_facets_kept(keys, block, n, binom)]
-                for block in _bernoulli_layer(n, d + 1, base[d], bitgen, binom)
-            ]))
+    kept = _bernoulli_faces(n, base, min(r, 1), rng)
+    for d in range(2, r + 1):
+        blocks, rank_blocks = itertools.tee(_candidate_blocks(kept[-1], n, binom))
+        words = _words_at(rng.bit_generator, (_lex_ranks(cands, n, binom) for cands in rank_blocks),
+                          math.comb(n, d + 1))
+        # the reader goes first, so zip stops only once it has moved the
+        # stream to the end of the dimension
+        kept.append(np.concatenate([cands[_word_hits(w, base[d])] for w, cands in zip(words, blocks)]))
     return tuple(kept)
 
 

@@ -4,8 +4,11 @@ Criteria implemented faithfully as stated.  Three are expected to fail and
 stay red on purpose; the failure lines carry the measured values:
 
 * criterion 2: the closure / interior pushforwards of a product draw are
-  compared to the staged family as joint laws; only the per-face marginals
-  agree, so 4 of 20 cases exceed the tolerance.
+  compared to the staged family as joint laws, so 4 of 20 cases exceed the
+  tolerance.  The transform vectors equal the pushforwards' marginals, but
+  the family built at them does not: it keeps a face only once its
+  boundary is kept.  On delta2 at p = 0.5 the closure push keeps an edge
+  with 0.75 and the triangle with 0.5, the family 0.659 and 0.174.
 * criterion 3 (second clause): no sub-hypergraph chain produces diameter+1
   pairwise-distinct pushforwards; the true maximum is one shorter.
 * criterion 4 (printed extension-of-interior containment): quantified over

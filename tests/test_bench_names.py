@@ -12,7 +12,6 @@ the runner call from those files' text.
 """
 
 import importlib
-import importlib.util
 import re
 from pathlib import Path
 
@@ -73,21 +72,3 @@ def test_names_read_by_the_runner():
 
     assert kernels.active_backend() == "numpy"
     assert operators.PRIMITIVE_TABLES["Delta"] is operators.closure_table
-
-
-BENCH_KERNELS = Path(__file__).resolve().parents[1] / "bench" / "bench_kernels.py"
-BENCH_FUNCTIONS = ("bench_graph_sampling", "bench_clique_census", "bench_pair_laws", "bench_mask_ops",
-                   "bench_bernoulli", "bench_staged", "bench_algorithm2")
-
-
-def test_bench_kernels_imports():
-    # bench/bench_kernels.py imports private names of hyperops.sparse that
-    # no other code reads; loading it (its main() is guarded) checks they
-    # still resolve.  Nothing is timed.
-    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    for name in BENCH_FUNCTIONS + ("main",):
-        assert callable(getattr(bench, name)), name
-    # the mask-op workload looks its six operators up by name when built
-    assert callable(bench.bench_mask_ops(bench.standard_fixtures()["delta1"], 1))

@@ -270,7 +270,78 @@ def test_generators_match_loops(n, r, p, bitgen):
         assert _same_stream_state(got_rng, want_rng)
 
 
-# ----- algorithm 2's Philox seek ------------------------------------------------
+def _brute_candidates(layer, n):
+    # the (d + 1)-faces, in lex order, whose facets all lie in the layer
+    rows = set(map(tuple, layer.tolist()))
+    d = layer.shape[1]
+    return [face + (v,) for face in sorted(rows) for v in range(face[-1] + 1, n + 1)
+            if all(f in rows for f in itertools.combinations(face + (v,), d))]
+
+
+@pytest.mark.parametrize("bound", [1, 7, 64])
+def test_candidate_blocks_bound(monkeypatch, bound):
+    # A block is consecutive layer rows whose sibling pairs past the first
+    # row's are fewer than _BLOCK_UNIFORMS, so it holds fewer candidates
+    # than that plus the n - 1 pairs a row can have at most.  Joined, the
+    # blocks are the one block of the default size: every face whose
+    # facets all lie in the layer, in lex order.
+    n, r = 30, 3
+    binom = sparse._binomial_tables(n, r)
+    layers = sparse._staged_complex_faces(n, (1.0, 0.5, 0.7, 0.9), r, rng_from(4))
+    for layer in layers[:-1]:
+        (whole,) = sparse._candidate_blocks(layer, n, binom)
+        assert list(map(tuple, whole.tolist())) == _brute_candidates(layer, n)
+        monkeypatch.setattr(models, "_BLOCK_UNIFORMS", bound)
+        blocks = list(sparse._candidate_blocks(layer, n, binom))
+        monkeypatch.undo()
+        assert len(blocks) > 1
+        assert all(block.shape[0] < bound + n - 1 for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+
+# (n, r, p): sparse and dense layers, every coin a hit, and the gaps
+# between candidates both short and long
+BLOCKED_CASES = [(30, 3, [1.0, 0.3, 0.2, 0.1]), (25, 4, [1.0, 0.6, 0.5, 0.5, 0.5]),
+                 (60, 2, [1.0, 0.1, 0.002]), (40, 2, [1.0, 0.05, 0.5]), (20, 3, [1.0, 1.0, 1.0, 1.0])]
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64, np.random.SFC64])
+def test_generators_in_small_blocks_match_loops(monkeypatch, bitgen):
+    # With blocks of 50 uniforms, the coin reads, the candidate blocks and
+    # the word reads all come in many pieces: the faces, and the whole
+    # generator state after each call, are the one-at-a-time loops'.
+    monkeypatch.setattr(models, "_BLOCK_UNIFORMS", 50)
+    for n, r, p in BLOCKED_CASES:
+        base = sparse._base_tuple(n, p)
+        closure = sparse._derived_cached(n, base).closure_marginals
+        for seed in range(3):
+            got_rng, want_rng = _case_rng(bitgen, seed, n), _case_rng(bitgen, seed, n)
+            got = sparse.algorithm1_truncated(n, p, r, got_rng)
+            assert oracles.layer_faces(got.hyper_faces, r) == tuple(oracles.o_bernoulli_faces(n, base, r, want_rng))
+            cx = tuple(oracles.o_staged_complex_faces(n, closure, r, want_rng))
+            assert oracles.layer_faces(got.complex_faces, r) == cx
+            assert _bitgen_state(got_rng.bit_generator) == _bitgen_state(want_rng.bit_generator)
+            got = sparse.algorithm2_truncated(n, p, r, got_rng)
+            assert oracles.layer_faces(got, r) == oracles.o_algorithm2_truncated(n, p, r, want_rng)
+            assert _bitgen_state(got_rng.bit_generator) == _bitgen_state(want_rng.bit_generator)
+
+
+def test_staged_draw_memory_stays_near_output():
+    # At n = 300 the triangle stage of sparse.json's closure marginals
+    # builds 732,834 candidates from about 1.3M sibling pairs and keeps
+    # 1751.  Built all at once they peaked at 96 MiB; built a block at a
+    # time, the traced peak stays near the output's size.
+    tracemalloc.start()
+    try:
+        got = sparse.algorithm1_truncated(300, [1.0, 0.045, 0.0025], 2, rng_from(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got.complex_faces[2]) > 0
+    assert peak < 8 << 20
+
+
+# ----- algorithm 2's word reads -------------------------------------------------
 
 SEEK_KEYS = [(0, 0), (7, 3), (2**64 - 1, 2**63 + 5)]
 
@@ -279,6 +350,15 @@ def _philox_state(bitgen):
     st = bitgen.state
     return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
             st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def _bitgen_state(bitgen):
+    # any bit generator's whole state, arrays as lists, to compare with ==
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(bitgen.state)
 
 
 def _keyed(key, pre=0, half=False):
@@ -312,27 +392,74 @@ def test_philox_advance_matches_long_read(key):
             assert bitgen.state["buffer_pos"] == word % 4 + 1
 
 
-@pytest.mark.parametrize("key", SEEK_KEYS)
-def test_philox_words_at_match_full_read(key):
-    pick = np.random.default_rng(sum(key) % 1000)
-    total = 3 * sparse._BLOCK_UNIFORMS + 6
-    boundary = sparse._BLOCK_UNIFORMS
-    rank_sets = [
+def _rank_sets(total, seed):
+    # ascending rank lists among `total` words: ends, a block boundary,
+    # runs, and sparse and dense random picks
+    pick = np.random.default_rng(seed)
+    boundary = models._BLOCK_UNIFORMS
+    return [
         [], [0], [total - 1], [0, total - 1],
         [boundary - 2, boundary - 1, boundary, boundary + 1],
         list(range(600, 700)) + list(range(2000, 2003)),
         sorted(pick.choice(total, 300, replace=False).tolist()),
         sorted(pick.choice(total, 3000, replace=False).tolist()),
     ]
+
+
+def _words_at(bitgen, ranks, count, pieces):
+    # sparse._words_at over `ranks` cut into `pieces` rank arrays, its
+    # words joined
+    blocks = np.array_split(np.array(ranks, dtype=np.int64), pieces)
+    return np.concatenate(list(sparse._words_at(bitgen, blocks, count))).tolist()
+
+
+@pytest.mark.parametrize("key", SEEK_KEYS)
+def test_philox_words_at_match_full_read(key):
+    total = 3 * models._BLOCK_UNIFORMS + 6
+    rank_sets = _rank_sets(total, sum(key) % 1000)
     for pre in range(5):
         for half in (False, True):
             for count in (total, total - 1, total - 2, total - 3):
-                for ranks in rank_sets:
-                    ranks = np.array([x for x in ranks if x < count], dtype=np.int64)
+                for ranks, pieces in itertools.product(rank_sets, (1, 3)):
+                    ranks = [x for x in ranks if x < count]
                     got, want = _keyed(key, pre, half), _keyed(key, pre, half)
-                    words = sparse._philox_words_at(got.bit_generator, ranks, count)
-                    assert words.tolist() == want.bit_generator.random_raw(count)[ranks].tolist()
+                    words = _words_at(got.bit_generator, ranks, count, pieces)
+                    assert words == want.bit_generator.random_raw(count)[ranks].tolist()
                     assert _philox_state(got.bit_generator) == _philox_state(want.bit_generator)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64])
+def test_words_at_read_through_on_other_bit_generators(bitgen):
+    # Without advance(), gaps are read through in _block_cut pieces: the
+    # same words and the same state as one read of every word.
+    total = 3 * models._BLOCK_UNIFORMS + 6
+    for half in (False, True):
+        for ranks, pieces in itertools.product(_rank_sets(total, 5), (1, 3)):
+            got, want = _case_rng(bitgen, 3, 4), _case_rng(bitgen, 3, 4)
+            if half:
+                got.integers(0, 1 << 32, dtype=np.uint32)
+                want.integers(0, 1 << 32, dtype=np.uint32)
+            words = _words_at(got.bit_generator, ranks, total, pieces)
+            assert words == want.bit_generator.random_raw(total)[ranks].tolist()
+            assert _bitgen_state(got.bit_generator) == _bitgen_state(want.bit_generator)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.Philox, np.random.PCG64])
+def test_words_at_reads_a_block_at_a_time(bitgen):
+    # Ranks 511 words apart are never jumped, yet the reads stop at each
+    # multiple of _BLOCK_UNIFORMS: 2^22 words (32 MiB) pass in reads of at
+    # most 2^15 + 2^9 words.
+    total = 1 << 22
+    ranks = np.arange(0, total, 511, dtype=np.int64)
+    got, want = _case_rng(bitgen, 2, 9), _case_rng(bitgen, 2, 9)
+    tracemalloc.start()
+    try:
+        (words,) = sparse._words_at(got.bit_generator, [ranks], total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert words.tolist() == want.bit_generator.random_raw(total)[ranks].tolist()
 
 
 # (n, r, p): each seeks in every dimension above the edges; the oracle
@@ -345,10 +472,18 @@ SEEK_CASES = [
 
 
 def _count_seeks(monkeypatch):
-    # the candidate count of each _philox_words_at call, in call order
+    # the words read by each _words_at call (one per dimension above the
+    # edges), in call order
     seeks = []
-    words_at = sparse._philox_words_at
-    monkeypatch.setattr(sparse, "_philox_words_at", lambda *a: seeks.append(a[1].size) or words_at(*a))
+    words_at = sparse._words_at
+
+    def counted(*args):
+        seeks.append(0)
+        for words in words_at(*args):
+            seeks[-1] += words.size
+            yield words
+
+    monkeypatch.setattr(sparse, "_words_at", counted)
     return seeks
 
 
@@ -367,41 +502,41 @@ def test_algorithm2_seeks_match_loop(monkeypatch, n, r, p):
     assert all(sum(seeks[d::r - 1]) > 0 for d in range(r - 1))
 
 
-# Dense edges and every higher coin a hit: the kept layers have too many
-# sibling pairs to seek, so algorithm 2 reads d = 2 and 3 whole.  At n = 40
-# the C(40, 4) = 91,390 tetrahedra span three blocks of words.
+# Dense edges and every higher coin a hit: the candidates of d = 2 and 3
+# lie close together, so their words are read through rather than jumped.
+# At n = 40 the C(40, 4) = 91,390 tetrahedra span three blocks of words.
 def test_algorithm2_full_read_matches_loop_across_blocks(monkeypatch):
     p, r = [1.0, 0.6, 1.0, 1.0], 3
     seeks = _count_seeks(monkeypatch)
-    assert comb(40, r + 1) > 2 * sparse._BLOCK_UNIFORMS
+    assert comb(40, r + 1) > 2 * models._BLOCK_UNIFORMS
     for pre in range(5):  # each key, and each residue of the stream mod 4
         key = SEEK_KEYS[pre % len(SEEK_KEYS)]
         got_rng, want_rng = _keyed(key, pre), _keyed(key, pre)
         got = sparse.algorithm2_truncated(40, p, r, got_rng)
         assert oracles.layer_faces(got, r) == oracles.o_algorithm2_truncated(40, p, r, want_rng)
         assert _philox_state(got_rng.bit_generator) == _philox_state(want_rng.bit_generator)
-    assert seeks == []
+    assert len(seeks) == 5 * (r - 1)
 
 
-def test_algorithm2_full_read_holds_one_block_of_hits(monkeypatch):
-    # n = 60 unranks C(60, 4) = 487,635 tetrahedra (15 MiB of int64
-    # vertices) and keeps about 1/64 of them; filtered block by block, the
+def test_algorithm2_full_read_holds_one_block_of_hits():
+    # n = 60 has C(60, 4) = 487,635 tetrahedra (15 MiB of int64 vertices)
+    # and keeps about 1/64 of them; built and read block by block, the
     # peak stays near the output's size.
-    seeks = _count_seeks(monkeypatch)
     tracemalloc.start()
     try:
         faces = sparse.algorithm2_truncated(60, [1.0, 0.5, 1.0, 1.0], 3, rng_from(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seeks == [] and len(oracles.layer_faces(faces, 3)) > 0
+    assert len(oracles.layer_faces(faces, 3)) > 0
     assert peak < 8 << 20
 
 
 # ----- the sparse generators are the mask-layer samplers ------------------------
 
 # (n, r, p, seeking): r = 0..3 with p entries of 0 and 1, and a 10,700-face
-# shape whose every Philox draw of algorithm 2 seeks in `seeking` dimensions
+# shape (seeking = 1) whose algorithm 2 draws read under 1/32 of the words
+# of their top dimension, which Philox jumps
 IDENTITY_CASES = [
     (1, 0, [1.0], 0),
     (5, 0, [1.0], 0),
@@ -451,8 +586,10 @@ def test_generators_are_mask_layer_draws(monkeypatch, n, r, p, seeking, bitgen):
         hyper = sample_hypergraph_masks(amb, base, want_rng, 1)[0]
         assert oracles.layer_faces(got, r) == tuple(amb.faces_of_mask(interior_complex_mask(amb, hyper))), seed
         assert _same_stream_state(got_rng, want_rng), seed
-    assert len(seeks) == (10 * seeking if bitgen is np.random.Philox else 0)
+    # every draw reads candidates' words in each dimension above the edges
+    assert len(seeks) == 10 * max(r - 1, 0)
     assert sum(seeks) > 0 or not seeks
+    assert not seeking or 32 * sum(seeks) < 10 * comb(n, r + 1)
 
 
 def test_staged_triangle_marginal_at_closure_marginals():

@@ -217,6 +217,40 @@ def _same_next_draw(a, b):
     return a.random() == b.random()
 
 
+@pytest.mark.parametrize("rows, width", [(0, 1), (1, 1), (5, 1), (70_000, 1), (1000, 7), (300, 240),
+                                         (40, 1 << 15), (10, (1 << 15) + 1), (20, (1 << 14) + 1)])
+def test_block_cut_bound(rows, width):
+    # The blocks tile the rows in order.  Each holds at most _BLOCK_UNIFORMS
+    # uniforms, or one row when a row holds more, and each but the last is
+    # as full as that bound allows.
+    blocks = list(models._block_cut(rows, width))
+    sizes = [size for _, size in blocks]
+    assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == rows
+    assert all(size == 1 or size * width <= models._BLOCK_UNIFORMS for size in sizes)
+    assert all((size + 1) * width > models._BLOCK_UNIFORMS for size in sizes[:-1])
+
+
+def test_cumulative_cut_bound():
+    # Cut at each multiple of the bound: the rows after a block's first
+    # hold fewer than `bound` items, and a nonempty block with a row after
+    # it would pass the bound with that row.  A row of `bound` items or
+    # more may leave empty blocks behind it.
+    rnd = np.random.default_rng(3)
+    bound = 100
+    cases = [np.zeros(0, dtype=np.int64), np.zeros(5, dtype=np.int64), np.full(30, 100),
+             np.array([0, 250, 3, 0, 99, 1, 100, 0, 340]),
+             rnd.integers(0, 40, 500), rnd.integers(0, 300, 200)]
+    for counts in cases:
+        edges = [0, *models._cumulative_cut(counts, bound), counts.size]
+        assert edges == sorted(edges)
+        assert len(edges) - 1 == max(1, -(-int(counts.sum()) // bound))
+        for lo, hi in zip(edges, edges[1:]):
+            assert counts[lo + 1 : hi].sum() < bound
+            if lo < hi < counts.size:
+                assert counts[lo : hi + 1].sum() > bound
+
+
 @pytest.mark.parametrize("name", list(STREAM_AMBIENTS))
 def test_hypergraph_draws_match_face_loop(name):
     amb = STREAM_AMBIENTS[name]

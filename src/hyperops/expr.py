@@ -1,6 +1,7 @@
 """Text syntax for operator words.
 
-Grammar, loosest to tightest binding:
+Grammar, loosest to tightest binding; a chain parses in a loop to one flat
+word, so only parentheses recurse:
 
     expr  := comp (('+' | '/\\') comp)*     unions and meets, left associative
     comp  := power ('.' power)*             composition, right side applied first
@@ -83,25 +84,31 @@ class _Parser:
         return tok
 
     def expr(self) -> Word:
-        w = self.comp()
+        # a run of one operator is one chain; the other operator takes the
+        # chain so far as its first term, so both associate to the left
+        terms, kind = [self.comp()], None
         while True:
             tok = self.peek()
             if tok is None or tok[1] not in ("+", "/\\"):
-                return w
-            _, op, _ = self.take()
-            rhs = self.comp()
-            w = Join(w, rhs) if op == "+" else Meet(w, rhs)
+                return kind(*terms) if kind else terms[0]
+            op = Join if self.take()[1] == "+" else Meet
+            if kind not in (None, op):
+                terms = [kind(*terms)]
+            kind = op
+            terms.append(self.comp())
 
     def comp(self) -> Word:
-        w = self.power()
+        # the terms of a '.' chain, each '.' checked once the term after it
+        # parses, so errors come in source order
+        terms = [self.power()]
         while True:
             tok = self.peek()
             if tok is None or tok[1] != ".":
-                return w
+                return Compose(*terms) if len(terms) > 1 else terms[0]
             _, _, pos = self.take()
-            rhs = self.power()
+            terms.append(self.power())
             try:
-                w = Compose(w, rhs)
+                Compose(terms[-2], terms[-1])
             except WordError as e:
                 raise ParseError(str(e), pos) from None
 

@@ -42,9 +42,7 @@ from .operators import (
 from .words import (
     Compose,
     Join,
-    Meet,
     Word,
-    WordError,
     eval_word_mask,
     eval_word_tables,
     primitive_names,
@@ -206,18 +204,17 @@ def push_word(word: Word, *dists: Distribution) -> Distribution:
 
 
 def _push(word: Word, dists: list[Distribution]) -> Distribution:
-    # Operands of a join or meet are independent, so each side is pushed on
-    # its own and the two laws are combined by a subset convolution.
+    # A binary word is J or u1. ... .uk.J, J a join or meet of two unary terms
+    # with independent operands: each is pushed on its own, the two laws are
+    # combined by a subset convolution, then pushed through the prefix table.
     if word.arity() == 1:
         return push_table(dists[0], _unary_table(word, dists[0].ambient))
-    if isinstance(word, (Join, Meet)):
-        na = word.left.arity()
-        lhs = _push(word.left, dists[:na])
-        rhs = _push(word.right, dists[na:])
-        return _convolve(lhs, rhs, upward=isinstance(word, Join))
-    if isinstance(word, Compose):
-        return _push(word.outer, [_push(word.inner, dists)])
-    raise WordError(f"cannot push through {word!r}")
+    *prefix, j = word.terms if isinstance(word, Compose) else (word,)
+    lhs, rhs = (_push(t, [d]) for t, d in zip(j.terms, dists))
+    out = _convolve(lhs, rhs, upward=isinstance(j, Join))
+    if not prefix:
+        return out
+    return _push(Compose(*prefix) if len(prefix) > 1 else prefix[0], [out])
 
 
 def _unary_table(word: Word, amb: AmbientComplex) -> np.ndarray:
@@ -254,15 +251,10 @@ def _convolve(a: Distribution, b: Distribution, upward: bool) -> Distribution:
     values of either sign.
     """
     amb = same_ambient(a, b)
-    za = a.vec.copy()
+    za, zb = a.vec.copy(), b.vec.copy()
     _sum_transform(za, upward, np.add)
-    if b is a:
-        # a self-coupling: both transforms are the same vector
-        za *= za
-    else:
-        zb = b.vec.copy()
-        _sum_transform(zb, upward, np.add)
-        za *= zb
+    _sum_transform(zb, upward, np.add)
+    za *= zb
     _sum_transform(za, upward, np.subtract)
     return Distribution(amb, za)
 

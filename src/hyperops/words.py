@@ -1,22 +1,26 @@
 """Composition words over the operator monoid.
 
 A word is a tree of primitives combined by composition ('.'), powers ('^'),
-and the pointwise join ('+') and meet ('/\\') of maps.  Join and meet take a
-word of arity a and a word of arity b to a word of arity a+b: the two operand
-lists are concatenated, each side is evaluated on its own arguments, and the
-results are unioned or intersected.  Composition requires a unary outer word.
+and the pointwise join ('+') and meet ('/\\') of maps.  Compose, Join and
+Meet hold flat tuples of two or more terms and splice in terms of their own
+kind, so every grouping of a chain is one value.  Join and meet concatenate
+their terms' operand lists, evaluate each term on its own slice, and union
+or intersect the results.  A composition's terms but the last are unary.
 
 One tree walk, `_walk`, evaluates a word on masks or on tables and reads
-out the chain that `normalize` rewrites.  `normalize` rewrites pure unary
-chains of Delta/delta/gamma with the monoid relations until no rule
-applies; every rule strictly shortens the chain, so this terminates.
+out the chain that `normalize` rewrites; it loops over a chain's terms, so
+only parentheses deepen it.  `normalize` rewrites pure unary chains of
+Delta/delta/gamma with the monoid relations until no rule applies; every
+rule strictly shortens the chain, so this terminates.
 Normalization is syntactic; tests confirm extensional equality against
 the original word, the code never assumes it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import AmbientComplex, Hypergraph, same_ambient
 from .operators import PRIMITIVE_MASK_OPS, TableSet
@@ -64,20 +68,37 @@ class Prim(Word):
         return self.name
 
 
-@dataclass(frozen=True)
-class Compose(Word):
-    outer: Word
-    inner: Word
+@dataclass(frozen=True, init=False)
+class _Chain(Word):
+    """Two or more terms under one operation.  A term of the chain's own
+    kind is spliced in, so every grouping of a chain is one value."""
 
-    def __post_init__(self):
-        if self.outer.arity() != 1:
+    terms: tuple[Word, ...]
+
+    def __init__(self, *terms: Word):
+        kind = type(self)
+        terms = tuple(u for t in terms for u in (t.terms if type(t) is kind else (t,)))
+        if len(terms) < 2:
+            raise WordError(f"{kind.__name__} needs at least two terms")
+        object.__setattr__(self, "terms", terms)
+
+    def arity(self) -> int:
+        return sum(t.arity() for t in self.terms)
+
+    def __str__(self) -> str:
+        return self.SYMBOL.join(_wrap(t, (Join, Meet)) for t in self.terms)
+
+
+class Compose(_Chain):
+    SYMBOL = "."
+
+    def __init__(self, *terms: Word):
+        super().__init__(*terms)
+        if any(t.arity() != 1 for t in self.terms[:-1]):
             raise WordError("only unary words can be composed onto another")
 
     def arity(self) -> int:
-        return self.inner.arity()
-
-    def __str__(self) -> str:
-        return f"{self.outer}.{_wrap(self.inner)}"
+        return self.terms[-1].arity()
 
 
 @dataclass(frozen=True)
@@ -95,37 +116,19 @@ class Power(Word):
         return 1
 
     def __str__(self) -> str:
-        return f"{_wrap(self.base)}^{self.k}"
+        return f"{_wrap(self.base, Compose)}^{self.k}"
 
 
-@dataclass(frozen=True)
-class Join(Word):
-    left: Word
-    right: Word
-
-    def arity(self) -> int:
-        return self.left.arity() + self.right.arity()
-
-    def __str__(self) -> str:
-        return f"{_wrap(self.left)} + {_wrap(self.right)}"
+class Join(_Chain):
+    SYMBOL = " + "
 
 
-@dataclass(frozen=True)
-class Meet(Word):
-    left: Word
-    right: Word
-
-    def arity(self) -> int:
-        return self.left.arity() + self.right.arity()
-
-    def __str__(self) -> str:
-        return f"{_wrap(self.left)} /\\ {_wrap(self.right)}"
+class Meet(_Chain):
+    SYMBOL = " /\\ "
 
 
-def _wrap(w: Word) -> str:
-    if isinstance(w, (Join, Meet)):
-        return f"({w})"
-    return str(w)
+def _wrap(w: Word, kinds) -> str:
+    return f"({w})" if isinstance(w, kinds) else str(w)
 
 
 # ----- evaluation -------------------------------------------------------------
@@ -140,17 +143,18 @@ def _walk(word: Word, args: list, apply):
     if isinstance(word, Prim):
         return apply(word.name, args[0])
     if isinstance(word, Compose):
-        return _walk(word.outer, [_walk(word.inner, args, apply)], apply)
+        for term in reversed(word.terms):
+            args = [_walk(term, args, apply)]
+        return args[0]
     if isinstance(word, Power):
         h = args[0]
         for _ in range(word.k):
             h = _walk(word.base, [h], apply)
         return h
     if isinstance(word, (Join, Meet)):
-        na = word.left.arity()
-        lhs = _walk(word.left, args[:na], apply)
-        rhs = _walk(word.right, args[na:], apply)
-        return (lhs | rhs) if isinstance(word, Join) else (lhs & rhs)
+        rest = iter(args)
+        parts = (_walk(t, [next(rest) for _ in range(t.arity())], apply) for t in word.terms)
+        return reduce(operator.or_ if isinstance(word, Join) else operator.and_, parts)
     raise WordError(f"cannot evaluate {word!r}")
 
 
@@ -263,9 +267,6 @@ def normalize(word: Word) -> Word:
 
 def word_from_names(names: list[str]) -> Word:
     """Build the composition word f1.f2...fk from names in application order f1 last applied."""
-    if not names:
-        return Prim("id")
-    out: Word = Prim(names[-1])
-    for name in reversed(names[:-1]):
-        out = Compose(Prim(name), out)
-    return out
+    if len(names) < 2:
+        return Prim(names[0] if names else "id")
+    return Compose(*map(Prim, names))

@@ -781,13 +781,12 @@ NESTED_3000 = "(" * 3000 + "Delta" + ")" * 3000
     ["gen-hyper", "--ambient", "{cx}", "--prob", "{prob}", "--seed", "1", "--out", "{dir}"],
     ["sparse", "--algorithm", "2", "--n", "6", "--r", "1", "--prob", "{prob}", "--seed", "1", "--out", "{dir}"],
     ["stats", "--n", "6", "--r", "1", "--samples", "5", "--seed", "1", "--out", "{dir}"],
-    ["push", "--ambient", "{cx}", "--expr", CHAIN_3000, "--model", "phyper", "--prob", "{prob}"],
     ["push", "--ambient", "{cx}", "--expr", NESTED_3000, "--model", "phyper", "--prob", "{prob}"],
     ["normalize", "--expr", NESTED_3000],
 ], ids=["ambient-dir", "prob-dir", "hyper-dir", "gen-out-dir", "sparse-out-dir", "stats-out-dir",
-        "push-chain-3000", "push-nested-3000", "normalize-nested-3000"])
+        "push-nested-3000", "normalize-nested-3000"])
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, triangle_cx, half_prob, argv):
-    # unreadable paths, unwritable outputs and words nested past the
+    # unreadable paths, unwritable outputs and parentheses nested past the
     # interpreter's recursion limit: one error line, no traceback, no
     # temp file left beside an --out
     folder = tmp_path / "folder"
@@ -805,6 +804,17 @@ def test_cli_600_term_chain_pushes_as_its_normal_form(capsys, triangle_cx, half_
     code, out, _ = run_cli(capsys, *argv, ".".join(["Delta"] * 600))
     assert code == 0
     assert (code, out) == run_cli(capsys, *argv, "Delta")[:2]
+
+
+def test_cli_3000_term_chain_runs_as_its_normal_form(capsys, triangle_cx, half_prob):
+    # a '.' chain is one loop in the parser, the walk and the push, so no
+    # length reaches the recursion limit
+    argv = ["push", "--ambient", triangle_cx, "--model", "phyper", "--prob", half_prob, "--expr"]
+    code, out, err = run_cli(capsys, *argv, CHAIN_3000)
+    assert code == 0, err
+    assert "TV to closed-form family (Delta)" in out
+    assert (code, out) == run_cli(capsys, *argv, "Delta")[:2]
+    assert run_cli(capsys, "normalize", "--expr", CHAIN_3000)[:2] == (0, "Delta\n")
 
 
 def test_cli_missing_file(capsys):

@@ -45,6 +45,38 @@ def test_arity_rules():
         Power(g, -1)
 
 
+def test_regrouped_chains_are_one_value():
+    a, b, c = Prim("Delta"), Prim("gamma"), Prim("delta")
+    for kind in (Compose, Join, Meet):
+        words = [kind(a, kind(b, c)), kind(kind(a, b), c), kind(a, b, c)]
+        assert words[0] == words[1] == words[2]
+        assert len({hash(w) for w in words}) == 1
+        assert words[2].terms == (a, b, c)
+        with pytest.raises(WordError, match="at least two terms"):
+            kind(a)
+    # a chain of another kind is a term, not spliced in
+    assert Meet(Join(a, b), c).terms == (Join(a, b), c)
+    assert Meet(Join(a, b), c) != Meet(a, b, c)
+    assert Compose(a, b, Join(a, b, c)).arity() == 3
+    with pytest.raises(WordError, match="only unary words"):
+        Compose(a, Join(a, b), c)
+
+
+def test_long_chains_evaluate(delta2):
+    # a chain is one loop, however many terms it holds
+    D = Prim("Delta")
+    closures = [eval_word_mask(D, delta2, [1 << i]) for i in range(delta2.num_faces)]
+    assert eval_word_mask(Compose(*[D] * 3000), delta2, [1 << 6]) == closures[6]
+    faces = [i % delta2.num_faces for i in range(3000)]
+    joined, met = 0, delta2.full_mask
+    for i in faces:
+        joined |= closures[i]
+        met &= closures[i]
+    masks = [1 << i for i in faces]
+    assert eval_word_mask(Join(*[D] * 3000), delta2, masks) == joined
+    assert eval_word_mask(Meet(*[D] * 3000), delta2, masks) == met
+
+
 def test_eval_relation_examples(delta2):
     g = Prim("gamma")
     d = Prim("delta")
